@@ -79,9 +79,10 @@ BENCHMARK(BM_MonteCarlo100k)->Arg(8)->Arg(16)->Arg(32);
 
 void BM_HybridStageAdvance(benchmark::State& state) {
   const auto mkl = sealpaa::analysis::MklMatrices::from_cell(lpaa(6));
+  const auto weights = sealpaa::analysis::operand_weights(0.3, 0.7);
   sealpaa::analysis::CarryState carry{0.5, 0.5};
   for (auto _ : state) {
-    carry = sealpaa::analysis::advance_stage(mkl, 0.3, 0.7, carry);
+    carry = sealpaa::analysis::advance_stage(mkl, weights, carry);
     benchmark::DoNotOptimize(carry);
     // Re-normalise so the state never degenerates to zero mass.
     carry = sealpaa::analysis::CarryState{0.5, 0.5};

@@ -12,7 +12,6 @@
 #include <iostream>
 
 #include "sealpaa/adders/builtin.hpp"
-#include "sealpaa/analysis/correlated.hpp"
 #include "sealpaa/analysis/recursive.hpp"
 #include "sealpaa/apps/fir.hpp"
 #include "sealpaa/multibit/profile_estimation.hpp"
@@ -78,7 +77,7 @@ int main() {
     const double independent =
         analysis::RecursiveAnalyzer::analyze(chain, marginal).p_error;
     const double correlated =
-        analysis::CorrelatedAnalyzer::analyze(chain, joint).p_error;
+        analysis::RecursiveAnalyzer::analyze(chain, joint).p_error;
     std::uint64_t failures = 0;
     for (const auto& sample : trace) {
       if (!chain.evaluate_traced(sample.a, sample.b, false)

@@ -6,7 +6,7 @@
 #include <iostream>
 
 #include "sealpaa/adders/builtin.hpp"
-#include "sealpaa/analysis/joint.hpp"
+#include "sealpaa/analysis/error_pmf.hpp"
 #include "sealpaa/baseline/weighted_exhaustive.hpp"
 #include "sealpaa/util/format.hpp"
 #include "sealpaa/util/table.hpp"
@@ -35,13 +35,13 @@ int main() {
       if (std::llabs(error) < 4) p_small += probability;
       if (std::llabs(error) < 32) p_medium += probability;
     }
-    // Cross-check the closed-form moments against the distribution.
-    const auto moments =
-        analysis::JointCarryAnalyzer::moments(chain, profile);
+    // The moments come from the analytic error PMF, independent of the
+    // enumeration that produced the distribution columns.
+    const auto pmf = analysis::propagate_error_pmf(chain, profile);
     table.add_row(
         {cell.name(), util::prob6(p_zero), util::prob6(p_small),
-         util::prob6(p_medium), util::fixed(moments.mean, 2),
-         util::fixed(moments.rms(), 2),
+         util::prob6(p_medium), util::fixed(pmf.mean_error(), 2),
+         util::fixed(std::sqrt(pmf.mean_squared_error()), 2),
          std::to_string(report.worst_case_error),
          std::to_string(report.error_distribution.size())});
   }

@@ -3,10 +3,13 @@
 // exact sum).  A carry-only cell error can be masked downstream, so
 //   P(value correct) >= P(all stages successful).
 // This bench quantifies the gap for every LPAA with the exact joint DP
-// and reports the exact error moments (mean / RMS error distance).
+// and reports the exact error moments (mean / RMS error) from the error
+// PMF.
+#include <cmath>
 #include <iostream>
 
 #include "sealpaa/adders/builtin.hpp"
+#include "sealpaa/analysis/error_pmf.hpp"
 #include "sealpaa/analysis/joint.hpp"
 #include "sealpaa/analysis/recursive.hpp"
 #include "sealpaa/util/cli.hpp"
@@ -31,13 +34,13 @@ int main(int argc, char** argv) {
   for (const adders::AdderCell& cell : adders::builtin_lpaas()) {
     const auto chain = multibit::AdderChain::homogeneous(cell, bits);
     const auto joint = analysis::JointCarryAnalyzer::analyze(chain, profile);
-    const auto moments = analysis::JointCarryAnalyzer::moments(chain, profile);
+    const auto pmf = analysis::propagate_error_pmf(chain, profile);
     const double p_stage = 1.0 - joint.p_stage_success;
     const double p_value = 1.0 - joint.p_value_correct;
     table.add_row({cell.name(), util::prob6(p_stage), util::prob6(p_value),
                    util::prob6(p_stage - p_value),
-                   util::fixed(moments.mean, 3),
-                   util::fixed(moments.rms(), 3)});
+                   util::fixed(pmf.mean_error(), 3),
+                   util::fixed(std::sqrt(pmf.mean_squared_error()), 3)});
   }
   std::cout << table;
   std::cout

@@ -7,7 +7,6 @@
 #include <iostream>
 
 #include "sealpaa/adders/builtin.hpp"
-#include "sealpaa/analysis/correlated.hpp"
 #include "sealpaa/analysis/recursive.hpp"
 #include "sealpaa/baseline/weighted_exhaustive.hpp"
 #include "sealpaa/util/format.hpp"
@@ -38,7 +37,7 @@ int main() {
       const auto joint =
           multibit::JointInputProfile::correlated(marginals, rho);
       const double analytical =
-          analysis::CorrelatedAnalyzer::analyze(chain, joint).p_error;
+          analysis::RecursiveAnalyzer::analyze(chain, joint).p_error;
       const double oracle =
           1.0 - baseline::WeightedExhaustive::analyze_joint(chain, joint)
                     .p_stage_success;

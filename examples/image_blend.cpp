@@ -10,7 +10,7 @@
 
 #include "sealpaa/adders/builtin.hpp"
 #include "sealpaa/adders/characteristics.hpp"
-#include "sealpaa/analysis/joint.hpp"
+#include "sealpaa/analysis/error_pmf.hpp"
 #include "sealpaa/apps/image.hpp"
 #include "sealpaa/multibit/chain.hpp"
 #include "sealpaa/multibit/profile_estimation.hpp"
@@ -38,8 +38,8 @@ int main(int argc, char** argv) {
             << " synthetic images ((a+b)/2) through 8-bit adder chains:\n\n";
 
   // Analytical PSNR prediction: estimate the per-bit pixel statistics,
-  // get the exact adder-error second moment from the joint-carry DP,
-  // and map it to pixel MSE (the >>1 halves the error; clamping is
+  // get the exact adder-error second moment from the error PMF, and map
+  // it to pixel MSE (the >>1 halves the error; clamping is
   // ignored, so the model is optimistic for huge errors).
   std::vector<multibit::OperandSample> pixel_trace;
   for (std::size_t y = 0; y < scene.height(); ++y) {
@@ -59,9 +59,10 @@ int main(int argc, char** argv) {
     const apps::Image blended = apps::approx_blend(scene, overlay, chain);
     blended.write_pgm(out_dir + "/sealpaa_blend_" + cell.name() + ".pgm");
     const double psnr = apps::image_psnr(reference, blended);
-    const auto moments =
-        analysis::JointCarryAnalyzer::moments(chain, pixel_profile);
-    const double pixel_mse = moments.second_moment / 4.0;  // err >> 1
+    const double pixel_mse =
+        analysis::propagate_error_pmf(chain, pixel_profile)
+            .mean_squared_error() /
+        4.0;  // err >> 1
     const double predicted =
         pixel_mse <= 0.0 ? std::numeric_limits<double>::infinity()
                          : 10.0 * std::log10(255.0 * 255.0 / pixel_mse);
@@ -81,10 +82,11 @@ int main(int argc, char** argv) {
   const apps::Image hybrid_blend =
       apps::approx_blend(scene, overlay, hybrid_chain);
   hybrid_blend.write_pgm(out_dir + "/sealpaa_blend_hybrid.pgm");
-  const auto hybrid_moments =
-      analysis::JointCarryAnalyzer::moments(hybrid_chain, pixel_profile);
+  const double hybrid_mse =
+      analysis::propagate_error_pmf(hybrid_chain, pixel_profile)
+          .mean_squared_error();
   const double hybrid_predicted =
-      10.0 * std::log10(255.0 * 255.0 / (hybrid_moments.second_moment / 4.0));
+      10.0 * std::log10(255.0 * 255.0 / (hybrid_mse / 4.0));
   table.add_row({"LPAA5 x4 | AccuFA x4 (LSB-only approx)",
                  util::fixed(apps::image_psnr(reference, hybrid_blend), 2),
                  util::fixed(hybrid_predicted, 2),

@@ -15,11 +15,10 @@ REPO_DIR=$(pwd)
 cmake -B build -G Ninja
 cmake --build build
 
-# The CI perf gate depends on these three binaries; fail here with a
-# clear message rather than letting the bench glob silently skip a
-# renamed target.
-for gate in bench_dse_prefix_cache bench_bitsliced_sim \
-            bench_service_throughput; do
+# The CI perf gate depends on these binaries; fail here with a clear
+# message rather than letting the bench glob silently skip a renamed
+# target.
+for gate in bench_dse_prefix_cache bench_bitsliced_sim; do
   if [ ! -x "build/bench/$gate" ]; then
     echo "error: perf-gate bench build/bench/$gate is missing" >&2
     exit 1
@@ -42,8 +41,7 @@ done
 echo "== bench regression gate =="
 python3 scripts/check_bench_regression.py \
   BENCH_dse_prefix_cache.json "$OUT_DIR/BENCH_dse_prefix_cache.json" \
-  BENCH_bitsliced_sim.json "$OUT_DIR/BENCH_bitsliced_sim.json" \
-  BENCH_service.json "$OUT_DIR/BENCH_service.json" |
+  BENCH_bitsliced_sim.json "$OUT_DIR/BENCH_bitsliced_sim.json" |
   tee "$OUT_DIR/bench_regression.txt"
 
 echo "== service smoke =="

@@ -14,19 +14,20 @@ int max_cascadable_width(const adders::AdderCell& cell, double p,
   }
   (void)prob::require_probability(p, "max_cascadable_width p");
   const MklMatrices mkl = MklMatrices::from_cell(cell);
+  const OperandWeights w = operand_weights(p, p);
   CarryState carry{1.0 - p, p};
   int best = 0;
   for (int width = 1; width <= cap; ++width) {
     // P(Succ) for this width uses the current carry state through the
     // final L-dot; then advance for the next width.
-    const double p_success = final_success(mkl, p, p, carry);
+    const double p_success = final_success(mkl, w, carry);
     if (1.0 - p_success <= epsilon) {
       best = width;
     } else {
       // Monotone in width: once exceeded, longer chains are worse.
       break;
     }
-    carry = advance_stage(mkl, p, p, carry);
+    carry = advance_stage(mkl, w, carry);
   }
   return best;
 }
@@ -39,6 +40,7 @@ int max_approximate_lsbs(const adders::AdderCell& cell, std::size_t width,
   }
   (void)prob::require_probability(p, "max_approximate_lsbs p");
   const MklMatrices mkl = MklMatrices::from_cell(cell);
+  const OperandWeights w = operand_weights(p, p);
   // Exact upper stages preserve the success mass, so the hybrid's
   // P(Error) is 1 - success_mass after the k approximate stages (or the
   // final L-dot when k == width).
@@ -46,8 +48,8 @@ int max_approximate_lsbs(const adders::AdderCell& cell, std::size_t width,
   int best = 0;
   for (std::size_t k = 1; k <= width; ++k) {
     const double p_success = k == width
-                                 ? final_success(mkl, p, p, carry)
-                                 : (carry = advance_stage(mkl, p, p, carry),
+                                 ? final_success(mkl, w, carry)
+                                 : (carry = advance_stage(mkl, w, carry),
                                     carry.success_mass());
     if (1.0 - p_success <= epsilon) {
       best = static_cast<int>(k);

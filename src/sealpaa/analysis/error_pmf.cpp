@@ -6,6 +6,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "sealpaa/analysis/mkl.hpp"
 #include "sealpaa/prob/kahan.hpp"
 #include "sealpaa/sim/metrics.hpp"  // header-only worse_error / error_magnitude
 
@@ -15,14 +16,6 @@ namespace {
 
 constexpr std::size_t joint_index(bool ca, bool ce) noexcept {
   return (static_cast<std::size_t>(ca) << 1) | static_cast<std::size_t>(ce);
-}
-
-// Probability of each (a, b) operand-bit combination at one stage —
-// same ordering as the moment DP in joint.cpp.
-std::array<double, 4> ab_weights(double p_a, double p_b) noexcept {
-  const double na = 1.0 - p_a;
-  const double nb = 1.0 - p_b;
-  return {na * nb, na * p_b, p_a * nb, p_a * p_b};
 }
 
 // Unsigned value span (max - min); well-defined for any int64 pair.
@@ -346,7 +339,7 @@ void advance_error_pmf(ErrorPmfState& state, const adders::AdderCell& cell,
         "advance_error_pmf: error-PMF propagation supports widths <= 62");
   }
   const adders::AdderCell::Rows& exact = adders::AdderCell::accurate_rows();
-  const std::array<double, 4> ab = ab_weights(p_a, p_b);
+  const OperandWeights ab = operand_weights(p_a, p_b);
   const std::int64_t weight = std::int64_t{1} << state.stage;
 
   // Segmented convolution: each (source pair, operand combination)

@@ -2,7 +2,8 @@
 // of the signed arithmetic error
 //   err = approx_value - exact_value   (carry-out weighted 2^N),
 // propagated analytically through the same joint-carry decomposition the
-// moment DP in joint.cpp uses — no simulation samples anywhere.
+// value-level DP in joint.cpp uses — no simulation samples anywhere.  Its
+// mean and mean squared error are the library's exact error moments.
 //
 // The propagation state is one sparse PMF per (approximate carry, exact
 // carry) pair.  Each stage contributes a signed delta
@@ -156,8 +157,8 @@ class ErrorPmf {
 };
 
 /// Propagation state: one conditioned error PMF per joint carry pair
-/// (approximate carry ca, exact carry ce), indexed `(ca << 1) | ce` like
-/// the moment DP.  `joint[j].total_mass()` is P(reaching pair j), so the
+/// (approximate carry ca, exact carry ce), indexed `(ca << 1) | ce`.
+/// `joint[j].total_mass()` is P(reaching pair j), so the
 /// four masses always sum to 1.
 struct ErrorPmfState {
   std::array<ErrorPmf, 4> joint{};

@@ -1,9 +1,9 @@
 #include "sealpaa/analysis/joint.hpp"
 
 #include <array>
-#include <cmath>
 #include <stdexcept>
 
+#include "sealpaa/analysis/mkl.hpp"
 #include "sealpaa/prob/kahan.hpp"
 
 namespace sealpaa::analysis {
@@ -21,46 +21,16 @@ constexpr std::size_t state_index(bool ca, bool ce, bool eq,
 }
 
 using State16 = std::array<double, 16>;
-using Joint4 = std::array<double, 4>;  // index (ca << 1) | ce
-
-constexpr std::size_t joint_index(bool ca, bool ce) noexcept {
-  return (static_cast<std::size_t>(ca) << 1) | static_cast<std::size_t>(ce);
-}
-
-// Probability of each (a, b) operand-bit combination at one stage.
-std::array<double, 4> ab_weights(double p_a, double p_b) noexcept {
-  const double na = 1.0 - p_a;
-  const double nb = 1.0 - p_b;
-  return {na * nb, na * p_b, p_a * nb, p_a * p_b};
-}
-
-// Signed sum-bit difference d = s_approx - s_exact for one stage given
-// operand bits and both carries.
-int sum_difference(const adders::AdderCell& cell, bool a, bool b, bool ca,
-                   bool ce) noexcept {
-  const bool s_approx = cell.output(a, b, ca).sum;
-  const bool s_exact =
-      adders::AdderCell::accurate_rows()[adders::AdderCell::row_index(
-          a, b, ce)].sum;
-  return static_cast<int>(s_approx) - static_cast<int>(s_exact);
-}
-
-void check_widths(const multibit::AdderChain& chain,
-                  const multibit::InputProfile& profile) {
-  if (chain.width() != profile.width()) {
-    throw std::invalid_argument(
-        "JointCarryAnalyzer: chain and profile widths differ");
-  }
-}
 
 }  // namespace
-
-double ErrorMoments::rms() const noexcept { return std::sqrt(second_moment); }
 
 JointResult JointCarryAnalyzer::analyze(
     const multibit::AdderChain& chain,
     const multibit::InputProfile& profile) {
-  check_widths(chain, profile);
+  if (chain.width() != profile.width()) {
+    throw std::invalid_argument(
+        "JointCarryAnalyzer: chain and profile widths differ");
+  }
   const std::size_t n = chain.width();
   const adders::AdderCell::Rows& exact = adders::AdderCell::accurate_rows();
 
@@ -70,8 +40,7 @@ JointResult JointCarryAnalyzer::analyze(
 
   for (std::size_t i = 0; i < n; ++i) {
     const adders::AdderCell& cell = chain.stage(i);
-    const std::array<double, 4> ab = ab_weights(profile.p_a(i),
-                                                profile.p_b(i));
+    const OperandWeights ab = operand_weights(profile.p_a(i), profile.p_b(i));
     State16 next{};
     for (std::size_t s = 0; s < state.size(); ++s) {
       const double mass = state[s];
@@ -113,173 +82,6 @@ JointResult JointCarryAnalyzer::analyze(
   result.p_value_correct = value_correct.value();
   result.p_sum_bits_correct = sum_bits_correct.value();
   return result;
-}
-
-ErrorMoments JointCarryAnalyzer::moments(
-    const multibit::AdderChain& chain,
-    const multibit::InputProfile& profile) {
-  check_widths(chain, profile);
-  const std::size_t n = chain.width();
-  const adders::AdderCell::Rows& exact = adders::AdderCell::accurate_rows();
-
-  // Transition of the plain joint carry distribution at stage i.
-  const auto advance = [&](const Joint4& joint, std::size_t i) {
-    const adders::AdderCell& cell = chain.stage(i);
-    const std::array<double, 4> ab = ab_weights(profile.p_a(i),
-                                                profile.p_b(i));
-    Joint4 next{};
-    for (std::size_t j = 0; j < 4; ++j) {
-      if (joint[j] == 0.0) continue;
-      const bool ca = (j & 2U) != 0;
-      const bool ce = (j & 1U) != 0;
-      for (std::size_t abi = 0; abi < 4; ++abi) {
-        const bool a = (abi & 2U) != 0;
-        const bool b = (abi & 1U) != 0;
-        const bool ca2 = cell.output(a, b, ca).carry;
-        const bool ce2 =
-            exact[adders::AdderCell::row_index(a, b, ce)].carry;
-        next[joint_index(ca2, ce2)] += joint[j] * ab[abi];
-      }
-    }
-    return next;
-  };
-
-  // E[d_i | entry distribution `joint`] and the signed measure of d_i
-  // pushed through stage i (for covariances).
-  const auto stage_d_mean = [&](const Joint4& joint, std::size_t i) {
-    const adders::AdderCell& cell = chain.stage(i);
-    const std::array<double, 4> ab = ab_weights(profile.p_a(i),
-                                                profile.p_b(i));
-    double mean = 0.0;
-    double mean_sq = 0.0;
-    Joint4 pushed{};  // signed measure E[d_i ; next carries]
-    for (std::size_t j = 0; j < 4; ++j) {
-      if (joint[j] == 0.0) continue;
-      const bool ca = (j & 2U) != 0;
-      const bool ce = (j & 1U) != 0;
-      for (std::size_t abi = 0; abi < 4; ++abi) {
-        const bool a = (abi & 2U) != 0;
-        const bool b = (abi & 1U) != 0;
-        const int d = sum_difference(cell, a, b, ca, ce);
-        const double w = joint[j] * ab[abi];
-        mean += w * d;
-        mean_sq += w * d * d;
-        if (d != 0) {
-          const bool ca2 = cell.output(a, b, ca).carry;
-          const bool ce2 =
-              exact[adders::AdderCell::row_index(a, b, ce)].carry;
-          pushed[joint_index(ca2, ce2)] += w * d;
-        }
-      }
-    }
-    struct Out {
-      double mean;
-      double mean_sq;
-      Joint4 pushed;
-    };
-    return Out{mean, mean_sq, pushed};
-  };
-
-  // Expected d_j against a (possibly signed) entry measure.
-  const auto d_against = [&](const Joint4& measure, std::size_t j) {
-    const adders::AdderCell& cell = chain.stage(j);
-    const std::array<double, 4> ab = ab_weights(profile.p_a(j),
-                                                profile.p_b(j));
-    double acc = 0.0;
-    for (std::size_t s = 0; s < 4; ++s) {
-      if (measure[s] == 0.0) continue;
-      const bool ca = (s & 2U) != 0;
-      const bool ce = (s & 1U) != 0;
-      for (std::size_t abi = 0; abi < 4; ++abi) {
-        const bool a = (abi & 2U) != 0;
-        const bool b = (abi & 1U) != 0;
-        acc += measure[s] * ab[abi] *
-               sum_difference(cell, a, b, ca, ce);
-      }
-    }
-    return acc;
-  };
-
-  // Push a signed measure through stage j without weighting by d_j.
-  const auto push_measure = [&](const Joint4& measure, std::size_t j) {
-    const adders::AdderCell& cell = chain.stage(j);
-    const std::array<double, 4> ab = ab_weights(profile.p_a(j),
-                                                profile.p_b(j));
-    Joint4 next{};
-    for (std::size_t s = 0; s < 4; ++s) {
-      if (measure[s] == 0.0) continue;
-      const bool ca = (s & 2U) != 0;
-      const bool ce = (s & 1U) != 0;
-      for (std::size_t abi = 0; abi < 4; ++abi) {
-        const bool a = (abi & 2U) != 0;
-        const bool b = (abi & 1U) != 0;
-        const bool ca2 = cell.output(a, b, ca).carry;
-        const bool ce2 =
-            exact[adders::AdderCell::row_index(a, b, ce)].carry;
-        next[joint_index(ca2, ce2)] += measure[s] * ab[abi];
-      }
-    }
-    return next;
-  };
-
-  // Entry joint distribution of every stage.
-  std::vector<Joint4> entry(n + 1);
-  entry[0] = Joint4{};
-  entry[0][joint_index(false, false)] = 1.0 - profile.p_cin();
-  entry[0][joint_index(true, true)] = profile.p_cin();
-  for (std::size_t i = 0; i < n; ++i) entry[i + 1] = advance(entry[i], i);
-
-  const double weight_carry = std::pow(2.0, static_cast<double>(n));
-
-  prob::KahanSum mean_sum;
-  prob::KahanSum second_sum;
-
-  // Per-stage first moments and diagonal second moments.
-  std::vector<double> d_mean(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto out = stage_d_mean(entry[i], i);
-    d_mean[i] = out.mean;
-    const double w = std::pow(2.0, static_cast<double>(i));
-    mean_sum.add(w * out.mean);
-    second_sum.add(w * w * out.mean_sq);
-  }
-
-  // Final carry difference moments.
-  const Joint4& final_joint = entry[n];
-  double dc_mean = 0.0;
-  double dc_sq = 0.0;
-  for (std::size_t s = 0; s < 4; ++s) {
-    const int ca = (s & 2U) != 0 ? 1 : 0;
-    const int ce = (s & 1U) != 0 ? 1 : 0;
-    const int dc = ca - ce;
-    dc_mean += final_joint[s] * dc;
-    dc_sq += final_joint[s] * dc * dc;
-  }
-  mean_sum.add(weight_carry * dc_mean);
-  second_sum.add(weight_carry * weight_carry * dc_sq);
-
-  // Cross terms E[d_i d_j] (i < j) and E[d_i * dc].
-  for (std::size_t i = 0; i < n; ++i) {
-    Joint4 measure = stage_d_mean(entry[i], i).pushed;
-    const double wi = std::pow(2.0, static_cast<double>(i));
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const double wj = std::pow(2.0, static_cast<double>(j));
-      second_sum.add(2.0 * wi * wj * d_against(measure, j));
-      measure = push_measure(measure, j);
-    }
-    double cross_carry = 0.0;
-    for (std::size_t s = 0; s < 4; ++s) {
-      const int ca = (s & 2U) != 0 ? 1 : 0;
-      const int ce = (s & 1U) != 0 ? 1 : 0;
-      cross_carry += measure[s] * (ca - ce);
-    }
-    second_sum.add(2.0 * wi * weight_carry * cross_carry);
-  }
-
-  ErrorMoments moments;
-  moments.mean = mean_sum.value();
-  moments.second_moment = second_sum.value();
-  return moments;
 }
 
 }  // namespace sealpaa::analysis

@@ -7,12 +7,12 @@
 // error can in principle be masked downstream, so
 //   P(value correct) >= P(all stages successful).
 // Tracking the joint distribution of the approximate and exact carry
-// chains (plus two monotone flags) makes the value-level probability —
-// and the exact first and second moments of the signed arithmetic
-// error — computable in O(N) / O(N^2), still without any
-// inclusion-exclusion.  This module quantifies the paper's implicit
-// assumption that the two notions coincide for the LPAA family
-// (bench_x4_masking_gap).
+// chains (plus two monotone flags) makes the value-level probability
+// computable in O(N), still without any inclusion-exclusion.  This
+// module quantifies the paper's implicit assumption that the two notions
+// coincide for the LPAA family (bench_x4_masking_gap).  The moments of
+// the signed error come from analysis::ErrorPmf, which propagates the
+// same joint-carry decomposition.
 #pragma once
 
 #include "sealpaa/multibit/chain.hpp"
@@ -23,7 +23,8 @@ namespace sealpaa::analysis {
 /// Probabilities from the 16-state joint DP.
 struct JointResult {
   /// P(every stage matched the accurate FA) — must equal the recursive
-  /// analyzer's P(Succ); computed here redundantly as a cross-check.
+  /// analyzer's P(Succ); computed here by an independent DP, which the
+  /// tests use as an oracle for the recursion.
   double p_stage_success = 1.0;
   /// P(all N sum bits AND the final carry-out equal the exact adder's).
   double p_value_correct = 1.0;
@@ -31,27 +32,10 @@ struct JointResult {
   double p_sum_bits_correct = 1.0;
 };
 
-/// Exact moments of the signed arithmetic error
-///   err = approx_value - exact_value   (carry-out weighted 2^N).
-struct ErrorMoments {
-  double mean = 0.0;           // E[err]
-  double second_moment = 0.0;  // E[err^2]
-
-  [[nodiscard]] double variance() const noexcept {
-    return second_moment - mean * mean;
-  }
-  [[nodiscard]] double rms() const noexcept;
-};
-
 class JointCarryAnalyzer {
  public:
   /// Runs the 16-state DP (O(N)).
   [[nodiscard]] static JointResult analyze(
-      const multibit::AdderChain& chain,
-      const multibit::InputProfile& profile);
-
-  /// Exact error moments via the pairwise-covariance DP (O(N^2)).
-  [[nodiscard]] static ErrorMoments moments(
       const multibit::AdderChain& chain,
       const multibit::InputProfile& profile);
 };

@@ -50,17 +50,27 @@ struct CarryState {
   [[nodiscard]] double success_mass() const noexcept { return c0 + c1; }
 };
 
-/// Builds the 1x8 Input Probability Matrix of Equation 10 for one stage:
-/// entry at index (A<<2 | B<<1 | C) is P(A-literal).P(B-literal).P(C-joint).
-[[nodiscard]] constexpr Vector8 input_probability_matrix(
-    double p_a, double p_b, const CarryState& carry) noexcept {
+/// The operand factor of Equation 10 at one stage: entry (a << 1) | b is
+/// P(A_i = a, B_i = b).  The same layout as multibit::JointBitDistribution,
+/// so a correlated profile's stored joints are used as they are.
+using OperandWeights = std::array<double, 4>;
+
+/// Independent operands: the four products P(A-literal).P(B-literal).
+[[nodiscard]] constexpr OperandWeights operand_weights(double p_a,
+                                                       double p_b) noexcept {
   const double na = 1.0 - p_a;
   const double nb = 1.0 - p_b;
-  const std::array<double, 4> ab = {na * nb, na * p_b, p_a * nb, p_a * p_b};
+  return {na * nb, na * p_b, p_a * nb, p_a * p_b};
+}
+
+/// Builds the 1x8 Input Probability Matrix of Equation 10 for one stage:
+/// entry at index (A<<2 | B<<1 | C) is P(A, B).P(C-joint).
+[[nodiscard]] constexpr Vector8 input_probability_matrix(
+    const OperandWeights& weights, const CarryState& carry) noexcept {
   Vector8 ipm{};
-  for (std::size_t i = 0; i < 4; ++i) {
-    ipm[2 * i] = ab[i] * carry.c0;
-    ipm[2 * i + 1] = ab[i] * carry.c1;
+  for (std::size_t ab = 0; ab < 4; ++ab) {
+    ipm[2 * ab] = weights[ab] * carry.c0;
+    ipm[2 * ab + 1] = weights[ab] * carry.c1;
   }
   return ipm;
 }

@@ -8,6 +8,13 @@
 // builds the 1x8 IPM (Eq. 10) and advances it via dot products with the
 // cell's M and K matrices (Eq. 11).  After the last stage the success
 // probability is IPM.L (Eq. 12) and P(Error) = 1 - P(Succ) (Eq. 9).
+//
+// advance_stage / final_success below are the only implementation of
+// Equations 10-12 in the library.  They take the stage's joint operand
+// weights P(A_i = a, B_i = b), so the same kernel serves the paper's
+// independent profiles (the weights are products) and correlated
+// operands (the weights are a JointInputProfile's stored joints): the
+// carry pair stays the sufficient statistic either way.
 #pragma once
 
 #include <vector>
@@ -15,6 +22,7 @@
 #include "sealpaa/analysis/mkl.hpp"
 #include "sealpaa/multibit/chain.hpp"
 #include "sealpaa/multibit/input_profile.hpp"
+#include "sealpaa/multibit/joint_profile.hpp"
 #include "sealpaa/util/op_counter.hpp"
 
 namespace sealpaa::analysis {
@@ -22,7 +30,7 @@ namespace sealpaa::analysis {
 /// Per-stage record of the recursion, mirroring the rows of the paper's
 /// Table 4 worked example.
 struct StageTrace {
-  double p_a = 0.0;
+  double p_a = 0.0;  // P(A_i = 1); the marginal for a joint profile
   double p_b = 0.0;
   CarryState carry_in;   // P(C_curr ∩ Succ), both polarities
   CarryState carry_out;  // P(C_next ∩ Succ), both polarities
@@ -57,6 +65,15 @@ class RecursiveAnalyzer {
                                               const multibit::InputProfile& profile,
                                               const AnalyzeOptions& options = {});
 
+  /// The same recursion over correlated operands: stage i's Equation 10
+  /// operand factor is the profile's joint P(A_i, B_i).  Trace rows
+  /// report the marginals.  Equals the overload above when the profile
+  /// is a product distribution.
+  [[nodiscard]] static AnalysisResult analyze(
+      const multibit::AdderChain& chain,
+      const multibit::JointInputProfile& profile,
+      const AnalyzeOptions& options = {});
+
   /// Convenience overload: homogeneous chain of `cell` at the profile's
   /// width.
   [[nodiscard]] static AnalysisResult analyze(const adders::AdderCell& cell,
@@ -68,15 +85,21 @@ class RecursiveAnalyzer {
       const adders::AdderCell& cell, const multibit::InputProfile& profile);
 };
 
-/// Advances the carry state through one stage (Equations 10-11).  Exposed
-/// so composed analyses (GeAr sub-blocks, incremental DSE) can reuse it.
-[[nodiscard]] CarryState advance_stage(const MklMatrices& mkl, double p_a,
-                                       double p_b, const CarryState& carry,
+/// Stage i's operand weights of an independent profile, one entry per
+/// stage — the table the engine evaluators build once per profile.
+[[nodiscard]] std::vector<OperandWeights> operand_weights(
+    const multibit::InputProfile& profile);
+
+/// Advances the carry state through one stage (Equations 10-11).
+[[nodiscard]] CarryState advance_stage(const MklMatrices& mkl,
+                                       const OperandWeights& weights,
+                                       const CarryState& carry,
                                        util::OpCounter* counter = nullptr);
 
 /// Final-stage success mass (Equation 12): IPM.L for the last stage.
-[[nodiscard]] double final_success(const MklMatrices& mkl, double p_a,
-                                   double p_b, const CarryState& carry,
+[[nodiscard]] double final_success(const MklMatrices& mkl,
+                                   const OperandWeights& weights,
+                                   const CarryState& carry,
                                    util::OpCounter* counter = nullptr);
 
 /// Per-stage breakdown of where the success mass is lost: entry i is

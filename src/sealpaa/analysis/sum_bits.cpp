@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "sealpaa/adders/builtin.hpp"
+#include "sealpaa/analysis/recursive.hpp"
 
 namespace sealpaa::analysis {
 
@@ -46,24 +47,21 @@ SumBitReport SumBitAnalyzer::analyze(const multibit::AdderChain& chain,
     const adders::AdderCell& cell = chain.stage(i);
     const SumVectors vectors = SumVectors::from_cell(cell);
     const MklMatrices mkl = MklMatrices::from_cell(cell);
-    const double p_a = profile.p_a(i);
-    const double p_b = profile.p_b(i);
+    const OperandWeights w = operand_weights(profile.p_a(i), profile.p_b(i));
 
-    const Vector8 ipm_filtered =
-        input_probability_matrix(p_a, p_b, filtered);
     report.p_sum_one_and_success.push_back(
-        dot(ipm_filtered, vectors.sum_one_and_success));
-    filtered = CarryState{dot(ipm_filtered, mkl.k), dot(ipm_filtered, mkl.m)};
+        dot(input_probability_matrix(w, filtered),
+            vectors.sum_one_and_success));
+    filtered = advance_stage(mkl, w, filtered);
     report.p_prefix_success.push_back(filtered.success_mass());
 
-    const Vector8 ipm_signal = input_probability_matrix(p_a, p_b, signal);
+    const Vector8 ipm_signal = input_probability_matrix(w, signal);
     report.p_sum_one.push_back(dot(ipm_signal, vectors.sum_one));
     const double carry_one = dot(ipm_signal, vectors.carry_one);
     report.p_carry_one.push_back(carry_one);
     signal = CarryState{1.0 - carry_one, carry_one};
 
-    const Vector8 ipm_exact =
-        input_probability_matrix(p_a, p_b, exact_signal);
+    const Vector8 ipm_exact = input_probability_matrix(w, exact_signal);
     report.p_sum_one_exact.push_back(dot(ipm_exact, exact_vectors.sum_one));
     const double exact_carry = dot(ipm_exact, exact_vectors.carry_one);
     exact_signal = CarryState{1.0 - exact_carry, exact_carry};

@@ -52,8 +52,9 @@ class WeightedExhaustive {
       const multibit::InputProfile& profile, std::size_t max_width = 14,
       unsigned threads = 0, sim::Kernel kernel = sim::Kernel::kBitSliced);
 
-  /// Ground truth for correlated-operand profiles (validates
-  /// analysis::CorrelatedAnalyzer).  Same sharding contract as analyze().
+  /// Ground truth for correlated-operand profiles (validates the
+  /// JointInputProfile overload of RecursiveAnalyzer::analyze).  Same
+  /// sharding contract as analyze().
   [[nodiscard]] static ExhaustiveReport analyze_joint(
       const multibit::AdderChain& chain,
       const multibit::JointInputProfile& profile,

@@ -40,8 +40,8 @@ ChainEvaluator::ChainEvaluator(multibit::InputProfile profile,
                                ChainEvaluatorOptions options)
     : profile_(std::move(profile)),
       candidates_(std::move(candidates)),
+      weights_(analysis::operand_weights(profile_)),
       base_{1.0 - profile_.p_cin(), profile_.p_cin()},
-      batch_(profile_, candidates_),
       capacity_(std::min(options.cache_capacity, kMaxCapacity)),
       key_stride_(profile_.width()),
       pmf_capacity_(options.pmf_cache_capacity),
@@ -59,6 +59,25 @@ ChainEvaluator::ChainEvaluator(multibit::InputProfile profile,
     mkls_.push_back(analysis::MklMatrices::from_cell(cell));
   }
   key_scratch_.reserve(profile_.width());
+}
+
+void ChainEvaluator::advance_lanes(std::size_t stage,
+                                   std::span<const analysis::CarryState> in,
+                                   std::span<const std::uint32_t> parents,
+                                   std::span<const std::uint8_t> choices,
+                                   std::vector<analysis::CarryState>& out) {
+  const analysis::OperandWeights& w = weights_[stage];
+  out.resize(choices.size());
+  for (std::size_t j = 0; j < choices.size(); ++j) {
+    out[j] = analysis::advance_stage(mkls_[choices[j]], w, in[parents[j]]);
+  }
+  batch_stats_.lane_stages += choices.size();
+}
+
+void ChainEvaluator::note_batch(std::size_t lanes) noexcept {
+  batch_stats_.batches += 1;
+  batch_stats_.lanes += lanes;
+  if (lanes > batch_stats_.max_lanes) batch_stats_.max_lanes = lanes;
 }
 
 void ChainEvaluator::check_choice(std::size_t choice) const {
@@ -222,8 +241,7 @@ analysis::CarryState ChainEvaluator::carry_after(
 
   // Advance from the deepest known state, caching every new prefix.
   for (std::size_t d = found; d < len; ++d) {
-    carry = analysis::advance_stage(mkls_[choices[d]], profile_.p_a(d),
-                                    profile_.p_b(d), carry);
+    carry = analysis::advance_stage(mkls_[choices[d]], weights_[d], carry);
     ++stats_.stages_computed;
     if (capacity_ > 0) {
       insert_prefix(std::string_view(key_scratch_.data(), d + 1),
@@ -243,9 +261,8 @@ double ChainEvaluator::final_success(std::span<const std::size_t> prefix,
   }
   check_choice(last_choice);
   const analysis::CarryState carry = carry_after(prefix);
-  const std::size_t i = width() - 1;
-  return analysis::final_success(mkls_[last_choice], profile_.p_a(i),
-                                 profile_.p_b(i), carry);
+  return analysis::final_success(mkls_[last_choice], weights_[width() - 1],
+                                 carry);
 }
 
 analysis::AnalysisResult ChainEvaluator::evaluate(
@@ -262,19 +279,16 @@ analysis::AnalysisResult ChainEvaluator::evaluate(
 
   const analysis::CarryState before_last = carry_after(choices.first(n - 1));
   const analysis::MklMatrices& last = mkls_[choices[n - 1]];
-  const double p_a = profile_.p_a(n - 1);
-  const double p_b = profile_.p_b(n - 1);
+  const analysis::OperandWeights& w = weights_[n - 1];
 
   analysis::AnalysisResult result;
   result.p_success = prob::require_probability(
-      analysis::final_success(last, p_a, p_b, before_last),
-      "ChainEvaluator P(Succ)");
+      analysis::final_success(last, w, before_last), "ChainEvaluator P(Succ)");
   result.p_error = 1.0 - result.p_success;
   // The last stage's carry advance is "NR" for P(Succ) but part of the
   // full result (composition into wider chains); it is computed directly
   // and not cached — no later prefix can extend a full-width chain.
-  result.final_carry =
-      analysis::advance_stage(last, p_a, p_b, before_last);
+  result.final_carry = analysis::advance_stage(last, w, before_last);
   ++stats_.stages_computed;
   return result;
 }
@@ -299,7 +313,7 @@ std::vector<analysis::AnalysisResult> ChainEvaluator::evaluate_batch(
     for (const std::size_t c : chain) check_choice(c);
   }
   stats_.chains_evaluated += count;
-  batch_.note_batch(count);
+  note_batch(count);
 
   // Per-lane key bytes and the rolling prefix hashes of every depth —
   // the same FNV/mix scheme carry_after uses, so batch-computed prefixes
@@ -318,11 +332,9 @@ std::vector<analysis::AnalysisResult> ChainEvaluator::evaluate_batch(
     }
   }
 
-  ChainBatchEvaluator::Lanes lanes;
-  batch_.init_lanes(lanes, count);
+  std::vector<analysis::CarryState> lanes(count, base_);
   std::vector<std::uint32_t> pending;    // lanes advancing this stage
   std::vector<std::uint8_t> pending_c;   // their choice bytes
-  std::vector<std::uint8_t> last(count); // final-stage choices
   // Followers adopt a leader lane's freshly advanced state instead of
   // recomputing the shared prefix; leaders are found by mixed hash with
   // a key-bytes check, so a 64-bit collision degrades to duplicate work,
@@ -343,8 +355,7 @@ std::vector<analysis::AnalysisResult> ChainEvaluator::evaluate_batch(
         if (slot != kNil) {
           ++stats_.hits;
           touch(slot);
-          lanes.c0[l] = slots_[slot].carry.c0;
-          lanes.c1[l] = slots_[slot].carry.c1;
+          lanes[l] = slots_[slot].carry;
           continue;
         }
         ++stats_.misses;
@@ -360,41 +371,34 @@ std::vector<analysis::AnalysisResult> ChainEvaluator::evaluate_batch(
       pending_c.push_back(static_cast<std::uint8_t>(chains[l][d]));
     }
     if (!pending.empty()) {
-      batch_.advance_from(d, lanes, pending, pending_c, batch_scratch_,
-                          BatchMode::kStrict);
+      advance_lanes(d, lanes, pending, pending_c, lane_scratch_);
       stats_.stages_computed += pending.size();
       for (std::size_t j = 0; j < pending.size(); ++j) {
         const std::uint32_t l = pending[j];
-        lanes.c0[l] = batch_scratch_.c0[j];
-        lanes.c1[l] = batch_scratch_.c1[j];
+        lanes[l] = lane_scratch_[j];
         if (capacity_ > 0) {
           insert_prefix(std::string_view(keys.data() + l * n, d + 1),
-                        hashes[l * (n + 1) + d + 1],
-                        {lanes.c0[l], lanes.c1[l]});
+                        hashes[l * (n + 1) + d + 1], lanes[l]);
         }
       }
     }
     for (const auto& [follower, leader] : followers) {
-      lanes.c0[follower] = lanes.c0[leader];
-      lanes.c1[follower] = lanes.c1[leader];
+      lanes[follower] = lanes[leader];
     }
   }
 
   // Final stage, all lanes together: Equation 12, then the last carry
   // advance — the exact call sequence of evaluate() per lane.
-  std::vector<double> p_raw(count);
+  const analysis::OperandWeights& w = weights_[n - 1];
   for (std::size_t l = 0; l < count; ++l) {
-    last[l] = static_cast<std::uint8_t>(chains[l][n - 1]);
-  }
-  batch_.final_success(lanes, last, p_raw, BatchMode::kStrict);
-  batch_.advance(n - 1, last, lanes, BatchMode::kStrict);
-  stats_.stages_computed += count;
-  for (std::size_t l = 0; l < count; ++l) {
-    results[l].p_success =
-        prob::require_probability(p_raw[l], "ChainEvaluator P(Succ)");
+    const analysis::MklMatrices& last = mkls_[chains[l][n - 1]];
+    results[l].p_success = prob::require_probability(
+        analysis::final_success(last, w, lanes[l]), "ChainEvaluator P(Succ)");
     results[l].p_error = 1.0 - results[l].p_success;
-    results[l].final_carry = {lanes.c0[l], lanes.c1[l]};
+    results[l].final_carry = analysis::advance_stage(last, w, lanes[l]);
   }
+  stats_.stages_computed += count;
+  batch_stats_.lane_stages += count;
   return results;
 }
 
@@ -422,14 +426,10 @@ std::vector<double> ChainEvaluator::score_extensions(
   // round-to-round prefix reuse (and its accounting) identical to the
   // per-extension path.  The raw FNV state is re-rolled per parent so
   // each extension's key hash is one multiply away.
-  ChainBatchEvaluator::Lanes parent_lanes;
-  parent_lanes.c0.resize(parents.size());
-  parent_lanes.c1.resize(parents.size());
+  std::vector<analysis::CarryState> parent_lanes(parents.size());
   std::vector<std::uint64_t> parent_fnv(parents.size());
   for (std::size_t p = 0; p < parents.size(); ++p) {
-    const analysis::CarryState carry = carry_after(parents[p]);
-    parent_lanes.c0[p] = carry.c0;
-    parent_lanes.c1[p] = carry.c1;
+    parent_lanes[p] = carry_after(parents[p]);
     std::uint64_t h = kFnvBasis;
     for (const std::size_t c : parents[p]) {
       h = (h ^ (c & 0xFFu)) * kFnvPrime;
@@ -450,21 +450,23 @@ std::vector<double> ChainEvaluator::score_extensions(
     parent_idx[e] = extensions[e].parent;
     choices[e] = extensions[e].choice;
   }
-  batch_.note_batch(extensions.size());
+  note_batch(extensions.size());
 
   if (depth + 1 == n) {
     // Last stage: Equation 12 per extension, nothing cached — exactly
     // what final_success(parent, choice) computes after its parent probe.
-    batch_.final_success_from(parent_lanes, parent_idx, choices, out,
-                              BatchMode::kStrict);
+    const analysis::OperandWeights& w = weights_[depth];
+    for (std::size_t e = 0; e < extensions.size(); ++e) {
+      out[e] = analysis::final_success(mkls_[choices[e]], w,
+                                       parent_lanes[parent_idx[e]]);
+    }
     return out;
   }
 
-  batch_.advance_from(depth, parent_lanes, parent_idx, choices,
-                      batch_scratch_, BatchMode::kStrict);
+  advance_lanes(depth, parent_lanes, parent_idx, choices, lane_scratch_);
   stats_.stages_computed += extensions.size();
   for (std::size_t e = 0; e < extensions.size(); ++e) {
-    out[e] = batch_scratch_.c0[e] + batch_scratch_.c1[e];
+    out[e] = lane_scratch_[e].success_mass();
     if (capacity_ == 0) continue;
     // Cache the advanced state under parent-key + choice, mirroring the
     // per-extension carry_after accounting: one probe (the miss that
@@ -487,8 +489,7 @@ std::vector<double> ChainEvaluator::score_extensions(
       continue;
     }
     ++stats_.misses;
-    insert_prefix(key, hash,
-                  {batch_scratch_.c0[e], batch_scratch_.c1[e]});
+    insert_prefix(key, hash, lane_scratch_[e]);
   }
   return out;
 }

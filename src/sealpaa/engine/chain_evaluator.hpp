@@ -12,6 +12,11 @@
 // `RecursiveAnalyzer::analyze`, so `evaluate()` is bit-identical to the
 // batch analyzer (enforced by tests/test_engine.cpp), and the cache can
 // never change a result — only how often stages are recomputed.
+//
+// Frontier and service batches (`evaluate_batch`, `score_extensions`)
+// advance many chains stage by stage as lanes.  Each lane replays the
+// same advance_stage / final_success calls, so a batch is bit-identical
+// to the per-chain path (DESIGN.md decision 9: one strict lane path).
 #pragma once
 
 #include <cstdint>
@@ -26,7 +31,6 @@
 #include "sealpaa/analysis/error_pmf.hpp"
 #include "sealpaa/analysis/mkl.hpp"
 #include "sealpaa/analysis/recursive.hpp"
-#include "sealpaa/engine/batch_evaluator.hpp"
 #include "sealpaa/multibit/input_profile.hpp"
 
 namespace sealpaa::engine {
@@ -63,6 +67,34 @@ struct CacheStats {
     return probes == 0 ? 0.0
                        : static_cast<double>(hits) /
                              static_cast<double>(probes);
+  }
+
+  void merge(const CacheStats& other) noexcept {
+    hits += other.hits;
+    misses += other.misses;
+    insertions += other.insertions;
+    evictions += other.evictions;
+    stages_computed += other.stages_computed;
+    chains_evaluated += other.chains_evaluated;
+  }
+};
+
+/// Lane accounting of evaluate_batch / score_extensions, reported
+/// through sealpaa::obs — the counters that prove evaluation ran
+/// lane-parallel.
+struct BatchStats {
+  std::uint64_t batches = 0;    // batch operations submitted
+  std::uint64_t lanes = 0;      // total lanes across those batches
+  std::uint64_t max_lanes = 0;  // widest single batch
+  /// Lane-stage advances performed (the lane analogue of
+  /// CacheStats::stages_computed).
+  std::uint64_t lane_stages = 0;
+
+  void merge(const BatchStats& other) noexcept {
+    batches += other.batches;
+    lanes += other.lanes;
+    max_lanes = max_lanes < other.max_lanes ? other.max_lanes : max_lanes;
+    lane_stages += other.lane_stages;
   }
 };
 
@@ -110,21 +142,21 @@ class ChainEvaluator {
   [[nodiscard]] analysis::AnalysisResult evaluate(
       std::span<const std::size_t> choices);
 
-  /// Many full chains in one strict SoA pass: per stage, every lane
-  /// first probes the prefix cache at its next depth (so one lane's
+  /// Many full chains in one stage-major lane pass: per stage, every
+  /// lane first probes the prefix cache at its next depth (so one lane's
   /// freshly cached prefix serves every other lane, within the batch as
   /// well as across calls), lanes sharing a not-yet-cached prefix are
   /// deduplicated so each distinct prefix advances exactly once, and the
-  /// remaining lanes advance together through the ChainBatchEvaluator.
-  /// Element i is bit-identical to evaluate(chains[i]) — cache adoption
-  /// only changes how often stages are recomputed, never a value.
-  /// Accounted in stats() (probes/advances) and batch_stats() (lanes).
+  /// remaining lanes advance together.  Element i is bit-identical to
+  /// evaluate(chains[i]) — cache adoption only changes how often stages
+  /// are recomputed, never a value.  Accounted in stats()
+  /// (probes/advances) and batch_stats() (lanes).
   [[nodiscard]] std::vector<analysis::AnalysisResult> evaluate_batch(
       std::span<const std::span<const std::size_t>> chains);
 
   /// One frontier expansion of a beam/greedy DSE round: every extension
-  /// (parents[e.parent] + [e.choice]) scored in a single strict SoA
-  /// batch.  All parents must share one depth d; when d + 1 == width()
+  /// (parents[e.parent] + [e.choice]) scored in a single lane batch.
+  /// All parents must share one depth d; when d + 1 == width()
   /// the scores are Equation-12 final success values (nothing cached,
   /// like final_success), otherwise the advanced carry's success mass,
   /// with each advanced state inserted into the prefix cache exactly as
@@ -156,9 +188,9 @@ class ChainEvaluator {
       std::span<const std::size_t> choices);
 
   [[nodiscard]] const CacheStats& stats() const noexcept { return stats_; }
-  /// SoA batch accounting (evaluate_batch / score_extensions lanes).
+  /// Lane accounting (evaluate_batch / score_extensions).
   [[nodiscard]] const BatchStats& batch_stats() const noexcept {
-    return batch_.stats();
+    return batch_stats_;
   }
   /// PMF prefix-cache accounting (stages_computed counts
   /// advance_error_pmf calls, chains_evaluated counts error_pmf calls).
@@ -168,7 +200,7 @@ class ChainEvaluator {
   void reset_stats() noexcept {
     stats_ = CacheStats{};
     pmf_stats_ = CacheStats{};
-    batch_.reset_stats();
+    batch_stats_ = BatchStats{};
   }
 
   /// Cached prefix states currently held.
@@ -216,6 +248,16 @@ class ChainEvaluator {
   void pmf_insert(std::string_view key,
                   std::shared_ptr<const analysis::ErrorPmfState> state);
 
+  /// The lane loop behind evaluate_batch and score_extensions: out[j]
+  /// is lane in[parents[j]] advanced through `stage` with candidate
+  /// choices[j] — per lane the advance_stage call carry_after makes.
+  void advance_lanes(std::size_t stage,
+                     std::span<const analysis::CarryState> in,
+                     std::span<const std::uint32_t> parents,
+                     std::span<const std::uint8_t> choices,
+                     std::vector<analysis::CarryState>& out);
+  void note_batch(std::size_t lanes) noexcept;
+
   void check_choice(std::size_t choice) const;
   [[nodiscard]] std::string_view key_of(std::uint32_t slot) const noexcept;
   [[nodiscard]] std::uint32_t find_slot(std::string_view key,
@@ -231,12 +273,11 @@ class ChainEvaluator {
   multibit::InputProfile profile_;
   std::vector<adders::AdderCell> candidates_;
   std::vector<analysis::MklMatrices> mkls_;
+  /// Equation 10's operand factor per stage, built once from profile_.
+  std::vector<analysis::OperandWeights> weights_;
   analysis::CarryState base_;  // Equation 5 initial state
-  /// The SoA core behind evaluate_batch/score_extensions.  Strict mode
-  /// only from here — cached states must stay bit-identical to the
-  /// scalar recursion no matter which path computed them.
-  ChainBatchEvaluator batch_;
-  ChainBatchEvaluator::Lanes batch_scratch_;
+  std::vector<analysis::CarryState> lane_scratch_;  // advance_lanes output
+  BatchStats batch_stats_;
   std::size_t capacity_;
   std::size_t key_stride_;  // bytes reserved per slot in key_pool_
   std::vector<char> key_scratch_;

@@ -5,19 +5,6 @@
 
 namespace sealpaa::engine {
 
-namespace {
-
-void fold(CacheStats& into, const CacheStats& stats) {
-  into.hits += stats.hits;
-  into.misses += stats.misses;
-  into.insertions += stats.insertions;
-  into.evictions += stats.evictions;
-  into.stages_computed += stats.stages_computed;
-  into.chains_evaluated += stats.chains_evaluated;
-}
-
-}  // namespace
-
 EvaluatorPool::EvaluatorPool(std::vector<adders::AdderCell> palette,
                              EvaluatorPoolOptions options)
     : palette_(std::move(palette)), options_(options) {
@@ -83,7 +70,7 @@ std::optional<std::size_t> EvaluatorPool::candidate_index(
 CacheStats EvaluatorPool::aggregate_stats() const {
   CacheStats total = retired_;
   for (const Entry& entry : entries_) {
-    fold(total, entry.evaluator->stats());
+    total.merge(entry.evaluator->stats());
   }
   return total;
 }
@@ -91,7 +78,7 @@ CacheStats EvaluatorPool::aggregate_stats() const {
 CacheStats EvaluatorPool::aggregate_pmf_stats() const {
   CacheStats total = retired_pmf_;
   for (const Entry& entry : entries_) {
-    fold(total, entry.evaluator->pmf_stats());
+    total.merge(entry.evaluator->pmf_stats());
   }
   return total;
 }
@@ -111,8 +98,8 @@ void EvaluatorPool::clear() {
 }
 
 void EvaluatorPool::retire(const Entry& entry) {
-  fold(retired_, entry.evaluator->stats());
-  fold(retired_pmf_, entry.evaluator->pmf_stats());
+  retired_.merge(entry.evaluator->stats());
+  retired_pmf_.merge(entry.evaluator->pmf_stats());
   retired_batch_.merge(entry.evaluator->batch_stats());
 }
 

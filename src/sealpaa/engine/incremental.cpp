@@ -29,6 +29,7 @@ const analysis::MklMatrices& MklCache::of(const adders::AdderCell& cell) {
 IncrementalAnalyzer::IncrementalAnalyzer(multibit::InputProfile profile,
                                          MklCache* mkl_cache)
     : profile_(std::move(profile)),
+      weights_(analysis::operand_weights(profile_)),
       base_{1.0 - profile_.p_cin(), profile_.p_cin()},
       cache_(mkl_cache != nullptr ? mkl_cache : &owned_cache_) {
   stack_.reserve(profile_.width());
@@ -43,8 +44,8 @@ const analysis::CarryState& IncrementalAnalyzer::push_stage(
         std::to_string(width()) + " stages");
   }
   const analysis::MklMatrices& mkl = cache_->of(cell);
-  const analysis::CarryState next = analysis::advance_stage(
-      mkl, profile_.p_a(i), profile_.p_b(i), carry_at(i));
+  const analysis::CarryState next =
+      analysis::advance_stage(mkl, weights_[i], carry_at(i));
   Frame frame{mkl, next, {}};
   if (track_pmf_) {
     frame.pmf = pmf_state_at(i);
@@ -71,8 +72,8 @@ const analysis::CarryState& IncrementalAnalyzer::push_stage(
         "cannot advance the error PMF; push the AdderCell while PMF "
         "tracking is enabled");
   }
-  const analysis::CarryState next = analysis::advance_stage(
-      mkl, profile_.p_a(i), profile_.p_b(i), carry_at(i));
+  const analysis::CarryState next =
+      analysis::advance_stage(mkl, weights_[i], carry_at(i));
   stack_.push_back(Frame{mkl, next, {}});
   return stack_.back().carry;
 }
@@ -111,8 +112,7 @@ double IncrementalAnalyzer::final_success_with(
         "IncrementalAnalyzer::final_success_with: requires depth " +
         std::to_string(n - 1) + ", have " + std::to_string(depth()));
   }
-  return analysis::final_success(mkl, profile_.p_a(n - 1), profile_.p_b(n - 1),
-                                 carry_at(n - 1));
+  return analysis::final_success(mkl, weights_[n - 1], carry_at(n - 1));
 }
 
 void IncrementalAnalyzer::enable_pmf_tracking(
@@ -156,8 +156,8 @@ analysis::AnalysisResult IncrementalAnalyzer::finish(bool record_trace) const {
   // P(Succ) closes over the carry state *before* the last stage, exactly
   // as the batch analyzer scores it (Equation 12).
   result.p_success = prob::require_probability(
-      analysis::final_success(stack_[n - 1].mkl, profile_.p_a(n - 1),
-                              profile_.p_b(n - 1), carry_at(n - 1)),
+      analysis::final_success(stack_[n - 1].mkl, weights_[n - 1],
+                              carry_at(n - 1)),
       "IncrementalAnalyzer P(Succ)");
   result.p_error = 1.0 - result.p_success;
   result.final_carry = carry_at(n);

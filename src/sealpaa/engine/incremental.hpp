@@ -142,6 +142,8 @@ class IncrementalAnalyzer {
   };
 
   multibit::InputProfile profile_;
+  /// Equation 10's operand factor per stage, built once from profile_.
+  std::vector<analysis::OperandWeights> weights_;
   analysis::CarryState base_;  // Equation 5 initial state
   std::vector<Frame> stack_;
   MklCache owned_cache_;

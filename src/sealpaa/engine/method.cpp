@@ -8,8 +8,8 @@
 
 #include "sealpaa/analysis/block_error.hpp"
 #include "sealpaa/baseline/inclusion_exclusion.hpp"
-#include "sealpaa/engine/batch_evaluator.hpp"
 #include "sealpaa/baseline/weighted_exhaustive.hpp"
+#include "sealpaa/engine/chain_evaluator.hpp"
 #include "sealpaa/sim/exhaustive.hpp"
 #include "sealpaa/sim/montecarlo.hpp"
 #include "sealpaa/util/parallel.hpp"
@@ -99,19 +99,14 @@ Evaluation evaluate(const multibit::AdderChain& chain,
   Evaluation out;
   out.method = method;
 
+  const analysis::AnalyzeOptions analyze_options{options.record_trace,
+                                                 options.op_counter};
   switch (method) {
-    case Method::kRecursive: {
-      analysis::AnalyzeOptions opts;
-      opts.record_trace = options.record_trace;
-      opts.counter = options.op_counter;
-      analysis::AnalysisResult result =
-          analysis::RecursiveAnalyzer::analyze(chain, profile, opts);
-      out.p_error = result.p_error;
-      out.p_success = result.p_success;
-      out.work_items = chain.width();
-      out.trace = std::move(result.trace);
-      return out;
-    }
+    case Method::kRecursive:
+      return to_evaluation(
+          method,
+          analysis::RecursiveAnalyzer::analyze(chain, profile, analyze_options),
+          chain.width());
     case Method::kInclusionExclusion: {
       const std::size_t max_width =
           options.max_width == 0 ? 20 : options.max_width;
@@ -181,38 +176,12 @@ Evaluation evaluate(const multibit::AdderChain& chain,
       // recursion call as Method::kRecursive — same floating-point
       // sequence, bit-identical result — while the distribution metrics
       // come from the propagated PMF.
-      analysis::AnalyzeOptions opts;
-      opts.record_trace = options.record_trace;
-      opts.counter = options.op_counter;
       analysis::AnalysisResult result =
-          analysis::RecursiveAnalyzer::analyze(chain, profile, opts);
-      out.p_error = result.p_error;
-      out.p_success = result.p_success;
-      out.work_items = chain.width();
-      out.trace = std::move(result.trace);
-
+          analysis::RecursiveAnalyzer::analyze(chain, profile, analyze_options);
       const analysis::ErrorPmf pmf =
           analysis::propagate_error_pmf(chain, profile, options.pmf);
-      DistributionStats stats;
-      stats.error_rate = pmf.error_rate();
-      stats.mean_error = pmf.mean_error();
-      stats.mean_error_distance = pmf.mean_error_distance();
-      stats.mean_squared_error = pmf.mean_squared_error();
-      stats.worst_case_error = pmf.worst_case_error();
-      stats.psnr_db = pmf.psnr_db(chain.width());
-      out.distribution = stats;
-
-      PmfSummary summary;
-      summary.support = pmf.support_size();
-      summary.total_mass = pmf.total_mass();
-      summary.entropy_bits = pmf.entropy_bits();
-      if (!pmf.empty()) {
-        summary.min_value = pmf.min_value();
-        summary.max_value = pmf.max_value();
-      }
-      summary.top = pmf.top_mass_points(options.pmf_top_k);
-      out.pmf = summary;
-      return out;
+      return to_evaluation(method, std::move(result), chain.width(), &pmf,
+                           options.pmf_top_k);
     }
     case Method::kBlockAnalytic: {
       if (!options.blocks) {
@@ -229,36 +198,49 @@ Evaluation evaluate(const multibit::AdderChain& chain,
       }
       analysis::BlockAnalysisOptions opts;
       opts.pmf = options.pmf;
-      const analysis::BlockAnalysis result =
+      const analysis::BlockAnalysis blocks =
           analysis::BlockErrorModel::analyze(spec, profile, opts);
-      out.p_error = result.p_error;
-      out.p_success = 1.0 - result.p_error;
-      out.work_items = static_cast<std::uint64_t>(spec.n());
-
-      const analysis::ErrorPmf& pmf = result.pmf;
-      DistributionStats stats;
-      stats.error_rate = pmf.error_rate();
-      stats.mean_error = pmf.mean_error();
-      stats.mean_error_distance = pmf.mean_error_distance();
-      stats.mean_squared_error = pmf.mean_squared_error();
-      stats.worst_case_error = pmf.worst_case_error();
-      stats.psnr_db = pmf.psnr_db(profile.width());
-      out.distribution = stats;
-
-      PmfSummary summary;
-      summary.support = pmf.support_size();
-      summary.total_mass = pmf.total_mass();
-      summary.entropy_bits = pmf.entropy_bits();
-      if (!pmf.empty()) {
-        summary.min_value = pmf.min_value();
-        summary.max_value = pmf.max_value();
-      }
-      summary.top = pmf.top_mass_points(options.pmf_top_k);
-      out.pmf = summary;
-      return out;
+      analysis::AnalysisResult result;
+      result.p_error = blocks.p_error;
+      result.p_success = 1.0 - blocks.p_error;
+      return to_evaluation(method, std::move(result), profile.width(),
+                           &blocks.pmf, options.pmf_top_k);
     }
   }
   throw std::invalid_argument("engine::evaluate: unregistered method");
+}
+
+Evaluation to_evaluation(Method method, analysis::AnalysisResult result,
+                         std::size_t width, const analysis::ErrorPmf* pmf,
+                         std::size_t pmf_top_k) {
+  Evaluation out;
+  out.method = method;
+  out.p_error = result.p_error;
+  out.p_success = result.p_success;
+  out.work_items = width;
+  out.trace = std::move(result.trace);
+  if (pmf == nullptr) return out;
+
+  DistributionStats stats;
+  stats.error_rate = pmf->error_rate();
+  stats.mean_error = pmf->mean_error();
+  stats.mean_error_distance = pmf->mean_error_distance();
+  stats.mean_squared_error = pmf->mean_squared_error();
+  stats.worst_case_error = pmf->worst_case_error();
+  stats.psnr_db = pmf->psnr_db(width);
+  out.distribution = stats;
+
+  PmfSummary summary;
+  summary.support = pmf->support_size();
+  summary.total_mass = pmf->total_mass();
+  summary.entropy_bits = pmf->entropy_bits();
+  if (!pmf->empty()) {
+    summary.min_value = pmf->min_value();
+    summary.max_value = pmf->max_value();
+  }
+  summary.top = pmf->top_mass_points(pmf_top_k);
+  out.pmf = summary;
+  return out;
 }
 
 Evaluation evaluate(const adders::AdderCell& cell,
@@ -311,21 +293,17 @@ std::vector<Evaluation> evaluate_batch(
     return out;
   }
 
-  ChainBatchEvaluator batch(profile, std::move(palette));
+  ChainEvaluator evaluator(profile, std::move(palette));
   std::vector<std::span<const std::size_t>> lanes;
   lanes.reserve(chains.size());
   for (const std::vector<std::size_t>& chain : indices) {
     lanes.push_back(chain);
   }
-  const std::vector<analysis::AnalysisResult> results =
-      batch.evaluate(lanes, BatchMode::kStrict);
+  std::vector<analysis::AnalysisResult> results =
+      evaluator.evaluate_batch(lanes);
   for (std::size_t l = 0; l < results.size(); ++l) {
-    Evaluation evaluation;
-    evaluation.method = method;
-    evaluation.p_error = results[l].p_error;
-    evaluation.p_success = results[l].p_success;
-    evaluation.work_items = chains[l].width();
-    out.push_back(evaluation);
+    out.push_back(
+        to_evaluation(method, std::move(results[l]), chains[l].width()));
   }
   return out;
 }

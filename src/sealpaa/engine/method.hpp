@@ -154,11 +154,22 @@ struct Evaluation {
                                   Method method,
                                   const EvaluateOptions& options = {});
 
+/// The one projection of analysis results into the Evaluation shape
+/// engine::evaluate returns: p_error / p_success / trace from the
+/// stage-level `result`, work_items = `width`.  With `pmf` (analytic-pmf,
+/// block-analytic) it also fills `distribution` and the top-`pmf_top_k`
+/// PmfSummary.  Pooled evaluators (the service) project through it too,
+/// so their responses are byte-identical to engine::evaluate's.
+[[nodiscard]] Evaluation to_evaluation(
+    Method method, analysis::AnalysisResult result, std::size_t width,
+    const analysis::ErrorPmf* pmf = nullptr,
+    std::size_t pmf_top_k = EvaluateOptions{}.pmf_top_k);
+
 /// Many chains against one profile.  Element i equals
 /// evaluate(chains[i], profile, method, options) bit-for-bit; the batch
 /// form only changes how the work is scheduled.  For kRecursive the
 /// chains' distinct cells are deduplicated into a palette and all lanes
-/// advance together through one strict-mode ChainBatchEvaluator pass —
+/// advance together through one ChainEvaluator::evaluate_batch pass —
 /// O(1) dispatch overhead per chain instead of per stage.  Other
 /// methods, traced runs (record_trace / op_counter) and palettes beyond
 /// 255 distinct cells fall back to the per-chain loop.

@@ -6,7 +6,8 @@
 // recursion does not actually need independence between A_i and B_i —
 // only a per-stage joint distribution P(A_i, B_i) — so this profile
 // stores the four joint probabilities per bit and the analysis layer
-// consumes them directly (see analysis/correlated.hpp).
+// consumes them directly as Equation 10's operand weights (see the
+// JointInputProfile overload of analysis::RecursiveAnalyzer::analyze).
 #pragma once
 
 #include <array>

@@ -115,7 +115,6 @@ Json to_json(const engine::BatchStats& stats) {
   out.set("lanes", Json(stats.lanes));
   out.set("max_lanes", Json(stats.max_lanes));
   out.set("lane_stages", Json(stats.lane_stages));
-  out.set("fast_lane_stages", Json(stats.fast_lane_stages));
   return out;
 }
 

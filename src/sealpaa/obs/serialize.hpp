@@ -50,10 +50,9 @@ namespace sealpaa::obs {
 /// Prefix-cache accounting of an engine::ChainEvaluator.
 [[nodiscard]] Json to_json(const engine::CacheStats& stats);
 
-/// SoA batch accounting of an engine::ChainBatchEvaluator — batches,
-/// lanes (total and widest), and lane-stage advances split by kernel
-/// path.  max_lanes > 1 is the report-level proof a consumer evaluated
-/// lane-parallel.
+/// Lane accounting of an engine::ChainEvaluator — batches, lanes (total
+/// and widest) and lane-stage advances.  max_lanes > 1 is the
+/// report-level proof a consumer evaluated lane-parallel.
 [[nodiscard]] Json to_json(const engine::BatchStats& stats);
 
 /// Uniform engine evaluation: method name, probabilities, work measure,

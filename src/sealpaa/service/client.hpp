@@ -1,7 +1,7 @@
 // Minimal blocking client for the sealpaad TCP endpoint.
 //
 // This is the in-process counterpart of scripts/service_smoke.py: the
-// unit tests and bench_service_throughput use it to pipeline requests
+// unit tests and sealpaa_loadgen use it to pipeline requests
 // and read newline-delimited responses without hand-rolling socket code
 // at every call site.  Deliberately synchronous — measurement and test
 // clients want deterministic, sequential IO.

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <deque>
 #include <numeric>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <thread>
@@ -50,23 +51,6 @@ struct ShardStats {
   engine::BatchStats batch{};
 };
 
-void fold(engine::CacheStats& into, const engine::CacheStats& from) noexcept {
-  into.hits += from.hits;
-  into.misses += from.misses;
-  into.insertions += from.insertions;
-  into.evictions += from.evictions;
-  into.stages_computed += from.stages_computed;
-  into.chains_evaluated += from.chains_evaluated;
-}
-
-void fold(engine::BatchStats& into, const engine::BatchStats& from) noexcept {
-  into.batches += from.batches;
-  into.lanes += from.lanes;
-  into.max_lanes = std::max(into.max_lanes, from.max_lanes);
-  into.lane_stages += from.lane_stages;
-  into.fast_lane_stages += from.fast_lane_stages;
-}
-
 [[nodiscard]] obs::Json methods_to_json(
     const std::map<std::string, MethodStats>& methods) {
   obs::Json out = obs::Json::object();
@@ -103,9 +87,8 @@ struct Dispatcher::ParsedItem {
 };
 
 /// One dispatch worker's world: its queue, its adaptive-window state and
-/// its own EvaluatorPool.  The pool is touched only by the owning worker
-/// (or by run_batch's per-shard threads, which never overlap a running
-/// worker), so evaluator state needs no locking.
+/// its own EvaluatorPool.  The pool is touched only by the owning worker,
+/// so evaluator state needs no locking.
 struct Dispatcher::Shard {
   Shard(unsigned index_, std::vector<adders::AdderCell> palette,
         const engine::EvaluatorPoolOptions& pool_options)
@@ -194,7 +177,7 @@ void Dispatcher::start(ResponseSink sink) {
 void Dispatcher::submit(PendingRequest request) {
   requests_received_.fetch_add(1, std::memory_order_relaxed);
   ParsedItem item;
-  switch (admit(std::move(request), sink_, &item)) {
+  switch (admit(std::move(request), &item)) {
     case Admission::kResponded:
       return;
     case Admission::kControl:
@@ -234,12 +217,11 @@ void Dispatcher::stop() {
 }
 
 Dispatcher::Admission Dispatcher::admit(PendingRequest pending,
-                                        const ResponseSink& sink,
                                         ParsedItem* item) {
   ParseOutcome outcome = parse_request(pending.frame, options_.limits);
   if (outcome.error) {
     requests_error_.fetch_add(1, std::memory_order_relaxed);
-    sink(OutgoingResponse{
+    sink_(OutgoingResponse{
         pending.connection, pending.sequence,
         serialize_frame(make_error_response(outcome.id, outcome.error->code,
                                             outcome.error->message))});
@@ -256,7 +238,7 @@ Dispatcher::Admission Dispatcher::admit(PendingRequest pending,
     const auto found = palette_index_.find(name);
     if (found == palette_index_.end()) {
       requests_error_.fetch_add(1, std::memory_order_relaxed);
-      sink(OutgoingResponse{
+      sink_(OutgoingResponse{
           item->pending.connection, item->pending.sequence,
           serialize_frame(make_error_response(
               item->request.id, error_code::kUnknownCell,
@@ -310,7 +292,7 @@ void Dispatcher::worker_loop(Shard& shard) {
     }
     shard.backlog = !shard.queue.empty();
     lock.unlock();
-    process_batch(shard, std::move(batch), sink_, waited);
+    process_batch(shard, std::move(batch), waited);
     {
       std::lock_guard<std::mutex> guard(lifecycle_mutex_);
       inflight_.fetch_sub(take, std::memory_order_acq_rel);
@@ -321,7 +303,7 @@ void Dispatcher::worker_loop(Shard& shard) {
 }
 
 void Dispatcher::process_batch(Shard& shard, std::vector<ParsedItem> items,
-                               const ResponseSink& sink, bool waited) {
+                               bool waited) {
   struct Slot {
     obs::Json response;
     bool error = false;
@@ -378,50 +360,21 @@ void Dispatcher::process_batch(Shard& shard, std::vector<ParsedItem> items,
             "deadline of " + std::to_string(request.timeout_ms) +
                 " ms expired before evaluation started");
         slot.error = true;
-      } else if (evaluator != nullptr &&
-                 request.method == engine::Method::kRecursive) {
-        const analysis::AnalysisResult result =
-            evaluator->evaluate(item.choices);
-        engine::Evaluation evaluation;
-        evaluation.method = engine::Method::kRecursive;
-        evaluation.p_error = result.p_error;
-        evaluation.p_success = result.p_success;
-        evaluation.work_items = request.width;
-        slot.response = make_evaluation_response(request.id, evaluation);
-      } else if (evaluator != nullptr &&
-                 request.method == engine::Method::kAnalyticPmf) {
-        // The pooled analytic-pmf projection: ChainEvaluator::evaluate
-        // is bit-identical to RecursiveAnalyzer::analyze and error_pmf
-        // to propagate_error_pmf for a full-width chain, so this
-        // response is byte-for-byte what engine::evaluate serializes —
-        // the PMF prefix cache only changes how often stages recompute.
-        const analysis::AnalysisResult result =
-            evaluator->evaluate(item.choices);
-        engine::Evaluation evaluation;
-        evaluation.method = engine::Method::kAnalyticPmf;
-        evaluation.p_error = result.p_error;
-        evaluation.p_success = result.p_success;
-        evaluation.work_items = request.width;
-        const analysis::ErrorPmf pmf = evaluator->error_pmf(item.choices);
-        engine::DistributionStats stats;
-        stats.error_rate = pmf.error_rate();
-        stats.mean_error = pmf.mean_error();
-        stats.mean_error_distance = pmf.mean_error_distance();
-        stats.mean_squared_error = pmf.mean_squared_error();
-        stats.worst_case_error = pmf.worst_case_error();
-        stats.psnr_db = pmf.psnr_db(request.width);
-        evaluation.distribution = stats;
-        engine::PmfSummary summary;
-        summary.support = pmf.support_size();
-        summary.total_mass = pmf.total_mass();
-        summary.entropy_bits = pmf.entropy_bits();
-        if (!pmf.empty()) {
-          summary.min_value = pmf.min_value();
-          summary.max_value = pmf.max_value();
+      } else if (evaluator != nullptr) {
+        // The pooled projection: ChainEvaluator::evaluate is
+        // bit-identical to RecursiveAnalyzer::analyze and error_pmf to
+        // propagate_error_pmf for a full-width chain, so this response
+        // is byte-for-byte what engine::evaluate serializes — the prefix
+        // caches only change how often stages recompute.
+        analysis::AnalysisResult result = evaluator->evaluate(item.choices);
+        std::optional<analysis::ErrorPmf> pmf;
+        if (request.method == engine::Method::kAnalyticPmf) {
+          pmf = evaluator->error_pmf(item.choices);
         }
-        summary.top = pmf.top_mass_points(engine::EvaluateOptions{}.pmf_top_k);
-        evaluation.pmf = summary;
-        slot.response = make_evaluation_response(request.id, evaluation);
+        slot.response = make_evaluation_response(
+            request.id,
+            engine::to_evaluation(request.method, std::move(result),
+                                  request.width, pmf ? &*pmf : nullptr));
       } else {
         std::vector<adders::AdderCell> stages;
         stages.reserve(item.choices.size());
@@ -491,19 +444,17 @@ void Dispatcher::process_batch(Shard& shard, std::vector<ParsedItem> items,
     }
     const util::WallTimer timer;
     try {
-      const std::vector<analysis::AnalysisResult> results =
+      std::vector<analysis::AnalysisResult> results =
           evaluator->evaluate_batch(chains);
       const std::uint64_t micros = static_cast<std::uint64_t>(
           timer.elapsed_seconds() * 1e6 / static_cast<double>(live.size()));
       for (std::size_t j = 0; j < live.size(); ++j) {
         Slot& slot = slots[live[j]];
         const Request& request = items[live[j]].request;
-        engine::Evaluation evaluation;
-        evaluation.method = engine::Method::kRecursive;
-        evaluation.p_error = results[j].p_error;
-        evaluation.p_success = results[j].p_success;
-        evaluation.work_items = request.width;
-        slot.response = make_evaluation_response(request.id, evaluation);
+        slot.response = make_evaluation_response(
+            request.id,
+            engine::to_evaluation(engine::Method::kRecursive,
+                                  std::move(results[j]), request.width));
         slot.micros = micros;
       }
     } catch (...) {
@@ -523,6 +474,35 @@ void Dispatcher::process_batch(Shard& shard, std::vector<ParsedItem> items,
     run_evaluate(index, nullptr);
   }
 
+  // Publish before emitting: a client that reads a response and then
+  // asks for stats must find that response counted.  The sink runs after
+  // stats_mutex is released, so it may call stats_json() itself.
+  std::uint64_t errors = 0;
+  for (const Slot& slot : slots) errors += slot.error ? 1 : 0;
+  requests_ok_.fetch_add(items.size() - errors, std::memory_order_relaxed);
+  requests_error_.fetch_add(errors, std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> guard(shard.stats_mutex);
+    ShardStats& stats = shard.stats;
+    stats.batches += 1;
+    stats.batch_sizes.record(items.size());
+    (waited ? stats.coalesced_batches : stats.cut_through_batches) += 1;
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      MethodStats& method = stats.methods[std::string(
+          engine::method_name(items[i].request.method))];
+      method.count += 1;
+      if (slots[i].error) method.errors += 1;
+      method.latency_us.record(slots[i].micros);
+    }
+    stats.pool_live = static_cast<std::uint64_t>(shard.pool.size());
+    stats.pool_created = shard.pool.created();
+    stats.pool_evicted = shard.pool.evicted();
+    stats.pool_hits = shard.pool.pool_hits();
+    stats.prefix = shard.pool.aggregate_stats();
+    stats.pmf = shard.pool.aggregate_pmf_stats();
+    stats.batch = shard.pool.aggregate_batch_stats();
+  }
+
   // Emit in (connection, sequence) order within the batch — one shard's
   // responses to one connection always leave FIFO; only responses from
   // different shards interleave on the wire.
@@ -536,113 +516,11 @@ void Dispatcher::process_batch(Shard& shard, std::vector<ParsedItem> items,
                          ? pa.connection < pb.connection
                          : pa.sequence < pb.sequence;
             });
-  std::uint64_t ok = 0;
-  std::uint64_t errors = 0;
   for (const std::size_t index : order) {
-    (slots[index].error ? errors : ok) += 1;
-    sink(OutgoingResponse{items[index].pending.connection,
+    sink_(OutgoingResponse{items[index].pending.connection,
                           items[index].pending.sequence,
                           serialize_frame(slots[index].response)});
   }
-  requests_ok_.fetch_add(ok, std::memory_order_relaxed);
-  requests_error_.fetch_add(errors, std::memory_order_relaxed);
-
-  std::lock_guard<std::mutex> guard(shard.stats_mutex);
-  ShardStats& stats = shard.stats;
-  stats.batches += 1;
-  stats.batch_sizes.record(items.size());
-  (waited ? stats.coalesced_batches : stats.cut_through_batches) += 1;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    MethodStats& method = stats.methods[std::string(
-        engine::method_name(items[i].request.method))];
-    method.count += 1;
-    if (slots[i].error) method.errors += 1;
-    method.latency_us.record(slots[i].micros);
-  }
-  stats.pool_live = static_cast<std::uint64_t>(shard.pool.size());
-  stats.pool_created = shard.pool.created();
-  stats.pool_evicted = shard.pool.evicted();
-  stats.pool_hits = shard.pool.pool_hits();
-  stats.prefix = shard.pool.aggregate_stats();
-  stats.pmf = shard.pool.aggregate_pmf_stats();
-  stats.batch = shard.pool.aggregate_batch_stats();
-}
-
-std::vector<OutgoingResponse> Dispatcher::run_batch(
-    std::vector<PendingRequest> batch, unsigned worker_override) {
-  requests_received_.fetch_add(batch.size(), std::memory_order_relaxed);
-
-  std::mutex responses_mutex;
-  std::vector<OutgoingResponse> responses;
-  responses.reserve(batch.size());
-  const ResponseSink collect = [&responses_mutex,
-                                &responses](OutgoingResponse response) {
-    std::lock_guard<std::mutex> lock(responses_mutex);
-    responses.push_back(std::move(response));
-  };
-
-  std::vector<std::vector<ParsedItem>> buckets(shards_.size());
-  std::vector<ParsedItem> control;
-  for (PendingRequest& pending : batch) {
-    ParsedItem item;
-    switch (admit(std::move(pending), collect, &item)) {
-      case Admission::kResponded:
-        break;
-      case Admission::kControl:
-        control.push_back(std::move(item));
-        break;
-      case Admission::kEvaluate: {
-        const unsigned shard =
-            shard_of(item.request.width, item.request.p,
-                     static_cast<unsigned>(shards_.size()));
-        buckets[shard].push_back(std::move(item));
-        break;
-      }
-    }
-  }
-
-  // Process the non-empty shards in waves of at most `worker_override`
-  // concurrent threads (0 = the configured worker count) — the same
-  // shard-affine execution the live workers perform, minus the queues.
-  std::vector<std::size_t> busy;
-  for (std::size_t shard = 0; shard < buckets.size(); ++shard) {
-    if (!buckets[shard].empty()) busy.push_back(shard);
-  }
-  const unsigned cap = std::max(
-      1u, worker_override == 0 ? options_.dispatch_threads : worker_override);
-  for (std::size_t begin = 0; begin < busy.size(); begin += cap) {
-    const std::size_t end = std::min(busy.size(), begin + cap);
-    if (end - begin == 1) {
-      const std::size_t shard = busy[begin];
-      process_batch(*shards_[shard], std::move(buckets[shard]), collect,
-                    false);
-    } else {
-      std::vector<std::thread> threads;
-      threads.reserve(end - begin);
-      for (std::size_t j = begin; j < end; ++j) {
-        const std::size_t shard = busy[j];
-        threads.emplace_back([this, shard, &buckets, &collect] {
-          process_batch(*shards_[shard], std::move(buckets[shard]), collect,
-                        false);
-        });
-      }
-      for (std::thread& thread : threads) thread.join();
-    }
-  }
-
-  // Control responses last, so a stats request sees its own batch.
-  for (ParsedItem& item : control) {
-    requests_ok_.fetch_add(1, std::memory_order_relaxed);
-    collect(OutgoingResponse{item.pending.connection, item.pending.sequence,
-                             serialize_frame(control_response(item.request))});
-  }
-
-  std::sort(responses.begin(), responses.end(),
-            [](const OutgoingResponse& a, const OutgoingResponse& b) {
-              return a.connection != b.connection ? a.connection < b.connection
-                                                  : a.sequence < b.sequence;
-            });
-  return responses;
 }
 
 obs::Json Dispatcher::control_response(const Request& request) const {
@@ -695,9 +573,9 @@ obs::Json Dispatcher::stats_json() const {
     totals.pool_created += snapshot.pool_created;
     totals.pool_evicted += snapshot.pool_evicted;
     totals.pool_hits += snapshot.pool_hits;
-    fold(totals.prefix, snapshot.prefix);
-    fold(totals.pmf, snapshot.pmf);
-    fold(totals.batch, snapshot.batch);
+    totals.prefix.merge(snapshot.prefix);
+    totals.pmf.merge(snapshot.pmf);
+    totals.batch.merge(snapshot.batch);
 
     obs::Json entry = obs::Json::object();
     entry.set("index", obs::Json(static_cast<std::uint64_t>(shard->index)));

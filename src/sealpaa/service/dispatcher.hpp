@@ -109,16 +109,6 @@ class Dispatcher {
   /// afterwards.  Called by the destructor.
   void stop();
 
-  /// Synchronous convenience used by tests and the benches: processes
-  /// one batch through `worker_override` workers (0 = the configured
-  /// dispatch_threads), returning exactly one response per request,
-  /// sorted by (connection, sequence).  Stats responses are answered
-  /// after every evaluation in the batch, so a stats request sees its
-  /// own batch.  Never throws on request-level failures.  Must not be
-  /// mixed with a running start()ed dispatcher.
-  [[nodiscard]] std::vector<OutgoingResponse> run_batch(
-      std::vector<PendingRequest> batch, unsigned worker_override = 0);
-
   /// Lifetime service statistics: request/batch counters, adaptive-
   /// window accounting, evaluator-pool and prefix-cache accounting and
   /// per-method latency histograms — aggregated across shards, plus a
@@ -149,11 +139,10 @@ class Dispatcher {
     kEvaluate,   // evaluation, `item` holds request + resolved choices
   };
 
-  [[nodiscard]] Admission admit(PendingRequest pending,
-                                const ResponseSink& sink, ParsedItem* item);
+  [[nodiscard]] Admission admit(PendingRequest pending, ParsedItem* item);
   void route(ParsedItem item);
   void process_batch(Shard& shard, std::vector<ParsedItem> items,
-                     const ResponseSink& sink, bool waited);
+                     bool waited);
   void worker_loop(Shard& shard);
   [[nodiscard]] obs::Json control_response(const Request& request) const;
 

@@ -1,6 +1,5 @@
-// Process-wide SIMD kernel-level override, shared by every
-// runtime-dispatched kernel family in the tree (sim/bitsliced_x86.cpp
-// and engine/batch_x86.cpp).
+// Process-wide SIMD kernel-level override for the runtime-dispatched
+// bit-sliced simulation kernels (sim/bitsliced_x86.cpp).
 //
 // Dispatch normally picks the widest instruction set the CPU reports,
 // which means one machine exercises exactly one code path.  The

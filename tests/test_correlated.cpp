@@ -1,9 +1,9 @@
-// Correlated-operand generalization: joint profiles, the generalized
-// recursion and its agreement with the ground-truth oracle.
+// Correlated-operand generalization: joint profiles, the recursion's
+// JointInputProfile overload and its agreement with the ground-truth
+// oracle.
 #include <gtest/gtest.h>
 
 #include "sealpaa/adders/builtin.hpp"
-#include "sealpaa/analysis/correlated.hpp"
 #include "sealpaa/analysis/recursive.hpp"
 #include "sealpaa/baseline/weighted_exhaustive.hpp"
 #include "sealpaa/prob/rng.hpp"
@@ -13,7 +13,6 @@ namespace {
 
 using sealpaa::adders::accurate;
 using sealpaa::adders::lpaa;
-using sealpaa::analysis::CorrelatedAnalyzer;
 using sealpaa::analysis::RecursiveAnalyzer;
 using sealpaa::baseline::WeightedExhaustive;
 using sealpaa::multibit::AdderChain;
@@ -74,19 +73,19 @@ TEST(JointProfile, AssignmentProbabilitiesSumToOne) {
   EXPECT_NEAR(total, 1.0, 1e-12);
 }
 
-TEST(CorrelatedAnalyzer, RhoZeroReducesToTheIndependentRecursion) {
+TEST(JointRecursion, RhoZeroReducesToTheIndependentRecursion) {
   sealpaa::prob::Xoshiro256StarStar rng(403);
   for (int cell = 1; cell <= 7; ++cell) {
     const InputProfile marginals = InputProfile::random(8, rng, 0.05, 0.95);
     const auto joint = JointInputProfile::independent(marginals);
     const AdderChain chain = AdderChain::homogeneous(lpaa(cell), 8);
-    EXPECT_NEAR(CorrelatedAnalyzer::analyze(chain, joint).p_error,
+    EXPECT_NEAR(RecursiveAnalyzer::analyze(chain, joint).p_error,
                 RecursiveAnalyzer::analyze(chain, marginals).p_error, 1e-13)
         << "LPAA" << cell;
   }
 }
 
-TEST(CorrelatedAnalyzer, MatchesJointGroundTruth) {
+TEST(JointRecursion, MatchesJointGroundTruth) {
   sealpaa::prob::Xoshiro256StarStar rng(409);
   for (int cell = 1; cell <= 7; ++cell) {
     for (double rho : {-0.6, -0.2, 0.3, 0.8}) {
@@ -94,20 +93,20 @@ TEST(CorrelatedAnalyzer, MatchesJointGroundTruth) {
       const auto joint = JointInputProfile::correlated(marginals, rho);
       const AdderChain chain = AdderChain::homogeneous(lpaa(cell), 6);
       const auto oracle = WeightedExhaustive::analyze_joint(chain, joint);
-      EXPECT_NEAR(CorrelatedAnalyzer::analyze(chain, joint).p_success,
+      EXPECT_NEAR(RecursiveAnalyzer::analyze(chain, joint).p_success,
                   oracle.p_stage_success, 1e-12)
           << "LPAA" << cell << " rho " << rho;
     }
   }
 }
 
-TEST(CorrelatedAnalyzer, CorrelationChangesTheAnswer) {
+TEST(JointRecursion, CorrelationChangesTheAnswer) {
   const InputProfile marginals = InputProfile::uniform(8, 0.5);
 
   // LPAA1's error rows (0,1,0)/(1,0,0) both need A != B: with fully
   // correlated operands (A = B) it never errs.
   const AdderChain lpaa1_chain = AdderChain::homogeneous(lpaa(1), 8);
-  EXPECT_NEAR(CorrelatedAnalyzer::analyze(
+  EXPECT_NEAR(RecursiveAnalyzer::analyze(
                   lpaa1_chain, JointInputProfile::correlated(marginals, 1.0))
                   .p_error,
               0.0, 1e-12);
@@ -116,31 +115,33 @@ TEST(CorrelatedAnalyzer, CorrelationChangesTheAnswer) {
   // anti-correlated operands it never errs, and positive correlation
   // makes it strictly worse than the independent model.
   const AdderChain lpaa6_chain = AdderChain::homogeneous(lpaa(6), 8);
-  EXPECT_NEAR(CorrelatedAnalyzer::analyze(
+  EXPECT_NEAR(RecursiveAnalyzer::analyze(
                   lpaa6_chain, JointInputProfile::correlated(marginals, -1.0))
                   .p_error,
               0.0, 1e-12);
-  const double independent6 = CorrelatedAnalyzer::analyze(
+  const double independent6 = RecursiveAnalyzer::analyze(
       lpaa6_chain, JointInputProfile::correlated(marginals, 0.0)).p_error;
-  const double positive6 = CorrelatedAnalyzer::analyze(
+  const double positive6 = RecursiveAnalyzer::analyze(
       lpaa6_chain, JointInputProfile::correlated(marginals, 0.8)).p_error;
   EXPECT_GT(positive6, independent6 + 0.01);
 }
 
-TEST(CorrelatedAnalyzer, AccurateChainStillPerfect) {
+TEST(JointRecursion, AccurateChainStillPerfect) {
   const auto joint = JointInputProfile::correlated(
       InputProfile::uniform(10, 0.5), -0.5);
   EXPECT_NEAR(
-      CorrelatedAnalyzer::error_probability(accurate(), joint), 0.0, 1e-12);
+      RecursiveAnalyzer::analyze(AdderChain::homogeneous(accurate(), 10), joint)
+          .p_error,
+      0.0, 1e-12);
 }
 
-TEST(CorrelatedAnalyzer, HybridChainsAndTraces) {
+TEST(JointRecursion, HybridChainsAndTraces) {
   const AdderChain chain({lpaa(1), lpaa(6), lpaa(7), accurate()});
   const auto joint = JointInputProfile::correlated(
       InputProfile::uniform(4, 0.5), 0.5);
   sealpaa::analysis::AnalyzeOptions options;
   options.record_trace = true;
-  const auto result = CorrelatedAnalyzer::analyze(chain, joint, options);
+  const auto result = RecursiveAnalyzer::analyze(chain, joint, options);
   ASSERT_EQ(result.trace.size(), 4u);
   const auto oracle = WeightedExhaustive::analyze_joint(chain, joint);
   EXPECT_NEAR(result.p_success, oracle.p_stage_success, 1e-12);
@@ -148,11 +149,11 @@ TEST(CorrelatedAnalyzer, HybridChainsAndTraces) {
   EXPECT_NEAR(result.trace[0].p_a, 0.5, 1e-12);
 }
 
-TEST(CorrelatedAnalyzer, WidthMismatchThrows) {
+TEST(JointRecursion, WidthMismatchThrows) {
   const auto joint = JointInputProfile::correlated(
       InputProfile::uniform(4, 0.5), 0.2);
   const AdderChain chain = AdderChain::homogeneous(lpaa(1), 5);
-  EXPECT_THROW((void)CorrelatedAnalyzer::analyze(chain, joint),
+  EXPECT_THROW((void)RecursiveAnalyzer::analyze(chain, joint),
                std::invalid_argument);
 }
 

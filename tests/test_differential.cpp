@@ -26,7 +26,7 @@
 #include "sealpaa/adders/cell.hpp"
 #include "sealpaa/analysis/recursive.hpp"
 #include "sealpaa/baseline/weighted_exhaustive.hpp"
-#include "sealpaa/engine/batch_evaluator.hpp"
+#include "sealpaa/engine/chain_evaluator.hpp"
 #include "sealpaa/engine/method.hpp"
 #include "sealpaa/multibit/chain.hpp"
 #include "sealpaa/multibit/input_profile.hpp"
@@ -37,6 +37,7 @@
 #include "sealpaa/sim/kernel.hpp"
 #include "sealpaa/sim/metrics.hpp"
 #include "sealpaa/sim/montecarlo.hpp"
+#include "sealpaa/util/kernel_override.hpp"
 
 namespace {
 
@@ -472,11 +473,11 @@ TEST(Differential, HybridChainsOfRandomCellsAgree) {
 }
 
 TEST(Differential, BatchEvaluatorAgreesWithRecursionAtEveryKernelLevel) {
-  // The SoA many-chain kernel against the scalar recursion, at every
-  // forced dispatch tier: strict mode must be bit-identical regardless
-  // of the cap (it never touches the SIMD kernels), and the
-  // reassociated fast mode must stay within 1e-12 relative at each
-  // level.  Forcing is a cap, so walking avx2/avx512 is safe on any box.
+  // The many-chain lane path against the scalar recursion, at every
+  // forced dispatch tier: the lane loop calls the same Equation 10-12
+  // kernel as the recursion and never touches a SIMD kernel, so it must
+  // be bit-identical whatever the cap.  Forcing is a cap, so walking
+  // avx2/avx512 is safe on any box.
   sealpaa::prob::SplitMix64 seed_stream(0xd1ff'e2e4'7e57'0006ULL);
   sealpaa::prob::Xoshiro256StarStar profile_rng(0xd1ff'e2e4'7e57'0007ULL);
   sealpaa::prob::SplitMix64 chain_rng(0xd1ff'e2e4'7e57'0008ULL);
@@ -485,7 +486,6 @@ TEST(Differential, BatchEvaluatorAgreesWithRecursionAtEveryKernelLevel) {
   for (int c = 0; c < 5; ++c) palette.push_back(random_cell(seed_stream, c));
   const InputProfile profile =
       InputProfile::random(width, profile_rng, 0.1, 0.9);
-  sealpaa::engine::ChainBatchEvaluator batch(profile, palette);
 
   std::vector<std::vector<std::size_t>> chains(16);
   std::vector<std::span<const std::size_t>> spans;
@@ -509,21 +509,17 @@ TEST(Differential, BatchEvaluatorAgreesWithRecursionAtEveryKernelLevel) {
         sealpaa::util::KernelLevel::kAvx2,
         sealpaa::util::KernelLevel::kAvx512}) {
     sealpaa::util::set_forced_kernel(level);
-    const auto strict =
-        batch.evaluate(spans, sealpaa::engine::BatchMode::kStrict);
-    const auto fast =
-        batch.evaluate(spans, sealpaa::engine::BatchMode::kFast);
-    ASSERT_EQ(strict.size(), oracle.size());
+    sealpaa::engine::ChainEvaluator evaluator(profile, palette);
+    const auto lanes = evaluator.evaluate_batch(spans);
+    ASSERT_EQ(lanes.size(), oracle.size());
     for (std::size_t l = 0; l < oracle.size(); ++l) {
-      EXPECT_EQ(strict[l].p_error, oracle[l].p_error)
+      EXPECT_EQ(lanes[l].p_error, oracle[l].p_error)
           << sealpaa::util::kernel_level_name(level) << " lane " << l;
-      EXPECT_EQ(strict[l].p_success, oracle[l].p_success)
+      EXPECT_EQ(lanes[l].p_success, oracle[l].p_success)
           << sealpaa::util::kernel_level_name(level) << " lane " << l;
-      EXPECT_EQ(strict[l].final_carry.c0, oracle[l].final_carry.c0)
+      EXPECT_EQ(lanes[l].final_carry.c0, oracle[l].final_carry.c0)
           << sealpaa::util::kernel_level_name(level) << " lane " << l;
-      EXPECT_EQ(strict[l].final_carry.c1, oracle[l].final_carry.c1)
-          << sealpaa::util::kernel_level_name(level) << " lane " << l;
-      EXPECT_NEAR(fast[l].p_success, oracle[l].p_success, kTolerance)
+      EXPECT_EQ(lanes[l].final_carry.c1, oracle[l].final_carry.c1)
           << sealpaa::util::kernel_level_name(level) << " lane " << l;
     }
   }

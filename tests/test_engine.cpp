@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <optional>
@@ -20,7 +19,6 @@
 #include "sealpaa/adders/builtin.hpp"
 #include "sealpaa/adders/cell.hpp"
 #include "sealpaa/analysis/recursive.hpp"
-#include "sealpaa/engine/batch_evaluator.hpp"
 #include "sealpaa/engine/chain_evaluator.hpp"
 #include "sealpaa/engine/incremental.hpp"
 #include "sealpaa/engine/method.hpp"
@@ -34,8 +32,6 @@ namespace {
 using sealpaa::adders::AdderCell;
 using sealpaa::analysis::AnalysisResult;
 using sealpaa::analysis::RecursiveAnalyzer;
-using sealpaa::engine::BatchMode;
-using sealpaa::engine::ChainBatchEvaluator;
 using sealpaa::engine::ChainEvaluator;
 using sealpaa::engine::ChainEvaluatorOptions;
 using sealpaa::engine::IncrementalAnalyzer;
@@ -384,9 +380,10 @@ TEST(ChainEvaluator, ValidatesArguments) {
 }
 
 // ---------------------------------------------------------------------------
-// ChainBatchEvaluator (the SoA many-chain kernel)
+// ChainEvaluator lane loop (evaluate_batch with the prefix cache off, so
+// every lane-stage runs through the lane advance)
 
-TEST(ChainBatchEvaluator, StrictBitIdenticalToAnalyzeOver240RandomChains) {
+TEST(ChainEvaluator, EvaluateBatchBitIdenticalToAnalyzeOver240RandomChains) {
   // 20 configurations x 12 chains = 240 random chains; config*7 mod 29
   // walks widths 4..32 without repeats (7 generates Z/29).
   sealpaa::prob::SplitMix64 cell_rng(0xba7c'40c1'0000'0001ULL);
@@ -403,7 +400,8 @@ TEST(ChainBatchEvaluator, StrictBitIdenticalToAnalyzeOver240RandomChains) {
     }
     const InputProfile profile =
         InputProfile::random(width, profile_rng, 0.05, 0.95);
-    ChainBatchEvaluator batch(profile, palette);
+    ChainEvaluator evaluator(profile, palette,
+                             ChainEvaluatorOptions{.cache_capacity = 0});
 
     std::vector<std::vector<std::size_t>> chains(12);
     std::vector<std::span<const std::size_t>> spans;
@@ -413,8 +411,7 @@ TEST(ChainBatchEvaluator, StrictBitIdenticalToAnalyzeOver240RandomChains) {
       }
       spans.emplace_back(chain);
     }
-    const std::vector<AnalysisResult> results =
-        batch.evaluate(spans, BatchMode::kStrict);
+    const std::vector<AnalysisResult> results = evaluator.evaluate_batch(spans);
     ASSERT_EQ(results.size(), chains.size());
     for (std::size_t l = 0; l < chains.size(); ++l) {
       std::vector<AdderCell> stages;
@@ -431,91 +428,32 @@ TEST(ChainBatchEvaluator, StrictBitIdenticalToAnalyzeOver240RandomChains) {
   EXPECT_GE(total, 200);
 }
 
-TEST(ChainBatchEvaluator, FastWithin1e12OfStrictAtEveryKernelLevel) {
-  // The reassociated kFast kernels must agree with the scalar-ordered
-  // strict path to ~1e-12 relative at every dispatch tier.  Forcing is a
-  // cap, so walking kScalar/kAvx2/kAvx512 is safe on any CPU: a level
-  // the box lacks simply runs the widest supported path below it.
-  sealpaa::prob::SplitMix64 cell_rng(0xba7c'40c1'0000'0011ULL);
-  sealpaa::prob::Xoshiro256StarStar profile_rng(0xba7c'40c1'0000'0012ULL);
-  sealpaa::prob::SplitMix64 chain_rng(0xba7c'40c1'0000'0013ULL);
-  const std::size_t width = 32;
-  const std::size_t palette_size = 6;
-  std::vector<AdderCell> palette;
-  for (std::size_t c = 0; c < palette_size; ++c) {
-    palette.push_back(random_cell(cell_rng, static_cast<int>(c)));
-  }
-  const InputProfile profile =
-      InputProfile::random(width, profile_rng, 0.05, 0.95);
-  ChainBatchEvaluator batch(profile, palette);
-
-  std::vector<std::vector<std::size_t>> chains(16);
-  std::vector<std::span<const std::size_t>> spans;
-  for (std::vector<std::size_t>& chain : chains) {
-    for (std::size_t s = 0; s < width; ++s) {
-      chain.push_back(chain_rng.next() % palette_size);
-    }
-    spans.emplace_back(chain);
-  }
-  const std::vector<AnalysisResult> strict =
-      batch.evaluate(spans, BatchMode::kStrict);
-
-  const ForcedKernelGuard guard;
-  for (const KernelLevel level :
-       {KernelLevel::kScalar, KernelLevel::kAvx2, KernelLevel::kAvx512}) {
-    sealpaa::util::set_forced_kernel(level);
-    const std::vector<AnalysisResult> fast =
-        batch.evaluate(spans, BatchMode::kFast);
-    ASSERT_EQ(fast.size(), strict.size());
-    for (std::size_t l = 0; l < strict.size(); ++l) {
-      const double scale =
-          std::abs(strict[l].p_success) > 1.0 ? std::abs(strict[l].p_success)
-                                              : 1.0;
-      EXPECT_LE(std::abs(fast[l].p_success - strict[l].p_success),
-                1e-12 * scale)
-          << "level "
-          << sealpaa::util::kernel_level_name(level) << " lane " << l;
-      EXPECT_LE(std::abs(fast[l].final_carry.c0 - strict[l].final_carry.c0),
-                1e-12)
-          << "level "
-          << sealpaa::util::kernel_level_name(level) << " lane " << l;
-      EXPECT_LE(std::abs(fast[l].final_carry.c1 - strict[l].final_carry.c1),
-                1e-12)
-          << "level "
-          << sealpaa::util::kernel_level_name(level) << " lane " << l;
-    }
-  }
-}
-
-TEST(ChainBatchEvaluator, StatsCountBatchesAndLaneStages) {
+TEST(ChainEvaluator, BatchStatsCountBatchesAndLaneStages) {
   const AdderCell cell = sealpaa::adders::builtin_lpaas()[0];
   const InputProfile profile = InputProfile::uniform(6, 0.5);
-  ChainBatchEvaluator batch(profile, {cell});
+  ChainEvaluator evaluator(profile, {cell},
+                           ChainEvaluatorOptions{.cache_capacity = 0});
   const std::vector<std::size_t> chain(6, 0);
   const std::vector<std::span<const std::size_t>> spans{chain, chain, chain};
-  (void)batch.evaluate(spans, BatchMode::kStrict);
-  EXPECT_EQ(batch.stats().batches, 1u);
-  EXPECT_EQ(batch.stats().lanes, 3u);
-  EXPECT_EQ(batch.stats().max_lanes, 3u);
-  EXPECT_EQ(batch.stats().lane_stages, 3u * 6u);
-  EXPECT_EQ(batch.stats().fast_lane_stages, 0u);  // strict mode only
-  batch.reset_stats();
-  EXPECT_EQ(batch.stats().batches, 0u);
+  (void)evaluator.evaluate_batch(spans);
+  EXPECT_EQ(evaluator.batch_stats().batches, 1u);
+  EXPECT_EQ(evaluator.batch_stats().lanes, 3u);
+  EXPECT_EQ(evaluator.batch_stats().max_lanes, 3u);
+  EXPECT_EQ(evaluator.batch_stats().lane_stages, 3u * 6u);
+  evaluator.reset_stats();
+  EXPECT_EQ(evaluator.batch_stats().batches, 0u);
 }
 
-TEST(ChainBatchEvaluator, ValidatesArguments) {
+TEST(ChainEvaluator, EvaluateBatchValidatesArguments) {
   const AdderCell cell = sealpaa::adders::builtin_lpaas()[0];
   const InputProfile profile = InputProfile::uniform(4, 0.5);
-  EXPECT_THROW(ChainBatchEvaluator(profile, {}), std::invalid_argument);
-  ChainBatchEvaluator batch(profile, {cell});
+  ChainEvaluator evaluator(profile, {cell});
   const std::vector<std::size_t> short_chain{0, 0, 0};
   const std::vector<std::span<const std::size_t>> spans{short_chain};
-  EXPECT_THROW((void)batch.evaluate(spans, BatchMode::kStrict),
-               std::invalid_argument);
+  EXPECT_THROW((void)evaluator.evaluate_batch(spans), std::invalid_argument);
   const std::vector<std::size_t> bad_choice{0, 0, 0, 1};
   const std::vector<std::span<const std::size_t>> bad{bad_choice};
-  EXPECT_THROW((void)batch.evaluate(bad, BatchMode::kStrict),
-               std::out_of_range);
+  EXPECT_THROW((void)evaluator.evaluate_batch(bad), std::out_of_range);
 }
 
 // ---------------------------------------------------------------------------
@@ -666,7 +604,6 @@ TEST(KernelOverride, ProgrammaticCapShadowsEnvironmentAndReArms) {
   sealpaa::util::set_forced_kernel(KernelLevel::kScalar);
   EXPECT_EQ(sealpaa::util::forced_kernel(), KernelLevel::kScalar);
   EXPECT_FALSE(sealpaa::util::kernel_level_allowed(KernelLevel::kAvx2));
-  EXPECT_EQ(sealpaa::engine::active_batch_kernel(), KernelLevel::kScalar);
 
   ASSERT_EQ(unsetenv("SEALPAA_FORCE_KERNEL"), 0);
   sealpaa::util::set_forced_kernel(std::nullopt);
@@ -771,7 +708,7 @@ TEST(MethodRegistry, EvaluateBatchMatchesPerChainEvaluate) {
   }
 
   // The batchable configuration (kRecursive, no trace, no op counter)
-  // routes through one strict ChainBatchEvaluator pass; element i must
+  // routes through one ChainEvaluator::evaluate_batch pass; element i must
   // still be bit-for-bit what evaluate(chains[i]) returns.
   const std::vector<sealpaa::engine::Evaluation> batch =
       sealpaa::engine::evaluate_batch(chains, profile, Method::kRecursive);

@@ -76,7 +76,7 @@ TEST(Integration, AnalysisConsistencyMatrix) {
   const double via_enum =
       baseline::WeightedExhaustive::analyze(chain, profile).p_stage_success;
   const double via_correlated =
-      analysis::CorrelatedAnalyzer::analyze(
+      analysis::RecursiveAnalyzer::analyze(
           chain, multibit::JointInputProfile::independent(profile))
           .p_success;
   EXPECT_NEAR(recursive, via_enum, 1e-12);

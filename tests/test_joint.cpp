@@ -1,9 +1,12 @@
 // The joint (approximate carry, exact carry) DP: cross-checks against
-// both the recursive analyzer and full weighted enumeration, including
-// the exact error moments.
+// both the recursive analyzer and full weighted enumeration, plus the
+// exact error moments of ErrorPmf against the same enumeration.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "sealpaa/adders/builtin.hpp"
+#include "sealpaa/analysis/error_pmf.hpp"
 #include "sealpaa/analysis/joint.hpp"
 #include "sealpaa/analysis/recursive.hpp"
 #include "sealpaa/baseline/weighted_exhaustive.hpp"
@@ -14,6 +17,7 @@ namespace {
 using sealpaa::adders::accurate;
 using sealpaa::adders::lpaa;
 using sealpaa::analysis::JointCarryAnalyzer;
+using sealpaa::analysis::propagate_error_pmf;
 using sealpaa::analysis::RecursiveAnalyzer;
 using sealpaa::baseline::WeightedExhaustive;
 using sealpaa::multibit::AdderChain;
@@ -69,17 +73,20 @@ TEST(JointDp, ExactChainIsPerfect) {
   EXPECT_NEAR(joint.p_stage_success, 1.0, 1e-13);
 }
 
+// The exact error moments come from ErrorPmf; these pin its mean and
+// mean squared error to full weighted enumeration.
+
 TEST(Moments, AgreeWithWeightedExhaustive) {
   sealpaa::prob::Xoshiro256StarStar rng(53);
   for (int cell = 1; cell <= 7; ++cell) {
     for (std::size_t width : {2u, 4u, 6u}) {
       const InputProfile profile = InputProfile::random(width, rng);
       const AdderChain chain = AdderChain::homogeneous(lpaa(cell), width);
-      const auto moments = JointCarryAnalyzer::moments(chain, profile);
+      const auto pmf = propagate_error_pmf(chain, profile);
       const auto oracle = WeightedExhaustive::analyze(chain, profile);
-      EXPECT_NEAR(moments.mean, oracle.mean_error, 1e-9)
+      EXPECT_NEAR(pmf.mean_error(), oracle.mean_error, 1e-9)
           << "LPAA" << cell << " width " << width;
-      EXPECT_NEAR(moments.second_moment, oracle.mean_squared_error,
+      EXPECT_NEAR(pmf.mean_squared_error(), oracle.mean_squared_error,
                   1e-7 * (1.0 + oracle.mean_squared_error))
           << "LPAA" << cell << " width " << width;
     }
@@ -90,28 +97,39 @@ TEST(Moments, HybridChainsSupported) {
   sealpaa::prob::Xoshiro256StarStar rng(59);
   const AdderChain chain({lpaa(5), lpaa(6), accurate(), lpaa(7), lpaa(1)});
   const InputProfile profile = InputProfile::random(5, rng);
-  const auto moments = JointCarryAnalyzer::moments(chain, profile);
+  const auto pmf = propagate_error_pmf(chain, profile);
   const auto oracle = WeightedExhaustive::analyze(chain, profile);
-  EXPECT_NEAR(moments.mean, oracle.mean_error, 1e-10);
-  EXPECT_NEAR(moments.second_moment, oracle.mean_squared_error, 1e-8);
+  EXPECT_NEAR(pmf.mean_error(), oracle.mean_error, 1e-10);
+  EXPECT_NEAR(pmf.mean_squared_error(), oracle.mean_squared_error, 1e-8);
 }
 
 TEST(Moments, ExactChainHasZeroError) {
   const InputProfile profile = InputProfile::uniform(12, 0.5);
   const AdderChain chain = AdderChain::homogeneous(accurate(), 12);
-  const auto moments = JointCarryAnalyzer::moments(chain, profile);
-  EXPECT_NEAR(moments.mean, 0.0, 1e-12);
-  EXPECT_NEAR(moments.second_moment, 0.0, 1e-12);
-  EXPECT_NEAR(moments.variance(), 0.0, 1e-12);
+  const auto pmf = propagate_error_pmf(chain, profile);
+  EXPECT_NEAR(pmf.mean_error(), 0.0, 1e-12);
+  EXPECT_NEAR(pmf.mean_squared_error(), 0.0, 1e-12);
+  EXPECT_NEAR(pmf.mean_squared_error() - pmf.mean_error() * pmf.mean_error(),
+              0.0, 1e-12);
 }
 
 TEST(Moments, VarianceAndRmsDeriveFromMoments) {
   const InputProfile profile = InputProfile::uniform(6, 0.5);
   const AdderChain chain = AdderChain::homogeneous(lpaa(5), 6);
-  const auto moments = JointCarryAnalyzer::moments(chain, profile);
-  EXPECT_NEAR(moments.variance(),
-              moments.second_moment - moments.mean * moments.mean, 1e-12);
-  EXPECT_NEAR(moments.rms() * moments.rms(), moments.second_moment, 1e-9);
+  const auto pmf = propagate_error_pmf(chain, profile);
+  const auto oracle = WeightedExhaustive::analyze(chain, profile);
+  // Central second moment straight off the mass points.
+  const double mean = pmf.mean_error();
+  double variance = 0.0;
+  for (const auto& entry : pmf.entries()) {
+    const double d = static_cast<double>(entry.value) - mean;
+    variance += entry.probability * d * d;
+  }
+  EXPECT_NEAR(variance, pmf.mean_squared_error() - mean * mean,
+              1e-9 * (1.0 + variance));
+  const double rms = std::sqrt(pmf.mean_squared_error());
+  EXPECT_NEAR(rms * rms, oracle.mean_squared_error,
+              1e-9 * (1.0 + oracle.mean_squared_error));
 }
 
 TEST(JointDp, HomogeneousLpaaChainsHaveZeroMaskingGap) {
@@ -147,8 +165,6 @@ TEST(JointDp, WidthMismatchThrows) {
   const InputProfile profile = InputProfile::uniform(4, 0.5);
   const AdderChain chain = AdderChain::homogeneous(lpaa(1), 5);
   EXPECT_THROW((void)JointCarryAnalyzer::analyze(chain, profile),
-               std::invalid_argument);
-  EXPECT_THROW((void)JointCarryAnalyzer::moments(chain, profile),
                std::invalid_argument);
 }
 

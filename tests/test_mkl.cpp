@@ -82,8 +82,10 @@ TEST(MklRender, PaperStyleString) {
 TEST(Ipm, EntriesSumToSuccessMass) {
   using sealpaa::analysis::CarryState;
   using sealpaa::analysis::input_probability_matrix;
+  using sealpaa::analysis::operand_weights;
   const CarryState carry{0.3, 0.45};  // deliberately < 1 total
-  const Vector8 ipm = input_probability_matrix(0.7, 0.2, carry);
+  const Vector8 ipm =
+      input_probability_matrix(operand_weights(0.7, 0.2), carry);
   double total = 0.0;
   for (double x : ipm) total += x;
   EXPECT_NEAR(total, carry.success_mass(), 1e-15);
@@ -94,7 +96,9 @@ TEST(Ipm, MatchesManualExpansionForPaperExampleStage0) {
   using sealpaa::analysis::CarryState;
   using sealpaa::analysis::dot;
   using sealpaa::analysis::input_probability_matrix;
-  const Vector8 ipm = input_probability_matrix(0.9, 0.8, CarryState{0.5, 0.5});
+  using sealpaa::analysis::operand_weights;
+  const Vector8 ipm = input_probability_matrix(operand_weights(0.9, 0.8),
+                                               CarryState{0.5, 0.5});
   const MklMatrices mkl = MklMatrices::from_cell(lpaa(1));
   EXPECT_NEAR(dot(ipm, mkl.m), 0.85, 1e-12);
   EXPECT_NEAR(dot(ipm, mkl.k), 0.02, 1e-12);

@@ -2,7 +2,6 @@
 #include <gtest/gtest.h>
 
 #include "sealpaa/adders/builtin.hpp"
-#include "sealpaa/analysis/correlated.hpp"
 #include "sealpaa/analysis/recursive.hpp"
 #include "sealpaa/multibit/profile_estimation.hpp"
 #include "sealpaa/prob/rng.hpp"

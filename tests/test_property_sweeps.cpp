@@ -13,9 +13,9 @@
 
 #include "sealpaa/adders/builtin.hpp"
 #include "sealpaa/gear/gear.hpp"
+#include "sealpaa/analysis/error_pmf.hpp"
 #include "sealpaa/analysis/joint.hpp"
 #include "sealpaa/analysis/recursive.hpp"
-#include "sealpaa/analysis/correlated.hpp"
 #include "sealpaa/baseline/inclusion_exclusion.hpp"
 #include "sealpaa/baseline/weighted_exhaustive.hpp"
 #include "sealpaa/multibit/chain.hpp"
@@ -129,11 +129,12 @@ TEST_P(RandomCell, MomentsMatchGroundTruthOnRandomTable) {
   const std::size_t width = 2 + static_cast<std::size_t>(GetParam()) % 4;
   const InputProfile profile = InputProfile::uniform(width, 0.45);
   const AdderChain chain = AdderChain::homogeneous(cell, width);
-  const auto moments = JointCarryAnalyzer::moments(chain, profile);
+  const auto pmf = sealpaa::analysis::propagate_error_pmf(chain, profile);
   const auto oracle = WeightedExhaustive::analyze(chain, profile);
-  EXPECT_NEAR(moments.mean, oracle.mean_error, 1e-9);
-  EXPECT_NEAR(moments.second_moment, oracle.mean_squared_error,
-              1e-7 * (1.0 + oracle.mean_squared_error));
+  EXPECT_NEAR(pmf.mean_error(), oracle.mean_error, 1e-9) << cell.to_string();
+  EXPECT_NEAR(pmf.mean_squared_error(), oracle.mean_squared_error,
+              1e-7 * (1.0 + oracle.mean_squared_error))
+      << cell.to_string();
 }
 
 INSTANTIATE_TEST_SUITE_P(Fuzz, RandomCell, ::testing::Range(0, 24));
@@ -249,7 +250,7 @@ TEST_P(CorrelatedSweep, GeneralizedRecursionMatchesJointOracle) {
       sealpaa::multibit::JointInputProfile::correlated(marginals, rho);
   const AdderChain chain = AdderChain::homogeneous(lpaa(cell_index), 6);
   const double analytical =
-      sealpaa::analysis::CorrelatedAnalyzer::analyze(chain, joint).p_success;
+      RecursiveAnalyzer::analyze(chain, joint).p_success;
   const double oracle =
       WeightedExhaustive::analyze_joint(chain, joint).p_stage_success;
   EXPECT_NEAR(analytical, oracle, 1e-12);

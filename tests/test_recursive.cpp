@@ -223,12 +223,13 @@ TEST(FinalCarry, ComposabilityAcrossSplitChains) {
 
   sealpaa::analysis::CarryState carry = head.final_carry;
   const auto mkl = sealpaa::analysis::MklMatrices::from_cell(lpaa(6));
+  const auto weights = sealpaa::analysis::operand_weights(0.2, 0.2);
   double p_success = 0.0;
   for (int i = 0; i < 4; ++i) {
     if (i == 3) {
-      p_success = sealpaa::analysis::final_success(mkl, 0.2, 0.2, carry);
+      p_success = sealpaa::analysis::final_success(mkl, weights, carry);
     }
-    carry = sealpaa::analysis::advance_stage(mkl, 0.2, 0.2, carry);
+    carry = sealpaa::analysis::advance_stage(mkl, weights, carry);
   }
   EXPECT_NEAR(p_success, whole.p_success, 1e-14);
 }

@@ -280,13 +280,51 @@ TEST(EvaluatorPool, AggregateStatsFoldInEvictedEvaluators) {
                         std::chrono::steady_clock::now()};
 }
 
+/// A response sink that keeps every response it is handed.
+struct Collector {
+  std::mutex mutex;
+  std::vector<OutgoingResponse> responses;
+
+  [[nodiscard]] Dispatcher::ResponseSink sink() {
+    return [this](OutgoingResponse response) {
+      const std::lock_guard<std::mutex> lock(mutex);
+      responses.push_back(std::move(response));
+    };
+  }
+  /// The responses sorted by (connection, sequence).
+  [[nodiscard]] std::vector<OutgoingResponse> sorted() {
+    const std::lock_guard<std::mutex> lock(mutex);
+    std::vector<OutgoingResponse> out = responses;
+    std::sort(out.begin(), out.end(),
+              [](const OutgoingResponse& a, const OutgoingResponse& b) {
+                return a.connection != b.connection
+                           ? a.connection < b.connection
+                           : a.sequence < b.sequence;
+              });
+    return out;
+  }
+};
+
+/// Runs `batch` through the live workers (start, submit, drain, stop)
+/// and returns one response per request, sorted by (connection,
+/// sequence).
+[[nodiscard]] std::vector<OutgoingResponse> run_live(
+    Dispatcher& dispatcher, std::vector<PendingRequest> batch) {
+  Collector collector;
+  dispatcher.start(collector.sink());
+  for (PendingRequest& request : batch) dispatcher.submit(std::move(request));
+  dispatcher.drain();
+  dispatcher.stop();
+  return collector.sorted();
+}
+
 TEST(Dispatcher, EchoesIdsAndOrdersResponsesPerConnection) {
   Dispatcher dispatcher;
   std::vector<PendingRequest> batch;
   batch.push_back(pending(2, 1, R"({"id":"b","method":"ping"})"));
   batch.push_back(pending(1, 0, R"({"id":"a","method":"ping"})"));
   batch.push_back(pending(2, 0, R"({"id":"c","method":"ping"})"));
-  const auto responses = dispatcher.run_batch(std::move(batch), 2);
+  const auto responses = run_live(dispatcher, std::move(batch));
   ASSERT_EQ(responses.size(), 3u);
   EXPECT_EQ(responses[0].connection, 1u);
   EXPECT_EQ(responses[1].connection, 2u);
@@ -300,7 +338,7 @@ TEST(Dispatcher, RecursiveResponseMatchesEngineEvaluate) {
   std::vector<PendingRequest> batch;
   batch.push_back(pending(
       1, 0, R"({"id":1,"method":"recursive","width":8,"chain":"LPAA6"})"));
-  const auto responses = dispatcher.run_batch(std::move(batch), 2);
+  const auto responses = run_live(dispatcher, std::move(batch));
   ASSERT_EQ(responses.size(), 1u);
 
   const auto* cell = sealpaa::adders::find_builtin("LPAA6");
@@ -332,7 +370,7 @@ TEST(Dispatcher, GroupedRecursiveRequestsShareThePrefixCache) {
             R"(,"method":"recursive","width":8,"chain":)" + prefix + cell +
             "]}"));
   }
-  const auto responses = dispatcher.run_batch(std::move(batch), 2);
+  const auto responses = run_live(dispatcher, std::move(batch));
   ASSERT_EQ(responses.size(), 4u);
   for (const auto& response : responses) {
     EXPECT_NE(response.frame.find("\"ok\":true"), std::string::npos)
@@ -351,7 +389,7 @@ TEST(Dispatcher, ZeroTimeoutExpiresBeforeEvaluation) {
   batch.push_back(pending(1, 0,
                           R"({"id":1,"method":"recursive","width":8,)"
                           R"("chain":"LPAA6","params":{"timeout_ms":0}})"));
-  const auto responses = dispatcher.run_batch(std::move(batch), 2);
+  const auto responses = run_live(dispatcher, std::move(batch));
   ASSERT_EQ(responses.size(), 1u);
   EXPECT_NE(responses[0].frame.find("\"code\":\"timeout\""), std::string::npos)
       << responses[0].frame;
@@ -362,7 +400,7 @@ TEST(Dispatcher, UnknownCellIsAStructuredError) {
   std::vector<PendingRequest> batch;
   batch.push_back(
       pending(1, 0, R"({"id":1,"method":"recursive","width":4,"chain":"NO"})"));
-  const auto responses = dispatcher.run_batch(std::move(batch), 2);
+  const auto responses = run_live(dispatcher, std::move(batch));
   ASSERT_EQ(responses.size(), 1u);
   EXPECT_NE(responses[0].frame.find("\"code\":\"unknown-cell\""),
             std::string::npos);
@@ -370,11 +408,16 @@ TEST(Dispatcher, UnknownCellIsAStructuredError) {
 
 TEST(Dispatcher, StatsRequestSeesItsOwnBatch) {
   Dispatcher dispatcher;
-  std::vector<PendingRequest> batch;
-  batch.push_back(pending(
+  Collector collector;
+  dispatcher.start(collector.sink());
+  dispatcher.submit(pending(
       1, 0, R"({"id":1,"method":"recursive","width":4,"chain":"LPAA1"})"));
-  batch.push_back(pending(1, 1, R"({"id":2,"method":"stats"})"));
-  const auto responses = dispatcher.run_batch(std::move(batch), 2);
+  dispatcher.drain();
+  // Control requests are answered inline, so after the drain the stats
+  // response covers the evaluation ahead of it.
+  dispatcher.submit(pending(1, 1, R"({"id":2,"method":"stats"})"));
+  dispatcher.stop();
+  const auto responses = collector.sorted();
   ASSERT_EQ(responses.size(), 2u);
   const Json stats = Json::parse(responses[1].frame);
   EXPECT_EQ(stats.find("stats")
@@ -390,9 +433,46 @@ TEST(Dispatcher, StatsRequestSeesItsOwnBatch) {
             1u);
 }
 
+TEST(Dispatcher, CountersIncludeEachResponseBeforeItIsEmitted) {
+  // The sink inspects the counters as every response leaves: the served
+  // total and the per-method counts must already include that response,
+  // so a client never sees an answer its stats do not account for.
+  Dispatcher dispatcher;
+  std::mutex mutex;
+  std::uint64_t seen = 0;
+  std::uint64_t served_behind = 0;
+  std::uint64_t methods_behind = 0;
+  dispatcher.start([&](OutgoingResponse) {
+    const std::lock_guard<std::mutex> lock(mutex);
+    seen += 1;
+    if (dispatcher.requests_served() < seen) served_behind += 1;
+    std::uint64_t counted = 0;
+    const Json stats = dispatcher.stats_json();
+    for (const auto& [name, method] : stats.find("methods")->items()) {
+      counted += method.find("count")->unsigned_integer();
+    }
+    if (counted < seen) methods_behind += 1;
+  });
+  constexpr std::uint64_t kRequests = 16;
+  for (std::uint64_t i = 0; i < kRequests; ++i) {
+    dispatcher.submit(pending(
+        1, i,
+        R"({"id":)" + std::to_string(i) + R"(,"method":")" +
+            (i % 2 == 0 ? "recursive" : "analytic-pmf") +
+            R"(","width":8,"chain":"LPAA3"})"));
+  }
+  dispatcher.drain();
+  dispatcher.stop();
+  EXPECT_EQ(seen, kRequests);
+  EXPECT_EQ(served_behind, 0u);
+  EXPECT_EQ(methods_behind, 0u);
+}
+
 TEST(Dispatcher, DeterministicAcrossThreadCounts) {
   const auto run = [](unsigned threads) {
-    Dispatcher dispatcher;
+    DispatcherOptions options;
+    options.dispatch_threads = threads;
+    Dispatcher dispatcher(options);
     std::vector<PendingRequest> batch;
     const char* cells[] = {"LPAA1", "LPAA2", "LPAA3", "LPAA4"};
     for (std::uint64_t i = 0; i < 8; ++i) {
@@ -402,7 +482,7 @@ TEST(Dispatcher, DeterministicAcrossThreadCounts) {
               R"("width":6,"chain":")" + cells[i % 4] + "\"}"));
     }
     std::vector<std::string> frames;
-    for (auto& response : dispatcher.run_batch(std::move(batch), threads)) {
+    for (auto& response : run_live(dispatcher, std::move(batch))) {
       frames.push_back(std::move(response.frame));
     }
     return frames;
@@ -425,7 +505,7 @@ TEST(Dispatcher, ShardOfSpreadsProfilesAndIsStable) {
 
 /// Runs `frames` through a started dispatcher with `workers` dispatch
 /// workers and returns the response frames in submission order.
-[[nodiscard]] std::vector<std::string> run_live(
+[[nodiscard]] std::vector<std::string> run_frames(
     unsigned workers, const std::vector<std::string>& frames) {
   DispatcherOptions options;
   options.dispatch_threads = workers;
@@ -469,8 +549,8 @@ TEST(Dispatcher, WorkerCountDoesNotChangeResponseBytes) {
   frames.push_back(R"({"id":101,"method":"block-analytic","width":16,)"
                    R"("blocks":"aca:4","params":{"p":0.42}})");
   frames.push_back(R"({"id":102,"method":"nope"})");  // structured error
-  const std::vector<std::string> one = run_live(1, frames);
-  EXPECT_EQ(one, run_live(8, frames));
+  const std::vector<std::string> one = run_frames(1, frames);
+  EXPECT_EQ(one, run_frames(8, frames));
   ASSERT_EQ(one.size(), frames.size());
 }
 

@@ -180,7 +180,7 @@ int cmd_analyze(const util::CliArgs& args, obs::RunReport& report) {
     options.record_trace = args.get_bool("trace", false);
     obs::ScopedTimer timer(report.counters(), "analyze");
     const analysis::AnalysisResult result =
-        analysis::CorrelatedAnalyzer::analyze(chain, joint, options);
+        analysis::RecursiveAnalyzer::analyze(chain, joint, options);
     timer.stop();
     std::cout << chain.describe() << "  p=" << util::fixed(p, 3)
               << "  rho=" << util::fixed(rho, 2) << "\n";
