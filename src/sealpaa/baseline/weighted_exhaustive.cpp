@@ -72,8 +72,8 @@ void accumulate_case(const multibit::AdderChain& chain, std::uint64_t a,
   const multibit::AddResult exact = multibit::exact_add(a, b, cin, n);
   const std::uint64_t approx_value = traced.outputs.value(n);
   const std::uint64_t exact_value = exact.value(n);
-  const std::int64_t error = static_cast<std::int64_t>(approx_value) -
-                             static_cast<std::int64_t>(exact_value);
+  // Unsigned difference, reinterpreted: no signed overflow at width 63.
+  const auto error = static_cast<std::int64_t>(approx_value - exact_value);
   accumulate_outcome(traced.all_stages_success, approx_value == exact_value,
                      traced.outputs.sum_bits == exact.sum_bits, error, weight,
                      shard);

@@ -13,10 +13,11 @@
 // batch analyzer (enforced by tests/test_engine.cpp), and the cache can
 // never change a result — only how often stages are recomputed.
 //
-// Frontier and service batches (`evaluate_batch`, `score_extensions`)
-// advance many chains stage by stage as lanes.  Each lane replays the
-// same advance_stage / final_success calls, so a batch is bit-identical
-// to the per-chain path (DESIGN.md decision 9: one strict lane path).
+// Search frontiers (`score_extensions`, and `evaluate_batch` over
+// whole chains) advance many chains stage by stage as lanes.  Each lane
+// replays the same advance_stage / final_success calls, so a batch is
+// bit-identical to the per-chain path (DESIGN.md decision 9: one strict
+// lane path).
 #pragma once
 
 #include <cstdint>
@@ -79,8 +80,8 @@ struct CacheStats {
   }
 };
 
-/// Lane accounting of evaluate_batch / score_extensions, reported
-/// through sealpaa::obs — the counters that prove evaluation ran
+/// Lane accounting of evaluate_batch / score_extensions, reported in the
+/// search run reports — the counters that prove evaluation ran
 /// lane-parallel.
 struct BatchStats {
   std::uint64_t batches = 0;    // batch operations submitted

@@ -59,14 +59,6 @@ std::shared_ptr<ChainEvaluator> EvaluatorPool::acquire(
   return evaluator;
 }
 
-std::optional<std::size_t> EvaluatorPool::candidate_index(
-    std::string_view name) const {
-  for (std::size_t i = 0; i < palette_.size(); ++i) {
-    if (palette_[i].name() == name) return i;
-  }
-  return std::nullopt;
-}
-
 CacheStats EvaluatorPool::aggregate_stats() const {
   CacheStats total = retired_;
   for (const Entry& entry : entries_) {
@@ -83,24 +75,9 @@ CacheStats EvaluatorPool::aggregate_pmf_stats() const {
   return total;
 }
 
-BatchStats EvaluatorPool::aggregate_batch_stats() const {
-  BatchStats total = retired_batch_;
-  for (const Entry& entry : entries_) {
-    total.merge(entry.evaluator->batch_stats());
-  }
-  return total;
-}
-
-void EvaluatorPool::clear() {
-  for (const Entry& entry : entries_) retire(entry);
-  entries_.clear();
-  index_.clear();
-}
-
 void EvaluatorPool::retire(const Entry& entry) {
   retired_.merge(entry.evaluator->stats());
   retired_pmf_.merge(entry.evaluator->pmf_stats());
-  retired_batch_.merge(entry.evaluator->batch_stats());
 }
 
 }  // namespace sealpaa::engine

@@ -9,19 +9,17 @@
 // design-sweep client — reuse a hot prefix cache instead of rebuilding
 // M/K/L matrices and recomputing every chain from bit 0.
 //
-// Single-threaded by design: the service's dispatch thread acquires all
-// evaluators a batch needs before fanning evaluation tasks out, and
-// each evaluator is only ever probed from one task at a time.
-// `acquire` returns shared ownership so an evaluator evicted while a
-// batch holds it stays valid until the batch completes.
+// Single-threaded by design: each service dispatch worker owns one pool
+// and evaluates its batch's requests one at a time, acquiring each
+// profile's evaluator once per batch.  `acquire` returns shared
+// ownership so an evaluator evicted while a batch holds it stays valid
+// until the batch completes.
 #pragma once
 
 #include <cstdint>
 #include <list>
 #include <memory>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -53,14 +51,6 @@ class EvaluatorPool {
   [[nodiscard]] std::shared_ptr<ChainEvaluator> acquire(
       const multibit::InputProfile& profile);
 
-  /// Palette index of the cell named `name`; nullopt when unknown.
-  [[nodiscard]] std::optional<std::size_t> candidate_index(
-      std::string_view name) const;
-
-  [[nodiscard]] const std::vector<adders::AdderCell>& palette() const noexcept {
-    return palette_;
-  }
-
   /// Live evaluators currently held.
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
   /// Evaluators constructed over the pool's lifetime.
@@ -78,15 +68,6 @@ class EvaluatorPool {
   /// Same aggregation over the PMF prefix caches.
   [[nodiscard]] CacheStats aggregate_pmf_stats() const;
 
-  /// Same aggregation over the SoA batch counters (evaluate_batch /
-  /// score_extensions lanes) — the pool-level proof that service
-  /// batches ran lane-parallel.
-  [[nodiscard]] BatchStats aggregate_batch_stats() const;
-
-  /// Drops every live evaluator (their stats move to the retired
-  /// aggregate; lifetime counters are kept).
-  void clear();
-
  private:
   struct Entry {
     std::string key;
@@ -103,7 +84,6 @@ class EvaluatorPool {
   std::unordered_map<std::string, std::list<Entry>::iterator> index_;
   CacheStats retired_;
   CacheStats retired_pmf_;
-  BatchStats retired_batch_;
   std::uint64_t created_ = 0;
   std::uint64_t evicted_ = 0;
   std::uint64_t pool_hits_ = 0;

@@ -9,7 +9,6 @@
 #include "sealpaa/analysis/block_error.hpp"
 #include "sealpaa/baseline/inclusion_exclusion.hpp"
 #include "sealpaa/baseline/weighted_exhaustive.hpp"
-#include "sealpaa/engine/chain_evaluator.hpp"
 #include "sealpaa/sim/exhaustive.hpp"
 #include "sealpaa/sim/montecarlo.hpp"
 #include "sealpaa/util/parallel.hpp"
@@ -248,64 +247,6 @@ Evaluation evaluate(const adders::AdderCell& cell,
                     const EvaluateOptions& options) {
   return evaluate(multibit::AdderChain::homogeneous(cell, profile.width()),
                   profile, method, options);
-}
-
-std::vector<Evaluation> evaluate_batch(
-    std::span<const multibit::AdderChain> chains,
-    const multibit::InputProfile& profile, Method method,
-    const EvaluateOptions& options) {
-  std::vector<Evaluation> out;
-  out.reserve(chains.size());
-  if (chains.empty()) return out;
-  for (const multibit::AdderChain& chain : chains) {
-    require_matching_width(chain, profile);
-  }
-
-  // The SoA pass covers the common case: the recursion, untraced.  A
-  // trace or an op counter needs the per-stage scalar walk, and a
-  // palette beyond 255 distinct cells cannot be expressed as lane bytes.
-  bool batchable = method == Method::kRecursive && !options.record_trace &&
-                   options.op_counter == nullptr;
-  std::vector<adders::AdderCell> palette;
-  std::vector<std::vector<std::size_t>> indices;
-  if (batchable) {
-    indices.resize(chains.size());
-    for (std::size_t l = 0; l < chains.size() && batchable; ++l) {
-      indices[l].reserve(chains[l].width());
-      for (const adders::AdderCell& cell : chains[l].stages()) {
-        std::size_t c = 0;
-        while (c < palette.size() && !(palette[c] == cell)) ++c;
-        if (c == palette.size()) {
-          if (palette.size() == 255) {
-            batchable = false;
-            break;
-          }
-          palette.push_back(cell);
-        }
-        indices[l].push_back(c);
-      }
-    }
-  }
-  if (!batchable) {
-    for (const multibit::AdderChain& chain : chains) {
-      out.push_back(evaluate(chain, profile, method, options));
-    }
-    return out;
-  }
-
-  ChainEvaluator evaluator(profile, std::move(palette));
-  std::vector<std::span<const std::size_t>> lanes;
-  lanes.reserve(chains.size());
-  for (const std::vector<std::size_t>& chain : indices) {
-    lanes.push_back(chain);
-  }
-  std::vector<analysis::AnalysisResult> results =
-      evaluator.evaluate_batch(lanes);
-  for (std::size_t l = 0; l < results.size(); ++l) {
-    out.push_back(
-        to_evaluation(method, std::move(results[l]), chains[l].width()));
-  }
-  return out;
 }
 
 }  // namespace sealpaa::engine

@@ -165,17 +165,4 @@ struct Evaluation {
     const analysis::ErrorPmf* pmf = nullptr,
     std::size_t pmf_top_k = EvaluateOptions{}.pmf_top_k);
 
-/// Many chains against one profile.  Element i equals
-/// evaluate(chains[i], profile, method, options) bit-for-bit; the batch
-/// form only changes how the work is scheduled.  For kRecursive the
-/// chains' distinct cells are deduplicated into a palette and all lanes
-/// advance together through one ChainEvaluator::evaluate_batch pass —
-/// O(1) dispatch overhead per chain instead of per stage.  Other
-/// methods, traced runs (record_trace / op_counter) and palettes beyond
-/// 255 distinct cells fall back to the per-chain loop.
-[[nodiscard]] std::vector<Evaluation> evaluate_batch(
-    std::span<const multibit::AdderChain> chains,
-    const multibit::InputProfile& profile, Method method,
-    const EvaluateOptions& options = {});
-
 }  // namespace sealpaa::engine

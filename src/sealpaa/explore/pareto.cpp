@@ -52,31 +52,17 @@ std::vector<DesignPoint> pareto_front(std::vector<DesignPoint> points,
 std::vector<DesignPoint> homogeneous_sweep(
     const multibit::InputProfile& profile, unsigned threads,
     util::ShardTimings* timings) {
-  (void)threads;  // kept for API stability; the batch kernel is SoA-parallel
+  (void)threads;  // kept for API stability; the sweep runs serially
   const std::span<const adders::AdderCell> cells = adders::all_builtin_cells();
   const double n = static_cast<double>(profile.width());
   util::WallTimer timer;
-  // One engine::evaluate_batch call over all homogeneous chains: the
-  // registry's distinct cells form one SoA palette and every chain
-  // advances lane-parallel in a single strict pass, replacing the old
-  // per-cell evaluate() fan-out.  Element i is bit-identical to
-  // evaluate(cells[i], profile, kRecursive), and the output keeps
-  // registry order by construction.
-  std::vector<multibit::AdderChain> chains;
-  chains.reserve(cells.size());
-  for (const adders::AdderCell& cell : cells) {
-    chains.emplace_back(
-        std::vector<adders::AdderCell>(profile.width(), cell));
-  }
-  const std::vector<engine::Evaluation> evaluations =
-      engine::evaluate_batch(chains, profile, engine::Method::kRecursive);
   std::vector<DesignPoint> points;
   points.reserve(cells.size());
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const adders::AdderCell& cell = cells[i];
+  for (const adders::AdderCell& cell : cells) {
     DesignPoint point;
     point.name = cell.name();
-    point.p_error = evaluations[i].p_error;
+    point.p_error =
+        engine::evaluate(cell, profile, engine::Method::kRecursive).p_error;
     const adders::CellCharacteristics* row =
         adders::find_characteristics(cell);
     if (row != nullptr && row->power_nw && row->area_ge) {
@@ -88,7 +74,7 @@ std::vector<DesignPoint> homogeneous_sweep(
     points.push_back(std::move(point));
   }
   if (timings != nullptr) {
-    // The sweep is one batched pass, not a fork/join region: report a
+    // The sweep is one serial pass, not a fork/join region: report a
     // single shard covering the whole registry.
     timings->threads = 1;
     timings->wall_seconds = timer.elapsed_seconds();

@@ -41,11 +41,10 @@ struct ParetoStats {
 
 /// Evaluates every built-in cell as an N-bit homogeneous chain under
 /// `profile` and returns the design points (error from the recursive
-/// analyzer, power/area scaled from Table 2).  Candidates are evaluated
-/// concurrently (`threads == 0` → the shared pool) and merged back into
-/// registry order, so the result does not depend on the thread count.
-/// When `timings` is non-null it receives the per-candidate shard
-/// breakdown of the parallel sweep.
+/// analyzer, power/area scaled from Table 2), one engine::evaluate call
+/// per cell in registry order.  `threads` is accepted for API stability
+/// and ignored.  When `timings` is non-null it receives the sweep's wall
+/// time as a single shard covering every candidate.
 [[nodiscard]] std::vector<DesignPoint> homogeneous_sweep(
     const multibit::InputProfile& profile, unsigned threads = 0,
     util::ShardTimings* timings = nullptr);

@@ -109,15 +109,6 @@ Json to_json(const engine::CacheStats& stats) {
   return out;
 }
 
-Json to_json(const engine::BatchStats& stats) {
-  Json out = Json::object();
-  out.set("batches", Json(stats.batches));
-  out.set("lanes", Json(stats.lanes));
-  out.set("max_lanes", Json(stats.max_lanes));
-  out.set("lane_stages", Json(stats.lane_stages));
-  return out;
-}
-
 Json to_json(const engine::Evaluation& evaluation) {
   Json out = Json::object();
   out.set("method", Json(std::string(engine::method_name(evaluation.method))));

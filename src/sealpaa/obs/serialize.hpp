@@ -50,11 +50,6 @@ namespace sealpaa::obs {
 /// Prefix-cache accounting of an engine::ChainEvaluator.
 [[nodiscard]] Json to_json(const engine::CacheStats& stats);
 
-/// Lane accounting of an engine::ChainEvaluator — batches, lanes (total
-/// and widest) and lane-stage advances.  max_lanes > 1 is the
-/// report-level proof a consumer evaluated lane-parallel.
-[[nodiscard]] Json to_json(const engine::BatchStats& stats);
-
 /// Uniform engine evaluation: method name, probabilities, work measure,
 /// (Monte Carlo only) the stage-failure CI, and — when the method
 /// produced them — the value-level "distribution" block (error rate,

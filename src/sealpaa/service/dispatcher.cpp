@@ -48,8 +48,35 @@ struct ShardStats {
   std::uint64_t pool_hits = 0;
   engine::CacheStats prefix{};
   engine::CacheStats pmf{};
-  engine::BatchStats batch{};
+
+  /// Folds another shard's snapshot in: the fleet-wide totals are the
+  /// sum over shards of every counter and histogram.
+  void merge(const ShardStats& other) {
+    batches += other.batches;
+    cut_through_batches += other.cut_through_batches;
+    coalesced_batches += other.coalesced_batches;
+    batch_sizes.merge(other.batch_sizes);
+    for (const auto& [name, stats] : other.methods) {
+      MethodStats& merged = methods[name];
+      merged.count += stats.count;
+      merged.errors += stats.errors;
+      merged.latency_us.merge(stats.latency_us);
+    }
+    pool_live += other.pool_live;
+    pool_created += other.pool_created;
+    pool_evicted += other.pool_evicted;
+    pool_hits += other.pool_hits;
+    prefix.merge(other.prefix);
+    pmf.merge(other.pmf);
+  }
 };
+
+[[nodiscard]] obs::Json batches_to_json(const ShardStats& stats) {
+  obs::Json out = obs::Json::object();
+  out.set("count", obs::Json(stats.batches));
+  out.set("size", stats.batch_sizes.to_json());
+  return out;
+}
 
 [[nodiscard]] obs::Json methods_to_json(
     const std::map<std::string, MethodStats>& methods) {
@@ -72,7 +99,6 @@ struct ShardStats {
   out.set("pool_hits", obs::Json(stats.pool_hits));
   out.set("prefix_cache", obs::to_json(stats.prefix));
   out.set("pmf_cache", obs::to_json(stats.pmf));
-  out.set("batch", obs::to_json(stats.batch));
   return out;
 }
 
@@ -311,92 +337,73 @@ void Dispatcher::process_batch(Shard& shard, std::vector<ParsedItem> items,
   };
   std::vector<Slot> slots(items.size());
 
-  // Group per profile so every request against one (width, p) runs
-  // against one pooled ChainEvaluator: recursive requests become the
-  // lanes of one strict SoA pass, analytic-pmf requests share the
-  // evaluator's PMF prefix cache.
-  struct Group {
-    std::shared_ptr<engine::ChainEvaluator> evaluator;
-    std::vector<std::size_t> recursive;
-    std::vector<std::size_t> analytic;
-  };
-  std::map<std::string, Group> groups;
-  std::vector<std::size_t> other_jobs;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    const Request& request = items[i].request;
+  // Recursive and analytic-pmf requests run on their profile's pooled
+  // ChainEvaluator, acquired once per batch.  The key is the width plus
+  // the exact probability bits — the identity EvaluatorPool keys on for
+  // uniform profiles.
+  std::map<std::string, std::shared_ptr<engine::ChainEvaluator>> evaluators;
+  const auto evaluate = [&](const ParsedItem& item) {
+    const Request& request = item.request;
     if (request.method == engine::Method::kRecursive ||
         request.method == engine::Method::kAnalyticPmf) {
-      // Group key: width plus the exact probability bits — the same
-      // identity EvaluatorPool keys on for uniform profiles.
       std::string key = std::to_string(request.width);
       key.push_back(':');
       key.append(reinterpret_cast<const char*>(&request.p), sizeof(double));
-      Group& group = groups[key];
-      if (!group.evaluator) {
-        group.evaluator = shard.pool.acquire(
+      std::shared_ptr<engine::ChainEvaluator>& evaluator = evaluators[key];
+      if (!evaluator) {
+        evaluator = shard.pool.acquire(
             multibit::InputProfile::uniform(request.width, request.p));
       }
-      (request.method == engine::Method::kRecursive ? group.recursive
-                                                    : group.analytic)
-          .push_back(i);
-    } else {
-      other_jobs.push_back(i);
+      // ChainEvaluator::evaluate is bit-identical to
+      // RecursiveAnalyzer::analyze and error_pmf to propagate_error_pmf
+      // for a full-width chain, so this response is byte-for-byte what
+      // engine::evaluate serializes — the prefix caches only change how
+      // often stages recompute.
+      analysis::AnalysisResult result = evaluator->evaluate(item.choices);
+      std::optional<analysis::ErrorPmf> pmf;
+      if (request.method == engine::Method::kAnalyticPmf) {
+        pmf = evaluator->error_pmf(item.choices);
+      }
+      return engine::to_evaluation(request.method, std::move(result),
+                                   request.width, pmf ? &*pmf : nullptr);
     }
-  }
+    std::vector<adders::AdderCell> stages;
+    stages.reserve(item.choices.size());
+    for (const std::size_t choice : item.choices) {
+      stages.push_back(palette_[choice]);
+    }
+    engine::EvaluateOptions options;
+    options.samples = request.samples;
+    options.seed = request.seed;
+    options.kernel = request.kernel;
+    options.blocks = request.blocks;
+    // Evaluate inline: dispatch workers must not contend for the shared
+    // thread pool.  Monte Carlo results are thread-count-independent
+    // (disjoint jump streams), so responses stay byte-identical to any
+    // other worker count.
+    options.threads = 1;
+    return engine::evaluate(
+        multibit::AdderChain(std::move(stages)),
+        multibit::InputProfile::uniform(request.width, request.p),
+        request.method, options);
+  };
 
-  const auto palette = std::span<const adders::AdderCell>(shard.pool.palette());
-  const auto run_evaluate = [&](std::size_t index,
-                                engine::ChainEvaluator* evaluator) {
-    Slot& slot = slots[index];
-    const ParsedItem& item = items[index];
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    Slot& slot = slots[i];
+    const ParsedItem& item = items[i];
     const Request& request = item.request;
     const util::WallTimer timer;
-    const auto deadline =
-        item.pending.arrival + std::chrono::milliseconds(request.timeout_ms);
     try {
-      if (request.timeout_ms == 0 || Clock::now() >= deadline) {
+      if (request.timeout_ms == 0 ||
+          Clock::now() >= item.pending.arrival +
+                              std::chrono::milliseconds(request.timeout_ms)) {
         slot.response = make_error_response(
             request.id, error_code::kTimeout,
             "deadline of " + std::to_string(request.timeout_ms) +
                 " ms expired before evaluation started");
         slot.error = true;
-      } else if (evaluator != nullptr) {
-        // The pooled projection: ChainEvaluator::evaluate is
-        // bit-identical to RecursiveAnalyzer::analyze and error_pmf to
-        // propagate_error_pmf for a full-width chain, so this response
-        // is byte-for-byte what engine::evaluate serializes — the prefix
-        // caches only change how often stages recompute.
-        analysis::AnalysisResult result = evaluator->evaluate(item.choices);
-        std::optional<analysis::ErrorPmf> pmf;
-        if (request.method == engine::Method::kAnalyticPmf) {
-          pmf = evaluator->error_pmf(item.choices);
-        }
-        slot.response = make_evaluation_response(
-            request.id,
-            engine::to_evaluation(request.method, std::move(result),
-                                  request.width, pmf ? &*pmf : nullptr));
       } else {
-        std::vector<adders::AdderCell> stages;
-        stages.reserve(item.choices.size());
-        for (const std::size_t choice : item.choices) {
-          stages.push_back(palette[choice]);
-        }
-        const multibit::AdderChain chain(std::move(stages));
-        const auto profile =
-            multibit::InputProfile::uniform(request.width, request.p);
-        engine::EvaluateOptions options;
-        options.samples = request.samples;
-        options.seed = request.seed;
-        options.kernel = request.kernel;
-        options.blocks = request.blocks;
-        // Evaluate inline: dispatch workers must not contend for the
-        // shared thread pool.  Monte Carlo results are thread-count-
-        // independent (disjoint jump streams), so responses stay
-        // byte-identical to any other worker count.
-        options.threads = 1;
-        const engine::Evaluation evaluation =
-            engine::evaluate(chain, profile, request.method, options);
-        slot.response = make_evaluation_response(request.id, evaluation);
+        slot.response = make_evaluation_response(request.id, evaluate(item));
       }
     } catch (const std::invalid_argument& e) {
       slot.response =
@@ -408,70 +415,6 @@ void Dispatcher::process_batch(Shard& shard, std::vector<ParsedItem> items,
       slot.error = true;
     }
     slot.micros = static_cast<std::uint64_t>(timer.elapsed_seconds() * 1e6);
-  };
-
-  // A whole recursive group in one SoA pass: expired requests are
-  // filtered out first (the same "before evaluation started" check
-  // run_evaluate makes), the survivors' chains become the lanes of one
-  // strict-mode evaluate_batch call — bit-identical per lane to the
-  // per-request evaluate().  Should the batch throw (one malformed
-  // chain poisons the whole lane pass), the group replays per slot so
-  // the error attaches to the request that caused it.
-  const auto run_group = [&](const std::vector<std::size_t>& indices,
-                             engine::ChainEvaluator* evaluator) {
-    std::vector<std::size_t> live;
-    live.reserve(indices.size());
-    for (const std::size_t index : indices) {
-      Slot& slot = slots[index];
-      const Request& request = items[index].request;
-      const auto deadline = items[index].pending.arrival +
-                            std::chrono::milliseconds(request.timeout_ms);
-      if (request.timeout_ms == 0 || Clock::now() >= deadline) {
-        slot.response = make_error_response(
-            request.id, error_code::kTimeout,
-            "deadline of " + std::to_string(request.timeout_ms) +
-                " ms expired before evaluation started");
-        slot.error = true;
-        continue;
-      }
-      live.push_back(index);
-    }
-    if (live.empty()) return;
-    std::vector<std::span<const std::size_t>> chains;
-    chains.reserve(live.size());
-    for (const std::size_t index : live) {
-      chains.emplace_back(items[index].choices);
-    }
-    const util::WallTimer timer;
-    try {
-      std::vector<analysis::AnalysisResult> results =
-          evaluator->evaluate_batch(chains);
-      const std::uint64_t micros = static_cast<std::uint64_t>(
-          timer.elapsed_seconds() * 1e6 / static_cast<double>(live.size()));
-      for (std::size_t j = 0; j < live.size(); ++j) {
-        Slot& slot = slots[live[j]];
-        const Request& request = items[live[j]].request;
-        slot.response = make_evaluation_response(
-            request.id,
-            engine::to_evaluation(engine::Method::kRecursive,
-                                  std::move(results[j]), request.width));
-        slot.micros = micros;
-      }
-    } catch (...) {
-      for (const std::size_t index : live) {
-        run_evaluate(index, evaluator);
-      }
-    }
-  };
-
-  for (auto& [key, group] : groups) {
-    run_group(group.recursive, group.evaluator.get());
-    for (const std::size_t index : group.analytic) {
-      run_evaluate(index, group.evaluator.get());
-    }
-  }
-  for (const std::size_t index : other_jobs) {
-    run_evaluate(index, nullptr);
   }
 
   // Publish before emitting: a client that reads a response and then
@@ -500,7 +443,6 @@ void Dispatcher::process_batch(Shard& shard, std::vector<ParsedItem> items,
     stats.pool_hits = shard.pool.pool_hits();
     stats.prefix = shard.pool.aggregate_stats();
     stats.pmf = shard.pool.aggregate_pmf_stats();
-    stats.batch = shard.pool.aggregate_batch_stats();
   }
 
   // Emit in (connection, sequence) order within the batch — one shard's
@@ -537,15 +479,9 @@ obs::Json Dispatcher::control_response(const Request& request) const {
 }
 
 obs::Json Dispatcher::stats_json() const {
-  std::uint64_t batches_total = 0;
-  std::uint64_t cut_through = 0;
-  std::uint64_t coalesced = 0;
-  std::uint64_t queue_high_water = 0;
-  obs::Histogram batch_sizes;
-  std::map<std::string, MethodStats> methods;
   ShardStats totals;
+  std::uint64_t queue_high_water = 0;
   obs::Json shards = obs::Json::array();
-
   for (const auto& shard : shards_) {
     ShardStats snapshot;
     {
@@ -557,32 +493,12 @@ obs::Json Dispatcher::stats_json() const {
       std::lock_guard<std::mutex> lock(shard->mutex);
       high_water = shard->high_water;
     }
-
-    batches_total += snapshot.batches;
-    cut_through += snapshot.cut_through_batches;
-    coalesced += snapshot.coalesced_batches;
+    totals.merge(snapshot);
     queue_high_water = std::max(queue_high_water, high_water);
-    batch_sizes.merge(snapshot.batch_sizes);
-    for (const auto& [name, stats] : snapshot.methods) {
-      MethodStats& merged = methods[name];
-      merged.count += stats.count;
-      merged.errors += stats.errors;
-      merged.latency_us.merge(stats.latency_us);
-    }
-    totals.pool_live += snapshot.pool_live;
-    totals.pool_created += snapshot.pool_created;
-    totals.pool_evicted += snapshot.pool_evicted;
-    totals.pool_hits += snapshot.pool_hits;
-    totals.prefix.merge(snapshot.prefix);
-    totals.pmf.merge(snapshot.pmf);
-    totals.batch.merge(snapshot.batch);
 
     obs::Json entry = obs::Json::object();
     entry.set("index", obs::Json(static_cast<std::uint64_t>(shard->index)));
-    obs::Json entry_batches = obs::Json::object();
-    entry_batches.set("count", obs::Json(snapshot.batches));
-    entry_batches.set("size", snapshot.batch_sizes.to_json());
-    entry.set("batches", std::move(entry_batches));
+    entry.set("batches", batches_to_json(snapshot));
     entry.set("cut_through_batches", obs::Json(snapshot.cut_through_batches));
     entry.set("coalesced_batches", obs::Json(snapshot.coalesced_batches));
     entry.set("queue_high_water", obs::Json(high_water));
@@ -600,11 +516,7 @@ obs::Json Dispatcher::stats_json() const {
   requests.set("errors",
                obs::Json(requests_error_.load(std::memory_order_relaxed)));
   out.set("requests", std::move(requests));
-
-  obs::Json batches = obs::Json::object();
-  batches.set("count", obs::Json(batches_total));
-  batches.set("size", batch_sizes.to_json());
-  out.set("batches", std::move(batches));
+  out.set("batches", batches_to_json(totals));
 
   obs::Json dispatch = obs::Json::object();
   dispatch.set("workers",
@@ -614,13 +526,13 @@ obs::Json Dispatcher::stats_json() const {
                    options_.batch_window.count())));
   dispatch.set("batch_max",
                obs::Json(static_cast<std::uint64_t>(options_.batch_max)));
-  dispatch.set("cut_through_batches", obs::Json(cut_through));
-  dispatch.set("coalesced_batches", obs::Json(coalesced));
+  dispatch.set("cut_through_batches", obs::Json(totals.cut_through_batches));
+  dispatch.set("coalesced_batches", obs::Json(totals.coalesced_batches));
   dispatch.set("queue_high_water", obs::Json(queue_high_water));
   out.set("dispatch", std::move(dispatch));
 
   out.set("evaluators", evaluators_to_json(totals));
-  out.set("methods", methods_to_json(methods));
+  out.set("methods", methods_to_json(totals.methods));
   out.set("shards", std::move(shards));
   return out;
 }

@@ -14,14 +14,16 @@
 //
 // Each worker batches adaptively: when its previous drain left work
 // behind (the shard is backlogged) it holds the window open up to
-// `batch_window` so a pipelined burst coalesces into one batch — grouped
-// per profile onto one pooled ChainEvaluator, recursive groups running
-// as strict SoA lanes; when the queue drained (idle traffic) the window
-// shrinks to zero and a lone request cuts straight through.  Responses
-// are emitted through the sink as each shard batch completes, so
-// responses to one connection complete out of order across shards —
-// clients match them by request id.  Within one shard (hence one
-// profile) per-connection order is still FIFO.
+// `batch_window` so a pipelined burst coalesces into one batch; when the
+// queue drained (idle traffic) the window shrinks to zero and a lone
+// request cuts straight through.  A batch runs its requests one at a
+// time: recursive and analytic-pmf requests on their profile's pooled
+// ChainEvaluator (acquired once per batch), every other method through
+// engine::evaluate, each timed on its own.  Responses are emitted
+// through the sink as each shard batch completes, so responses to one
+// connection complete out of order across shards — clients match them
+// by request id.  Within one shard (hence one profile) per-connection
+// order is still FIFO.
 //
 // Robustness contract: a batch never throws.  Malformed frames, limit
 // violations, expired deadlines and engine rejections all become

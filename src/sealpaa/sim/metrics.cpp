@@ -10,8 +10,10 @@ void ErrorMetrics::add(std::uint64_t approx_value, std::uint64_t exact_value,
                        bool stage_success) noexcept {
   ++cases_;
   if (!stage_success) ++stage_failures_;
-  const std::int64_t error = static_cast<std::int64_t>(approx_value) -
-                             static_cast<std::int64_t>(exact_value);
+  // Unsigned difference, reinterpreted: well defined even at width 63,
+  // where the carry-out sits in bit 63, and exactly what the bit-sliced
+  // kernel computes.
+  const auto error = static_cast<std::int64_t>(approx_value - exact_value);
   if (error != 0) ++value_errors_;
   const double e = static_cast<double>(error);
   sum_error_ += e;

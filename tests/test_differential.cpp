@@ -218,8 +218,7 @@ TEST(Differential, BitSlicedMatchesScalarOnRandomHybridChains) {
                 traced.outputs.sum_bits != exact.sum_bits)
           << chain.describe() << " lane " << lane;
       ASSERT_EQ(result.error[lane],
-                static_cast<std::int64_t>(approx_value) -
-                    static_cast<std::int64_t>(exact_value))
+                static_cast<std::int64_t>(approx_value - exact_value))
           << chain.describe() << " lane " << lane;
     }
   }

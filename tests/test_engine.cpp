@@ -687,59 +687,4 @@ TEST(MethodRegistry, EvaluateValidatesWidthMismatch) {
                std::invalid_argument);
 }
 
-TEST(MethodRegistry, EvaluateBatchMatchesPerChainEvaluate) {
-  using sealpaa::engine::Method;
-  sealpaa::prob::SplitMix64 cell_rng(0xba7c'40c1'0000'0041ULL);
-  sealpaa::prob::Xoshiro256StarStar profile_rng(0xba7c'40c1'0000'0042ULL);
-  sealpaa::prob::SplitMix64 chain_rng(0xba7c'40c1'0000'0043ULL);
-  const std::size_t width = 9;
-  std::vector<AdderCell> palette;
-  for (int c = 0; c < 4; ++c) palette.push_back(random_cell(cell_rng, c));
-  const InputProfile profile =
-      InputProfile::random(width, profile_rng, 0.05, 0.95);
-
-  std::vector<AdderChain> chains;
-  for (int v = 0; v < 10; ++v) {
-    std::vector<AdderCell> stages;
-    for (std::size_t s = 0; s < width; ++s) {
-      stages.push_back(palette[chain_rng.next() % palette.size()]);
-    }
-    chains.emplace_back(stages);
-  }
-
-  // The batchable configuration (kRecursive, no trace, no op counter)
-  // routes through one ChainEvaluator::evaluate_batch pass; element i must
-  // still be bit-for-bit what evaluate(chains[i]) returns.
-  const std::vector<sealpaa::engine::Evaluation> batch =
-      sealpaa::engine::evaluate_batch(chains, profile, Method::kRecursive);
-  ASSERT_EQ(batch.size(), chains.size());
-  for (std::size_t i = 0; i < chains.size(); ++i) {
-    const sealpaa::engine::Evaluation want =
-        sealpaa::engine::evaluate(chains[i], profile, Method::kRecursive);
-    EXPECT_EQ(batch[i].p_error, want.p_error) << "chain " << i;
-    EXPECT_EQ(batch[i].p_success, want.p_success) << "chain " << i;
-    EXPECT_EQ(batch[i].method, want.method) << "chain " << i;
-    EXPECT_EQ(batch[i].work_items, want.work_items) << "chain " << i;
-  }
-
-  // Non-batchable methods fall back to per-chain evaluation and must be
-  // indistinguishable from calling evaluate in a loop.
-  const std::vector<sealpaa::engine::Evaluation> ie =
-      sealpaa::engine::evaluate_batch(chains, profile,
-                                      Method::kInclusionExclusion);
-  for (std::size_t i = 0; i < chains.size(); ++i) {
-    const sealpaa::engine::Evaluation want = sealpaa::engine::evaluate(
-        chains[i], profile, Method::kInclusionExclusion);
-    EXPECT_EQ(ie[i].p_error, want.p_error) << "chain " << i;
-    EXPECT_EQ(ie[i].work_items, want.work_items) << "chain " << i;
-  }
-
-  // Width mismatches are rejected for the whole batch up front.
-  std::vector<AdderChain> ragged = chains;
-  ragged.push_back(AdderChain::homogeneous(palette[0], width - 1));
-  EXPECT_THROW((void)sealpaa::engine::evaluate_batch(ragged, profile,
-                                                     Method::kRecursive),
-               std::invalid_argument);
-}
-
 }  // namespace

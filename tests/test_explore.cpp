@@ -160,8 +160,8 @@ TEST(Pareto, HomogeneousSweepCoversAllCells) {
 }
 
 TEST(Pareto, HomogeneousSweepMatchesPerCellEvaluate) {
-  // The sweep routes through one engine::evaluate_batch SoA pass; the
-  // batch contract is element-wise bit-identity with per-cell evaluate.
+  // The sweep calls engine::evaluate once per cell, in registry order:
+  // each point must be bit-identical to a direct per-cell evaluate.
   const InputProfile profile({0.1, 0.35, 0.6, 0.85, 0.4, 0.7},
                              {0.9, 0.25, 0.55, 0.15, 0.8, 0.45}, 0.2);
   const auto points = sealpaa::explore::homogeneous_sweep(profile);

@@ -11,6 +11,7 @@
 #include <mutex>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -619,6 +620,125 @@ TEST(Dispatcher, BackloggedShardHoldsTheWindowOpen) {
                 ->unsigned_integer(),
             8u);
   EXPECT_GE(coalesced, 1u);
+}
+
+/// The node at the dotted `path` below `node`, or nullptr.
+[[nodiscard]] const Json* find_at(const Json& node, std::string_view path) {
+  const Json* at = &node;
+  for (std::size_t begin = 0; at != nullptr && begin <= path.size();) {
+    const std::size_t end = std::min(path.find('.', begin), path.size());
+    at = at->find(std::string(path.substr(begin, end - begin)));
+    begin = end + 1;
+  }
+  return at;
+}
+
+/// The counter at `path`; 0 and a test failure when it is absent.
+[[nodiscard]] std::uint64_t uint_at(const Json& node, std::string_view path) {
+  const Json* at = find_at(node, path);
+  EXPECT_NE(at, nullptr) << "stats lack " << path;
+  return at == nullptr ? 0 : at->unsigned_integer();
+}
+
+TEST(Dispatcher, StatsReconcileWithResponsesAtOneAndFourWorkers) {
+  // Every evaluation method; two frames rejected at admission (invalid
+  // JSON, unknown cell); three routed requests that fail (a zero
+  // timeout, exhaustive at p 0.3, inclusion-exclusion at width 24); and
+  // both control requests.
+  const std::vector<std::string> frames = {
+      R"({"id":0,"method":"recursive","width":8,"chain":"LPAA3"})",
+      R"({"id":1,"method":"inclusion-exclusion","width":8,"chain":"LPAA1"})",
+      R"({"id":2,"method":"exhaustive","width":6,"chain":"LPAA2"})",
+      R"({"id":3,"method":"weighted-exhaustive","width":6,"chain":"LPAA4",)"
+      R"("params":{"p":0.3}})",
+      R"({"id":4,"method":"monte-carlo","width":8,"chain":"LPAA5",)"
+      R"("params":{"samples":4096}})",
+      R"({"id":5,"method":"analytic-pmf","width":8,"chain":"LPAA6",)"
+      R"("params":{"p":0.35}})",
+      R"({"id":6,"method":"block-analytic","width":16,"blocks":"aca:4"})",
+      "this is not json",
+      R"({"id":8,"method":"recursive","width":4,"chain":"NOPE"})",
+      R"({"id":9,"method":"recursive","width":8,"chain":"LPAA3",)"
+      R"("params":{"timeout_ms":0}})",
+      R"({"id":10,"method":"exhaustive","width":6,"chain":"LPAA2",)"
+      R"("params":{"p":0.3}})",
+      R"({"id":11,"method":"inclusion-exclusion","width":24,"chain":"LPAA1"})",
+      R"({"id":12,"method":"ping"})",
+      R"({"id":13,"method":"stats"})",
+  };
+  constexpr std::uint64_t kFailed = 5;
+  constexpr std::uint64_t kRouted = 10;  // evaluation requests on a shard
+
+  for (const unsigned workers : {1u, 4u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    DispatcherOptions options;
+    options.dispatch_threads = workers;
+    Dispatcher dispatcher(options);
+    Collector collector;
+    dispatcher.start(collector.sink());
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      dispatcher.submit(pending(1, i, frames[i]));
+    }
+    dispatcher.drain();
+    const Json stats = dispatcher.stats_json();
+    dispatcher.stop();
+
+    // Exactly one response per request; received = ok + errors.
+    const std::vector<OutgoingResponse> responses = collector.sorted();
+    ASSERT_EQ(responses.size(), frames.size());
+    std::uint64_t failed = 0;
+    for (std::size_t i = 0; i < responses.size(); ++i) {
+      EXPECT_EQ(responses[i].sequence, i);
+      failed += Json::parse(responses[i].frame).find("ok")->boolean() ? 0u : 1u;
+    }
+    EXPECT_EQ(failed, kFailed);
+    EXPECT_EQ(uint_at(stats, "requests.received"), frames.size());
+    EXPECT_EQ(uint_at(stats, "requests.ok"), frames.size() - kFailed);
+    EXPECT_EQ(uint_at(stats, "requests.errors"), kFailed);
+
+    // Σ methods.*.count = batches.size.sum = routed evaluation requests.
+    const Json& methods = *stats.find("methods");
+    EXPECT_EQ(methods.size(), 7u);
+    std::uint64_t routed = 0;
+    for (const auto& [name, method] : methods.items()) {
+      routed += uint_at(method, "count");
+    }
+    EXPECT_EQ(routed, kRouted);
+    EXPECT_EQ(uint_at(stats, "batches.size.sum"), kRouted);
+
+    // Every top-level total is the sum over the shards.  A shard entry
+    // holds its dispatch counters at its top level, and has no entry
+    // for a method it never saw.
+    const Json& shards = *stats.find("shards");
+    ASSERT_EQ(shards.size(), workers);
+    std::vector<std::string> totals = {
+        "batches.count", "batches.size.count", "batches.size.sum",
+        "dispatch.cut_through_batches", "dispatch.coalesced_batches",
+        "evaluators.live", "evaluators.created", "evaluators.evicted",
+        "evaluators.pool_hits"};
+    for (const char* cache : {".prefix_cache.", ".pmf_cache."}) {
+      for (const char* key : {"hits", "misses", "insertions", "evictions",
+                              "stages_computed", "chains_evaluated"}) {
+        totals.push_back("evaluators" + (cache + std::string(key)));
+      }
+    }
+    for (const auto& [name, method] : methods.items()) {
+      for (const char* key :
+           {".count", ".errors", ".latency_us.count", ".latency_us.sum"}) {
+        totals.push_back("methods." + name + key);
+      }
+    }
+    for (const std::string& path : totals) {
+      const std::string shard_path =
+          path.starts_with("dispatch.") ? path.substr(9) : path;
+      std::uint64_t sum = 0;
+      for (std::size_t s = 0; s < shards.size(); ++s) {
+        const Json* at = find_at(shards.at(s), shard_path);
+        sum += at == nullptr ? 0 : at->unsigned_integer();
+      }
+      EXPECT_EQ(uint_at(stats, path), sum) << path;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

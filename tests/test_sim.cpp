@@ -605,8 +605,7 @@ TEST(BitSliced, Width63BoundaryMatchesScalar) {
                 approx_value != exact_value)
           << "lane " << lane;
       EXPECT_EQ(result.error[lane],
-                static_cast<std::int64_t>(approx_value) -
-                    static_cast<std::int64_t>(exact_value))
+                static_cast<std::int64_t>(approx_value - exact_value))
           << "lane " << lane;
     }
     expect_metrics_identical(batched, scalar);

@@ -7,8 +7,11 @@
 // candidate chains per operating point — with analytic-pmf requests
 // dominating, plus beam-shaped recursive groups, Monte Carlo probes and
 // block-analytic specs mixed in.  Every response is compared
-// byte-for-byte against a frame built locally from engine::evaluate;
-// any divergence exits non-zero.
+// byte-for-byte against a frame built locally from engine::evaluate,
+// and each run's final `stats` must reconcile with what its clients saw
+// (received = ok + errors; per-method counts and batch sizes sum to the
+// requests sent; every total is the sum over shards).  Any divergence
+// exits non-zero.
 //
 // The run executes twice, with 1 and with 4 dispatch workers, and
 // reports the throughput ratio.  The profile grid is sized to overflow
@@ -34,6 +37,7 @@
 #include <iostream>
 #include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -166,7 +170,7 @@ Workload build_workload(std::size_t total_requests, std::uint64_t seed) {
       }
 
       // A beam-shaped recursive family: shared prefix, last two stages
-      // enumerated — these group into strict SoA lanes per batch.
+      // enumerated — siblings finish from the profile's prefix cache.
       for (std::size_t member = 0; member < 8; ++member) {
         std::vector<adders::AdderCell> stages;
         stages.reserve(width);
@@ -251,7 +255,7 @@ Workload build_workload(std::size_t total_requests, std::uint64_t seed) {
     }
     const std::uint64_t roll = arrivals.below(100);
     if (roll < 6) {
-      // A beam expansion: several siblings at once, SoA-groupable.
+      // A beam expansion: several siblings at once, sharing a prefix.
       const std::size_t lanes = 2 + arrivals.below(3);
       for (std::size_t lane = 0; lane < lanes; ++lane) {
         workload.schedule.push_back(
@@ -387,14 +391,72 @@ PhaseResult run_phase(unsigned workers, unsigned connections,
   return result;
 }
 
+/// The counter at the dotted `path` below `stats`; 0 when absent.
 [[nodiscard]] std::uint64_t stat_at(const obs::Json& stats,
-                                    std::initializer_list<const char*> path) {
+                                    std::string_view path) {
   const obs::Json* node = &stats;
-  for (const char* key : path) {
-    if (node == nullptr) return 0;
-    node = node->find(key);
+  for (std::size_t begin = 0; node != nullptr && begin <= path.size();) {
+    const std::size_t end = std::min(path.find('.', begin), path.size());
+    node = node->find(std::string(path.substr(begin, end - begin)));
+    begin = end + 1;
   }
   return node == nullptr ? 0 : node->unsigned_integer();
+}
+
+/// Checks that a phase's final `stats` reconcile with what its clients
+/// saw: `evaluations` evaluation requests plus the stats request itself
+/// were received, received = ok + errors, the per-method counts and the
+/// batch sizes each sum to the evaluations, and every top-level total is
+/// the sum over the shards.  Prints each broken invariant.
+[[nodiscard]] bool stats_reconcile(const char* phase, const obs::Json& stats,
+                                   std::uint64_t evaluations) {
+  bool holds = true;
+  const auto expect = [&](std::uint64_t got, std::uint64_t want,
+                          const std::string& what) {
+    if (got == want) return;
+    std::cerr << "FAIL: " << phase << " stats: " << what << " = " << got
+              << ", expected " << want << "\n";
+    holds = false;
+  };
+  const std::uint64_t received = stat_at(stats, "requests.received");
+  expect(received, evaluations + 1, "requests.received");
+  expect(stat_at(stats, "requests.ok") + stat_at(stats, "requests.errors"),
+         received, "requests.ok + requests.errors");
+  expect(stat_at(stats, "batches.size.sum"), evaluations, "batches.size.sum");
+
+  std::vector<std::string> totals = {
+      "batches.count", "batches.size.count", "batches.size.sum",
+      "dispatch.cut_through_batches", "dispatch.coalesced_batches",
+      "evaluators.live", "evaluators.created", "evaluators.evicted",
+      "evaluators.pool_hits"};
+  for (const char* cache : {".prefix_cache.", ".pmf_cache."}) {
+    for (const char* key : {"hits", "misses", "insertions", "evictions",
+                            "stages_computed", "chains_evaluated"}) {
+      totals.push_back("evaluators" + (cache + std::string(key)));
+    }
+  }
+  std::uint64_t method_count = 0;
+  if (const obs::Json* methods = stats.find("methods")) {
+    for (const auto& [name, method] : methods->items()) {
+      method_count += stat_at(method, "count");
+      totals.push_back("methods." + name + ".count");
+      totals.push_back("methods." + name + ".errors");
+    }
+  }
+  expect(method_count, evaluations, "sum of methods.*.count");
+
+  const obs::Json* shards = stats.find("shards");
+  for (const std::string& path : totals) {
+    // A shard entry holds its dispatch counters at its top level.
+    const std::string shard_path =
+        path.starts_with("dispatch.") ? path.substr(9) : path;
+    std::uint64_t sum = 0;
+    for (std::size_t s = 0; shards != nullptr && s < shards->size(); ++s) {
+      sum += stat_at(shards->at(s), shard_path);
+    }
+    expect(stat_at(stats, path), sum, path + " (sum over shards)");
+  }
+  return holds;
 }
 
 }  // namespace
@@ -455,19 +517,25 @@ int main(int argc, char** argv) {
 
     const double speedup = baseline_rps > 0.0 ? fleet_rps / baseline_rps : 0.0;
     const std::uint64_t batch_size_p50 =
-        stat_at(fleet.server_stats, {"batches", "size", "p50"});
+        stat_at(fleet.server_stats, "batches.size.p50");
     const std::uint64_t batch_size_p99 =
-        stat_at(fleet.server_stats, {"batches", "size", "p99"});
+        stat_at(fleet.server_stats, "batches.size.p99");
     const std::uint64_t mismatches = baseline.mismatches + fleet.mismatches;
     const bool verified =
         mismatches == 0 && baseline.serve_rc == 0 && fleet.serve_rc == 0;
     const bool batched = batch_size_p50 > 1;
+    const bool baseline_reconciled =
+        stats_reconcile("baseline", baseline.server_stats, baseline.requests);
+    const bool fleet_reconciled =
+        stats_reconcile("fleet", fleet.server_stats, fleet.requests);
+    const bool reconciled = baseline_reconciled && fleet_reconciled;
     const bool scaling_at_least_4x = speedup >= 4.0;
 
     std::cout << "worker scaling = " << util::fixed(speedup, 2)
               << "x  batch size p50/p99 = " << batch_size_p50 << "/"
               << batch_size_p99 << "  verified vs engine::evaluate: "
-              << (verified ? "yes" : "NO") << "\n";
+              << (verified ? "yes" : "NO")
+              << "  stats reconcile: " << (reconciled ? "yes" : "NO") << "\n";
     if (mismatches != 0) {
       std::cerr << "FAIL: " << util::with_commas(mismatches)
                 << " responses diverged from engine::evaluate\n";
@@ -506,10 +574,10 @@ int main(int argc, char** argv) {
     section.set("verified", obs::Json(verified));
     section.set("cut_through_batches",
                 obs::Json(stat_at(fleet.server_stats,
-                                  {"dispatch", "cut_through_batches"})));
+                                  "dispatch.cut_through_batches")));
     section.set("coalesced_batches",
                 obs::Json(stat_at(fleet.server_stats,
-                                  {"dispatch", "coalesced_batches"})));
+                                  "dispatch.coalesced_batches")));
     // Per-method evaluation latency percentiles from the fleet phase —
     // the keys the p99-regression gate in check_bench_regression.py
     // watches (lower is better, >2x the reference fails).
@@ -520,14 +588,12 @@ int main(int argc, char** argv) {
         {"block-analytic", "block_analytic"},
     };
     for (const auto& [wire_name, key] : methods) {
+      const std::string latency =
+          std::string("methods.") + wire_name + ".latency_us.";
       section.set(std::string(key) + "_p50_us",
-                  obs::Json(stat_at(fleet.server_stats,
-                                    {"methods", wire_name, "latency_us",
-                                     "p50"})));
+                  obs::Json(stat_at(fleet.server_stats, latency + "p50")));
       section.set(std::string(key) + "_p99_us",
-                  obs::Json(stat_at(fleet.server_stats,
-                                    {"methods", wire_name, "latency_us",
-                                     "p99"})));
+                  obs::Json(stat_at(fleet.server_stats, latency + "p99")));
     }
     section.set("server_stats_fleet", std::move(fleet.server_stats));
     section.set("server_stats_baseline", std::move(baseline.server_stats));
@@ -537,8 +603,11 @@ int main(int argc, char** argv) {
       std::cout << "json report written to " << *path << "\n";
     }
     // --quick runs are far too small to expose the single-pool thrash
-    // the scaling gate measures; they gate correctness + batching only.
-    return verified && batched && (scaling_at_least_4x || quick) ? 0 : 1;
+    // the scaling gate measures; they gate correctness, batching and
+    // stats reconciliation only.
+    return verified && batched && reconciled && (scaling_at_least_4x || quick)
+               ? 0
+               : 1;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
