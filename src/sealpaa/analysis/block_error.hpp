@@ -38,7 +38,7 @@
 namespace sealpaa::analysis {
 
 struct BlockAnalysisOptions {
-  /// Representation/switchover knobs forwarded to the PMF mixtures.
+  /// Support safety rail forwarded to the PMF mixtures.
   PmfOptions pmf;
   /// Skip the PMF propagation (error rate and marginals only) — the
   /// DSE inner loop uses this to stay cheap.

@@ -23,6 +23,27 @@ std::uint64_t value_span(std::int64_t min, std::int64_t max) noexcept {
   return static_cast<std::uint64_t>(max) - static_cast<std::uint64_t>(min);
 }
 
+// The most runs the k-way merge's linear head scan serves; a mixture
+// with more runs goes to the gather + sort.
+constexpr std::size_t kMaxMergeRuns = 16;
+
+// Adjacent live terms that read one segment at one offset form a run:
+// one cursor walk serves all of their scales.
+bool same_run(const ErrorPmf::Term& a, const ErrorPmf::Term& b) noexcept {
+  return a.pmf == b.pmf && a.offset == b.offset;
+}
+
+// A merge cursor: the run's next entry, its shifted value, and the live
+// terms [first, last) whose scales it carries.
+struct Run {
+  const ErrorPmf::Entry* next = nullptr;
+  const ErrorPmf::Entry* end = nullptr;
+  std::int64_t head = 0;
+  std::int64_t offset = 0;
+  std::size_t first = 0;
+  std::size_t last = 0;
+};
+
 [[noreturn]] void throw_support_overflow(std::size_t support,
                                          std::size_t max_support) {
   throw std::length_error("ErrorPmf: support " + std::to_string(support) +
@@ -92,13 +113,15 @@ ErrorPmf ErrorPmf::from_entries(Entries entries) {
 
 ErrorPmf ErrorPmf::mixture(std::span<const Term> terms,
                            const PmfOptions& options) {
-  // Live terms in caller order — the accumulation order below is a
-  // deterministic function of that order in both representations.
+  // Live terms in caller order — every accumulator below adds a value's
+  // contributions in exactly that order.
   std::vector<Term> live;
   live.reserve(terms.size());
+  std::size_t run_count = 0;
+  std::size_t contributions = 0;
+  std::size_t widest = 0;
   std::int64_t min = std::numeric_limits<std::int64_t>::max();
   std::int64_t max = std::numeric_limits<std::int64_t>::min();
-  std::size_t total_entries = 0;
   for (const Term& term : terms) {
     if (term.pmf == nullptr || term.pmf->empty() || term.scale == 0.0) {
       continue;
@@ -106,39 +129,91 @@ ErrorPmf ErrorPmf::mixture(std::span<const Term> terms,
     if (!(term.scale > 0.0)) {
       throw std::invalid_argument("ErrorPmf::mixture: scales must be >= 0");
     }
+    if (live.empty() || !same_run(live.back(), term)) ++run_count;
     live.push_back(term);
     min = std::min(min, term.pmf->min_value() + term.offset);
     max = std::max(max, term.pmf->max_value() + term.offset);
-    total_entries += term.pmf->support_size();
+    contributions += term.pmf->support_size();
+    widest = std::max(widest, term.pmf->support_size());
   }
   if (live.empty()) return ErrorPmf{};
 
+  // Each accumulator costs what it touches: the dense array one slot
+  // per value of the span, the merge one scan of the run heads per
+  // output value, the sort O(contributions log contributions).  The
+  // dense array pays once the span is below the contribution count, the
+  // merge while the runs are few.  All three add a value's
+  // contributions in term order, so the choice never changes a bit.
   const std::uint64_t span = value_span(min, max);
   Entries out;
-  if (span < options.dense_threshold) {
-    // Dense compensated accumulation over the contiguous span.  Each
-    // slot receives its contributions in term order, matching the
-    // sparse path's stable merge bit for bit.
+  if (run_count > 1 && span < contributions) {
+    // Dense compensated accumulation over the contiguous span.  The
+    // output is sized exactly: prefix caches keep it for a long time.
     std::vector<prob::KahanSum> slots(static_cast<std::size_t>(span) + 1);
     for (const Term& term : live) {
       for (const Entry& entry : term.pmf->entries()) {
-        const std::uint64_t slot =
-            value_span(min, entry.value + term.offset);
+        const std::uint64_t slot = value_span(min, entry.value + term.offset);
         slots[static_cast<std::size_t>(slot)].add(term.scale *
                                                   entry.probability);
       }
     }
+    out.reserve(static_cast<std::size_t>(
+        std::count_if(slots.begin(), slots.end(),
+                      [](const prob::KahanSum& slot) {
+                        return slot.value() > 0.0;
+                      })));
     for (std::size_t s = 0; s < slots.size(); ++s) {
       const double mass = slots[s].value();
       if (mass > 0.0) {
         out.push_back(Entry{min + static_cast<std::int64_t>(s), mass});
       }
     }
+  } else if (run_count <= kMaxMergeRuns) {
+    // k-way merge of the already-sorted shifted runs: a linear scan over
+    // the run heads finds the next value, then every run at that value
+    // adds its scaled probability once per scale, runs in caller order.
+    out.reserve(widest);
+    std::array<Run, kMaxMergeRuns> runs;
+    std::size_t active = 0;
+    for (std::size_t t = 0; t < live.size(); ++t) {
+      if (t > 0 && same_run(live[t - 1], live[t])) {
+        ++runs[active - 1].last;
+        continue;
+      }
+      const Entries& entries = live[t].pmf->entries();
+      runs[active++] = Run{entries.data(), entries.data() + entries.size(),
+                           entries.front().value + live[t].offset,
+                           live[t].offset, t, t + 1};
+    }
+    while (active > 0) {
+      std::int64_t value = runs[0].head;
+      for (std::size_t r = 1; r < active; ++r) {
+        value = std::min(value, runs[r].head);
+      }
+      prob::KahanSum mass;
+      std::size_t kept = 0;
+      for (std::size_t r = 0; r < active; ++r) {
+        Run run = runs[r];
+        if (run.head == value) {
+          const double probability = run.next->probability;
+          for (std::size_t t = run.first; t < run.last; ++t) {
+            mass.add(live[t].scale * probability);
+          }
+          if (++run.next == run.end) continue;  // exhausted
+          run.head = run.next->value + run.offset;
+        }
+        runs[kept++] = run;
+      }
+      active = kept;
+      if (mass.value() > 0.0) out.push_back(Entry{value, mass.value()});
+    }
   } else {
-    // Sparse path: gather every shifted contribution, stable-sort by
-    // value (ties keep term order), merge runs with compensation.
+    // Many scattered runs: gather every shifted contribution,
+    // stable-sort by value (ties keep term order), merge with
+    // compensation.
+    out.reserve(widest);
     Entries gathered;
-    gathered.reserve(total_entries);
+    gathered.reserve(contributions);
     for (const Term& term : live) {
       for (const Entry& entry : term.pmf->entries()) {
         gathered.push_back(Entry{entry.value + term.offset,
@@ -330,8 +405,9 @@ ErrorPmfState make_error_pmf_state(double p_cin) {
   return state;
 }
 
-void advance_error_pmf(ErrorPmfState& state, const adders::AdderCell& cell,
-                       double p_a, double p_b, const PmfOptions& options) {
+ErrorPmfState next_error_pmf_state(const ErrorPmfState& state,
+                                   const adders::AdderCell& cell, double p_a,
+                                   double p_b, const PmfOptions& options) {
   // Stage 62 would put the carry-out weight at 2^63, outside the signed
   // error domain; the chain layer allows width 63 but the PMF does not.
   if (state.stage >= 62) {
@@ -344,8 +420,10 @@ void advance_error_pmf(ErrorPmfState& state, const adders::AdderCell& cell,
 
   // Segmented convolution: each (source pair, operand combination)
   // contributes its segment shifted by d_i = (s_approx - s_exact) * 2^i
-  // to exactly one destination pair.
-  std::array<std::vector<ErrorPmf::Term>, 4> terms;
+  // to exactly one destination pair, so a destination collects at most
+  // 4 x 4 terms.
+  std::array<std::array<ErrorPmf::Term, 16>, 4> terms;
+  std::array<std::size_t, 4> counts{};
   for (std::size_t src = 0; src < 4; ++src) {
     const ErrorPmf& segment = state.joint[src];
     if (segment.empty()) continue;
@@ -363,30 +441,39 @@ void advance_error_pmf(ErrorPmfState& state, const adders::AdderCell& cell,
           (static_cast<std::int64_t>(approx_out.sum) -
            static_cast<std::int64_t>(exact_out.sum)) *
           weight;
-      terms[joint_index(approx_out.carry, exact_out.carry)].push_back(
-          ErrorPmf::Term{&segment, ab[abi], delta});
+      const std::size_t dst =
+          joint_index(approx_out.carry, exact_out.carry);
+      terms[dst][counts[dst]++] = ErrorPmf::Term{&segment, ab[abi], delta};
     }
   }
 
-  std::array<ErrorPmf, 4> next;
+  ErrorPmfState next;
   for (std::size_t dst = 0; dst < 4; ++dst) {
-    next[dst] = ErrorPmf::mixture(terms[dst], options);
+    next.joint[dst] = ErrorPmf::mixture(
+        std::span(terms[dst]).first(counts[dst]), options);
   }
-  state.joint = std::move(next);
-  ++state.stage;
+  next.stage = state.stage + 1;
+  return next;
+}
+
+void advance_error_pmf(ErrorPmfState& state, const adders::AdderCell& cell,
+                       double p_a, double p_b, const PmfOptions& options) {
+  state = next_error_pmf_state(state, cell, p_a, p_b, options);
 }
 
 ErrorPmf finalize_error_pmf(const ErrorPmfState& state,
                             const PmfOptions& options) {
   const std::int64_t weight = std::int64_t{1} << state.stage;
-  std::vector<ErrorPmf::Term> terms;
+  std::array<ErrorPmf::Term, 4> terms;
+  std::size_t count = 0;
   for (std::size_t j = 0; j < 4; ++j) {
     if (state.joint[j].empty()) continue;
     const std::int64_t ca = (j & 2U) != 0 ? 1 : 0;
     const std::int64_t ce = (j & 1U) != 0 ? 1 : 0;
-    terms.push_back(ErrorPmf::Term{&state.joint[j], 1.0, (ca - ce) * weight});
+    terms[count++] =
+        ErrorPmf::Term{&state.joint[j], 1.0, (ca - ce) * weight};
   }
-  return ErrorPmf::mixture(terms, options);
+  return ErrorPmf::mixture(std::span(terms).first(count), options);
 }
 
 ErrorPmf propagate_error_pmf(const multibit::AdderChain& chain,

@@ -17,15 +17,14 @@
 // so MED/MSE/WCE land within 1e-12 of the weighted-exhaustive oracle
 // while costing O(N * support) instead of O(2^(2N+1)).
 //
-// Mixtures accumulate sparsely (sort + compensated run-merge) until the
-// destination value span fits `PmfOptions::dense_threshold`, then switch
-// to a dense compensated array — the common case for wide adders whose
-// approximate stages sit in the low bits (width >= 32 keeps a tiny span
-// even though 2^65 values are representable).  Convolution of two
-// *independent* error PMFs (block-composed adders, repeated datapath use)
-// additionally routes through a radix-2 FFT once the naive cost passes
-// `PmfOptions::fft_threshold`; see DESIGN.md for the switchover
-// rationale.
+// A mixture costs what its inputs hold, not the width of the value range
+// they cover: the shifted segments are already sorted, so it merges them
+// directly, and uses a dense compensated slot array only when the
+// destination span is smaller than the number of contributions (wide
+// adders whose approximate stages sit in the low bits).  Convolution of
+// two *independent* error PMFs (block-composed adders, repeated datapath
+// use) additionally routes through a radix-2 FFT once the naive cost
+// passes `PmfOptions::fft_threshold`; see DESIGN.md decision 7.
 #pragma once
 
 #include <array>
@@ -39,12 +38,8 @@
 
 namespace sealpaa::analysis {
 
-/// Tuning knobs for PMF representation switchover and safety rails.
+/// convolve()'s FFT switchover and the support safety rail.
 struct PmfOptions {
-  /// Accumulate a mixture densely when the destination value span
-  /// (max - min + 1) is at most this many slots.  16 bytes/slot
-  /// (compensated accumulator), so the default costs at most 1 MiB.
-  std::size_t dense_threshold = std::size_t{1} << 16;
   /// convolve() switches from the exact naive product to FFT when
   /// support(a) * support(b) exceeds this (and the result span is
   /// dense-representable).  The FFT path is accurate to ~1e-14 relative;
@@ -90,10 +85,11 @@ class ErrorPmf {
   [[nodiscard]] static ErrorPmf from_entries(Entries entries);
 
   /// Kahan-compensated weighted sum of shifted PMFs — the segmented-
-  /// convolution primitive behind the per-stage propagation.  Picks the
-  /// dense accumulator when the destination span fits
-  /// `options.dense_threshold`, the sparse sort-merge otherwise; both
-  /// orders are deterministic and produce bit-identical sums.  Throws
+  /// convolution primitive behind the per-stage propagation.  Each
+  /// value's contributions are added in term order, whichever
+  /// accumulator the call's shape selects, so the result is a function
+  /// of the terms alone.  Costs O(contributions), not O(value span).
+  /// Throws std::invalid_argument on a negative scale and
   /// std::length_error when the result support exceeds
   /// `options.max_support`.
   [[nodiscard]] static ErrorPmf mixture(std::span<const Term> terms,
@@ -169,10 +165,16 @@ struct ErrorPmfState {
 /// the (0,0) and (1,1) pairs.
 [[nodiscard]] ErrorPmfState make_error_pmf_state(double p_cin);
 
-/// Absorbs one stage: shifts each (source pair, operand combination)
-/// segment by its error delta and mixes into the destination pairs.
-/// `stage` index comes from the state; throws std::length_error past 62
-/// stages (the carry-out weight 2^63 would overflow the signed error).
+/// The state after one more stage: shifts each (source pair, operand
+/// combination) segment by its error delta and mixes into the
+/// destination pairs.  `stage` index comes from the state; throws
+/// std::length_error past 62 stages (the carry-out weight 2^63 would
+/// overflow the signed error).
+[[nodiscard]] ErrorPmfState next_error_pmf_state(
+    const ErrorPmfState& state, const adders::AdderCell& cell, double p_a,
+    double p_b, const PmfOptions& options = {});
+
+/// In-place form of next_error_pmf_state.
 void advance_error_pmf(ErrorPmfState& state, const adders::AdderCell& cell,
                        double p_a, double p_b,
                        const PmfOptions& options = {});

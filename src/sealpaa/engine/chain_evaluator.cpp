@@ -549,12 +549,11 @@ std::shared_ptr<const analysis::ErrorPmfState> ChainEvaluator::pmf_state_after(
 
   // Advance from the deepest known state, caching every new prefix.
   for (std::size_t d = found; d < len; ++d) {
-    auto next = std::make_shared<analysis::ErrorPmfState>(*state);
-    analysis::advance_error_pmf(*next, candidates_[choices[d]],
-                                profile_.p_a(d), profile_.p_b(d),
-                                pmf_options_);
+    state = std::make_shared<const analysis::ErrorPmfState>(
+        analysis::next_error_pmf_state(*state, candidates_[choices[d]],
+                                       profile_.p_a(d), profile_.p_b(d),
+                                       pmf_options_));
     ++pmf_stats_.stages_computed;
-    state = std::move(next);
     if (pmf_capacity_ > 0) {
       pmf_insert(std::string_view(key.data(), d + 1), state);
     }

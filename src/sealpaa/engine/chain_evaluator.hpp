@@ -46,7 +46,7 @@ struct ChainEvaluatorOptions {
   /// than carry states — four sparse distributions each — so the default
   /// is correspondingly smaller.  0 disables PMF caching.
   std::size_t pmf_cache_capacity = std::size_t{1} << 12;
-  /// Representation/switchover knobs for the PMF propagation.
+  /// Support safety rail for the PMF propagation.
   analysis::PmfOptions pmf;
 };
 
@@ -173,8 +173,8 @@ class ChainEvaluator {
 
   /// Joint-carry error-PMF state after the stages of `choices`, served
   /// from the longest cached PMF prefix (its own LRU cache, accounted in
-  /// pmf_stats()).  The returned state is shared with the cache — treat
-  /// it as immutable; copy before calling advance_error_pmf on it.
+  /// pmf_stats()).  The returned state is shared with the cache and
+  /// immutable; next_error_pmf_state builds a successor from it.
   [[nodiscard]] std::shared_ptr<const analysis::ErrorPmfState>
   pmf_state_after(std::span<const std::size_t> choices);
 
@@ -194,7 +194,7 @@ class ChainEvaluator {
     return batch_stats_;
   }
   /// PMF prefix-cache accounting (stages_computed counts
-  /// advance_error_pmf calls, chains_evaluated counts error_pmf calls).
+  /// next_error_pmf_state calls, chains_evaluated counts error_pmf calls).
   [[nodiscard]] const CacheStats& pmf_stats() const noexcept {
     return pmf_stats_;
   }

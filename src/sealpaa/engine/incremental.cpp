@@ -48,9 +48,9 @@ const analysis::CarryState& IncrementalAnalyzer::push_stage(
       analysis::advance_stage(mkl, weights_[i], carry_at(i));
   Frame frame{mkl, next, {}};
   if (track_pmf_) {
-    frame.pmf = pmf_state_at(i);
-    analysis::advance_error_pmf(frame.pmf, cell, profile_.p_a(i),
-                                profile_.p_b(i), pmf_options_);
+    frame.pmf = analysis::next_error_pmf_state(
+        pmf_state_at(i), cell, profile_.p_a(i), profile_.p_b(i),
+        pmf_options_);
   }
   stack_.push_back(std::move(frame));
   return stack_.back().carry;

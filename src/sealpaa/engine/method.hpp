@@ -79,7 +79,7 @@ struct EvaluateOptions {
   sim::Kernel kernel = sim::Kernel::kBitSliced;
   /// Arithmetic accounting sink (recursive and inclusion-exclusion).
   util::OpCounter* op_counter = nullptr;
-  /// Representation/switchover knobs for the analytic-PMF method.
+  /// Support safety rail for the analytic-PMF and block-analytic methods.
   analysis::PmfOptions pmf;
   /// Mass points kept in Evaluation::pmf's top-k projection.
   std::size_t pmf_top_k = 8;

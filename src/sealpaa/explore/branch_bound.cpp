@@ -68,8 +68,9 @@ double residual_bound(const analysis::ErrorPmfState& state, std::size_t depth,
   double bound = 0.0;
   for (const analysis::ErrorPmf& segment : state.joint) {
     for (const analysis::ErrorPmf::Entry& entry : segment.entries()) {
-      std::int64_t r = entry.value % mod;
-      if (r < 0) r += mod;
+      // Two's complement: the low `depth` bits are the residue in
+      // [0, mod), negative values included.
+      const std::int64_t r = entry.value & (mod - 1);
       const double dist = static_cast<double>(std::min(r, mod - r));
       bound += entry.probability * (mse ? dist * dist : dist);
     }

@@ -6,17 +6,21 @@
 //  * MED/MSE/WCE/error-rate and the full point-by-point distribution
 //    match the weighted-exhaustive oracle (2^(2N+1) enumeration);
 //  * an exact chain collapses to the point mass at 0;
-//  * the dense and sparse mixture accumulators are bit-identical, and
-//    convolve()'s FFT path agrees with the exact naive product;
+//  * every mixture, and every propagation, is bit-identical to a
+//    gather + stable-sort oracle over its (value, probability) pairs in
+//    term order, and convolve()'s FFT path agrees with the exact naive
+//    product;
 //  * the engine integrations (IncrementalAnalyzer PMF tracking and the
 //    ChainEvaluator PMF prefix cache) reproduce the batch propagation
 //    exactly while accounting their cache traffic.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -24,6 +28,7 @@
 #include "sealpaa/adders/builtin.hpp"
 #include "sealpaa/adders/cell.hpp"
 #include "sealpaa/analysis/error_pmf.hpp"
+#include "sealpaa/analysis/mkl.hpp"
 #include "sealpaa/baseline/weighted_exhaustive.hpp"
 #include "sealpaa/engine/chain_evaluator.hpp"
 #include "sealpaa/engine/incremental.hpp"
@@ -94,6 +99,64 @@ void expect_same_entries(const ErrorPmf& got, const ErrorPmf& want,
     EXPECT_EQ(got.entries()[i].probability, want.entries()[i].probability)
         << context << " point " << i;
   }
+}
+
+/// The mixture every accumulator must reproduce bit for bit: each
+/// (value + offset, scale * probability) pair in term order, merged by
+/// from_entries' stable sort and compensated run sum.
+ErrorPmf oracle_mixture(std::span<const ErrorPmf::Term> terms) {
+  ErrorPmf::Entries entries;
+  for (const ErrorPmf::Term& term : terms) {
+    if (term.pmf == nullptr) continue;
+    for (const ErrorPmf::Entry& entry : term.pmf->entries()) {
+      entries.push_back(
+          {entry.value + term.offset, term.scale * entry.probability});
+    }
+  }
+  return ErrorPmf::from_entries(std::move(entries));
+}
+
+/// propagate_error_pmf with every mixture replaced by the oracle: the
+/// same (source pair, operand combination) terms, in the same order.
+ErrorPmf oracle_propagate(const std::vector<AdderCell>& stages,
+                          const InputProfile& profile) {
+  const AdderCell::Rows& exact = AdderCell::accurate_rows();
+  ErrorPmfState state =
+      sealpaa::analysis::make_error_pmf_state(profile.p_cin());
+  for (std::size_t i = 0; i < stages.size(); ++i) {
+    const sealpaa::analysis::OperandWeights ab =
+        sealpaa::analysis::operand_weights(profile.p_a(i), profile.p_b(i));
+    std::array<std::vector<ErrorPmf::Term>, 4> terms;
+    for (std::size_t src = 0; src < 4; ++src) {
+      const bool ca = (src & 2U) != 0;
+      const bool ce = (src & 1U) != 0;
+      for (std::size_t abi = 0; abi < 4; ++abi) {
+        const bool a = (abi & 2U) != 0;
+        const bool b = (abi & 1U) != 0;
+        const auto approx = stages[i].rows()[AdderCell::row_index(a, b, ca)];
+        const auto accurate = exact[AdderCell::row_index(a, b, ce)];
+        const std::int64_t delta = (static_cast<std::int64_t>(approx.sum) -
+                                    static_cast<std::int64_t>(accurate.sum))
+                                   << i;
+        terms[(static_cast<std::size_t>(approx.carry) << 1) |
+              static_cast<std::size_t>(accurate.carry)]
+            .push_back(ErrorPmf::Term{&state.joint[src], ab[abi], delta});
+      }
+    }
+    ErrorPmfState next;
+    for (std::size_t dst = 0; dst < 4; ++dst) {
+      next.joint[dst] = oracle_mixture(terms[dst]);
+    }
+    state = std::move(next);
+  }
+  std::vector<ErrorPmf::Term> carry_out;
+  for (std::size_t j = 0; j < 4; ++j) {
+    const std::int64_t ca = (j & 2U) != 0 ? 1 : 0;
+    const std::int64_t ce = (j & 1U) != 0 ? 1 : 0;
+    carry_out.push_back(ErrorPmf::Term{
+        &state.joint[j], 1.0, (ca - ce) * (std::int64_t{1} << stages.size())});
+  }
+  return oracle_mixture(carry_out);
 }
 
 // ---------------------------------------------------------------------------
@@ -215,24 +278,81 @@ TEST(ErrorPmf, ExactChainIsPointMassAtZero) {
 }
 
 // ---------------------------------------------------------------------------
-// Representation switchovers
+// Mixture accumulators
 
-TEST(ErrorPmf, DenseAndSparseMixturePathsAreBitIdentical) {
+TEST(ErrorPmf, MixtureMatchesGatherSortOracle) {
+  sealpaa::prob::Xoshiro256StarStar rng(0x70f'0000'0007ULL);
+  // Segments to draw terms from: dense ones over a few hundred values,
+  // sparse ones with points about 2^20 apart, and an empty one.
+  std::vector<ErrorPmf> segments;
+  for (int s = 0; s < 6; ++s) {
+    ErrorPmf::Entries entries;
+    const bool sparse = s >= 4;
+    const int points = 1 + static_cast<int>(rng.next() % 60);
+    for (int i = 0; i < points; ++i) {
+      const std::int64_t value =
+          sparse ? static_cast<std::int64_t>(rng.next() % 8) << 20
+                 : static_cast<std::int64_t>(rng.next() % 200) - 100;
+      entries.push_back({value, rng.uniform01()});
+    }
+    segments.push_back(ErrorPmf::from_entries(entries));
+  }
+  segments.emplace_back();  // empty
+  const ErrorPmf* const empty = &segments.back();
+
+  // Shapes, by the accumulator they select: one segment repeated at one
+  // offset (a single run), small overlapping offsets (the dense array
+  // once the span is below the contribution count), offsets 2^20 apart
+  // (the merge up to 16 runs, the sort beyond).  Adjacent terms repeat
+  // their segment and offset to form multi-scale runs; zero scales,
+  // empty and null segments are sprinkled in and must change nothing.
+  for (int trial = 0; trial < 400; ++trial) {
+    const int shape = trial % 4;
+    const std::size_t count =
+        shape == 0 ? 1 + rng.next() % 4 : 1 + rng.next() % 40;
+    std::vector<ErrorPmf::Term> terms;
+    for (std::size_t t = 0; t < count; ++t) {
+      const double scale = rng.uniform01();
+      if (!terms.empty() && (shape == 0 || rng.next() % 3 == 0)) {
+        terms.push_back(
+            ErrorPmf::Term{terms.back().pmf, scale, terms.back().offset});
+        continue;
+      }
+      ErrorPmf::Term term{&segments[rng.next() % 6], scale, 0};
+      if (shape == 1) {
+        term.offset = static_cast<std::int64_t>(rng.next() % 64) - 32;
+      } else if (shape >= 2) {
+        term.offset = (static_cast<std::int64_t>(rng.next() % 64) - 32)
+                      << 20;
+      }
+      terms.push_back(term);
+      switch (rng.next() % 8) {
+        case 0: terms.push_back(ErrorPmf::Term{term.pmf, 0.0, 5}); break;
+        case 1: terms.push_back(ErrorPmf::Term{empty, 0.5, 0}); break;
+        case 2: terms.push_back(ErrorPmf::Term{nullptr, 0.5, 0}); break;
+        default: break;
+      }
+    }
+    expect_same_entries(ErrorPmf::mixture(terms), oracle_mixture(terms),
+                        "trial " + std::to_string(trial));
+  }
+
+  const ErrorPmf::Term negative[] = {{&segments[0], 0.5, 0},
+                                     {&segments[1], -0.25, 3}};
+  EXPECT_THROW((void)ErrorPmf::mixture(negative), std::invalid_argument);
+
+  // Whole propagations: every mixture along 25 random chains.
   sealpaa::prob::SplitMix64 cell_rng(0x70f'0000'0007ULL);
   sealpaa::prob::Xoshiro256StarStar profile_rng(0x70f'0000'0008ULL);
-  PmfOptions sparse_only;
-  sparse_only.dense_threshold = 0;  // forbid the dense accumulator
   for (int trial = 0; trial < 25; ++trial) {
     const std::size_t width = 4 + static_cast<std::size_t>(trial % 9);
     const std::vector<AdderCell> stages = random_chain(cell_rng, width, trial);
     const InputProfile profile =
         InputProfile::random(width, profile_rng, 0.05, 0.95);
-    const AdderChain chain(stages);
-    const ErrorPmf dense =
-        sealpaa::analysis::propagate_error_pmf(chain, profile);
-    const ErrorPmf sparse =
-        sealpaa::analysis::propagate_error_pmf(chain, profile, sparse_only);
-    expect_same_entries(sparse, dense, "trial " + std::to_string(trial));
+    expect_same_entries(
+        sealpaa::analysis::propagate_error_pmf(AdderChain(stages), profile),
+        oracle_propagate(stages, profile),
+        "chain trial " + std::to_string(trial));
   }
 }
 
