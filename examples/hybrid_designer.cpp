@@ -3,11 +3,12 @@
 // cells (the use-case the paper's §5 motivates).
 //
 // The search runs on the engine layer: the exhaustive optimizer walks a
-// DFS over engine::IncrementalAnalyzer, and the beam fallback scores
-// expansions through engine::ChainEvaluator's prefix cache.  The winner
-// is re-checked through engine::evaluate — the same uniform entry point
-// the CLI's --method flag uses — and the search/cache counters are
-// printed (and reported as JSON) so the prefix reuse is visible.
+// DFS over engine::IncrementalAnalyzer, and the beam fallback keeps each
+// survivor's carry state, so an expansion costs one stage advance from
+// its parent.  The winner is re-checked through engine::evaluate — the
+// same uniform entry point the CLI's --method flag uses — and the search
+// counters are printed (and reported as JSON) so the prefix reuse is
+// visible: stage advances against candidates scored.
 //
 //   ./example_hybrid_designer [--bits=8] [--budget-nw=3000]
 //       [--profile=0.5,0.5,0.4,0.3,0.2,0.1,0.05,0.05]
@@ -48,12 +49,7 @@ void print_search_stats(const sealpaa::explore::SearchStats& stats) {
   using sealpaa::util::with_commas;
   std::cout << "  search: " << with_commas(stats.candidates_evaluated)
             << " candidates, " << with_commas(stats.stages_computed)
-            << " stage advances";
-  if (stats.cache_hits + stats.cache_misses > 0) {
-    std::cout << ", prefix cache " << with_commas(stats.cache_hits)
-              << " hits / " << with_commas(stats.cache_misses) << " misses";
-  }
-  std::cout << "\n";
+            << " stage advances\n";
 }
 
 }  // namespace

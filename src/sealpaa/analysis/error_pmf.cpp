@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <complex>
 #include <limits>
 #include <stdexcept>
 
@@ -49,35 +48,6 @@ struct Run {
   throw std::length_error("ErrorPmf: support " + std::to_string(support) +
                           " exceeds PmfOptions::max_support " +
                           std::to_string(max_support));
-}
-
-// In-place iterative radix-2 Cooley-Tukey; `size` must be a power of two.
-void fft(std::vector<std::complex<double>>& data, bool inverse) {
-  const std::size_t size = data.size();
-  for (std::size_t i = 1, j = 0; i < size; ++i) {
-    std::size_t bit = size >> 1;
-    for (; (j & bit) != 0; bit >>= 1) j ^= bit;
-    j ^= bit;
-    if (i < j) std::swap(data[i], data[j]);
-  }
-  for (std::size_t len = 2; len <= size; len <<= 1) {
-    const double angle =
-        (inverse ? 2.0 : -2.0) * std::acos(-1.0) / static_cast<double>(len);
-    const std::complex<double> root(std::cos(angle), std::sin(angle));
-    for (std::size_t i = 0; i < size; i += len) {
-      std::complex<double> w(1.0, 0.0);
-      for (std::size_t k = 0; k < len / 2; ++k) {
-        const std::complex<double> even = data[i + k];
-        const std::complex<double> odd = data[i + k + len / 2] * w;
-        data[i + k] = even + odd;
-        data[i + k + len / 2] = even - odd;
-        w *= root;
-      }
-    }
-  }
-  if (inverse) {
-    for (auto& x : data) x /= static_cast<double>(size);
-  }
 }
 
 }  // namespace
@@ -238,70 +208,6 @@ ErrorPmf ErrorPmf::mixture(std::span<const Term> terms,
     throw_support_overflow(out.size(), options.max_support);
   }
   return ErrorPmf(std::move(out));
-}
-
-ErrorPmf ErrorPmf::convolve(const ErrorPmf& a, const ErrorPmf& b,
-                            const PmfOptions& options) {
-  if (a.empty() || b.empty()) return ErrorPmf{};
-  const std::size_t naive_cost = a.support_size() * b.support_size();
-  const std::uint64_t out_span =
-      value_span(a.min_value(), a.max_value()) +
-      value_span(b.min_value(), b.max_value());
-
-  if (naive_cost > options.fft_threshold &&
-      out_span < (std::uint64_t{1} << 26)) {
-    // FFT path: both operands dense over their spans, circular
-    // convolution sized to the next power of two covering the result.
-    const std::size_t la = static_cast<std::size_t>(
-        value_span(a.min_value(), a.max_value())) + 1;
-    const std::size_t lb = static_cast<std::size_t>(
-        value_span(b.min_value(), b.max_value())) + 1;
-    std::size_t size = 1;
-    while (size < la + lb - 1) size <<= 1;
-    std::vector<std::complex<double>> fa(size), fb(size);
-    for (const Entry& entry : a.entries()) {
-      fa[static_cast<std::size_t>(value_span(a.min_value(), entry.value))] =
-          entry.probability;
-    }
-    for (const Entry& entry : b.entries()) {
-      fb[static_cast<std::size_t>(value_span(b.min_value(), entry.value))] =
-          entry.probability;
-    }
-    fft(fa, /*inverse=*/false);
-    fft(fb, /*inverse=*/false);
-    for (std::size_t i = 0; i < size; ++i) fa[i] *= fb[i];
-    fft(fa, /*inverse=*/true);
-
-    double peak = 0.0;
-    for (std::size_t i = 0; i + 1 < la + lb; ++i) {
-      peak = std::max(peak, fa[i].real());
-    }
-    // Round-off from the transform shows up as tiny (possibly negative)
-    // coefficients on values with no true mass; clip below the noise
-    // floor instead of reporting phantom support.
-    const double floor = peak * static_cast<double>(size) *
-                         std::numeric_limits<double>::epsilon();
-    Entries out;
-    const std::int64_t base = a.min_value() + b.min_value();
-    for (std::size_t i = 0; i + 1 < la + lb; ++i) {
-      const double mass = fa[i].real();
-      if (mass > floor) {
-        out.push_back(Entry{base + static_cast<std::int64_t>(i), mass});
-      }
-    }
-    if (out.size() > options.max_support) {
-      throw_support_overflow(out.size(), options.max_support);
-    }
-    return ErrorPmf(std::move(out));
-  }
-
-  // Exact path: a mixture of b shifted by each point of a.
-  std::vector<Term> terms;
-  terms.reserve(a.support_size());
-  for (const Entry& entry : a.entries()) {
-    terms.push_back(Term{&b, entry.probability, entry.value});
-  }
-  return mixture(terms, options);
 }
 
 double ErrorPmf::total_mass() const noexcept {

@@ -21,10 +21,8 @@
 // they cover: the shifted segments are already sorted, so it merges them
 // directly, and uses a dense compensated slot array only when the
 // destination span is smaller than the number of contributions (wide
-// adders whose approximate stages sit in the low bits).  Convolution of
-// two *independent* error PMFs (block-composed adders, repeated datapath
-// use) additionally routes through a radix-2 FFT once the naive cost
-// passes `PmfOptions::fft_threshold`; see DESIGN.md decision 7.
+// adders whose approximate stages sit in the low bits); see DESIGN.md
+// decision 7.
 #pragma once
 
 #include <array>
@@ -38,13 +36,8 @@
 
 namespace sealpaa::analysis {
 
-/// convolve()'s FFT switchover and the support safety rail.
+/// The support safety rail of the propagation.
 struct PmfOptions {
-  /// convolve() switches from the exact naive product to FFT when
-  /// support(a) * support(b) exceeds this (and the result span is
-  /// dense-representable).  The FFT path is accurate to ~1e-14 relative;
-  /// set to SIZE_MAX to force the exact path.
-  std::size_t fft_threshold = std::size_t{1} << 16;
   /// Hard cap on any intermediate or final support size; propagation
   /// throws std::length_error beyond it instead of consuming unbounded
   /// memory on adversarial cells.
@@ -94,12 +87,6 @@ class ErrorPmf {
   /// `options.max_support`.
   [[nodiscard]] static ErrorPmf mixture(std::span<const Term> terms,
                                         const PmfOptions& options = {});
-
-  /// Distribution of a.err + b.err for *independent* error sources
-  /// (e.g. disjoint sub-adder blocks).  Exact naive product below
-  /// `options.fft_threshold`, radix-2 FFT above it.
-  [[nodiscard]] static ErrorPmf convolve(const ErrorPmf& a, const ErrorPmf& b,
-                                         const PmfOptions& options = {});
 
   [[nodiscard]] const Entries& entries() const noexcept { return entries_; }
   [[nodiscard]] bool empty() const noexcept { return entries_.empty(); }

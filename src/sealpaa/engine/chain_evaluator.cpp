@@ -43,9 +43,7 @@ ChainEvaluator::ChainEvaluator(multibit::InputProfile profile,
       weights_(analysis::operand_weights(profile_)),
       base_{1.0 - profile_.p_cin(), profile_.p_cin()},
       capacity_(std::min(options.cache_capacity, kMaxCapacity)),
-      key_stride_(profile_.width()),
-      pmf_capacity_(options.pmf_cache_capacity),
-      pmf_options_(options.pmf) {
+      key_stride_(profile_.width()) {
   if (candidates_.empty()) {
     throw std::invalid_argument("ChainEvaluator: no candidate cells");
   }
@@ -59,25 +57,6 @@ ChainEvaluator::ChainEvaluator(multibit::InputProfile profile,
     mkls_.push_back(analysis::MklMatrices::from_cell(cell));
   }
   key_scratch_.reserve(profile_.width());
-}
-
-void ChainEvaluator::advance_lanes(std::size_t stage,
-                                   std::span<const analysis::CarryState> in,
-                                   std::span<const std::uint32_t> parents,
-                                   std::span<const std::uint8_t> choices,
-                                   std::vector<analysis::CarryState>& out) {
-  const analysis::OperandWeights& w = weights_[stage];
-  out.resize(choices.size());
-  for (std::size_t j = 0; j < choices.size(); ++j) {
-    out[j] = analysis::advance_stage(mkls_[choices[j]], w, in[parents[j]]);
-  }
-  batch_stats_.lane_stages += choices.size();
-}
-
-void ChainEvaluator::note_batch(std::size_t lanes) noexcept {
-  batch_stats_.batches += 1;
-  batch_stats_.lanes += lanes;
-  if (lanes > batch_stats_.max_lanes) batch_stats_.max_lanes = lanes;
 }
 
 void ChainEvaluator::check_choice(std::size_t choice) const {
@@ -251,20 +230,6 @@ analysis::CarryState ChainEvaluator::carry_after(
   return carry;
 }
 
-double ChainEvaluator::final_success(std::span<const std::size_t> prefix,
-                                     std::size_t last_choice) {
-  if (prefix.size() + 1 != width()) {
-    throw std::invalid_argument(
-        "ChainEvaluator::final_success: prefix of " +
-        std::to_string(prefix.size()) + " stages does not leave exactly one "
-        "stage of width " + std::to_string(width()));
-  }
-  check_choice(last_choice);
-  const analysis::CarryState carry = carry_after(prefix);
-  return analysis::final_success(mkls_[last_choice], weights_[width() - 1],
-                                 carry);
-}
-
 analysis::AnalysisResult ChainEvaluator::evaluate(
     std::span<const std::size_t> choices) {
   const std::size_t n = width();
@@ -313,7 +278,6 @@ std::vector<analysis::AnalysisResult> ChainEvaluator::evaluate_batch(
     for (const std::size_t c : chain) check_choice(c);
   }
   stats_.chains_evaluated += count;
-  note_batch(count);
 
   // Per-lane key bytes and the rolling prefix hashes of every depth —
   // the same FNV/mix scheme carry_after uses, so batch-computed prefixes
@@ -333,8 +297,7 @@ std::vector<analysis::AnalysisResult> ChainEvaluator::evaluate_batch(
   }
 
   std::vector<analysis::CarryState> lanes(count, base_);
-  std::vector<std::uint32_t> pending;    // lanes advancing this stage
-  std::vector<std::uint8_t> pending_c;   // their choice bytes
+  std::vector<std::uint32_t> pending;  // lanes advancing this stage
   // Followers adopt a leader lane's freshly advanced state instead of
   // recomputing the shared prefix; leaders are found by mixed hash with
   // a key-bytes check, so a 64-bit collision degrades to duplicate work,
@@ -344,7 +307,6 @@ std::vector<analysis::AnalysisResult> ChainEvaluator::evaluate_batch(
 
   for (std::size_t d = 0; d + 1 < n; ++d) {
     pending.clear();
-    pending_c.clear();
     followers.clear();
     leaders.clear();
     for (std::size_t l = 0; l < count; ++l) {
@@ -368,20 +330,19 @@ std::vector<analysis::AnalysisResult> ChainEvaluator::evaluate_batch(
         }
       }
       pending.push_back(static_cast<std::uint32_t>(l));
-      pending_c.push_back(static_cast<std::uint8_t>(chains[l][d]));
     }
-    if (!pending.empty()) {
-      advance_lanes(d, lanes, pending, pending_c, lane_scratch_);
-      stats_.stages_computed += pending.size();
-      for (std::size_t j = 0; j < pending.size(); ++j) {
-        const std::uint32_t l = pending[j];
-        lanes[l] = lane_scratch_[j];
-        if (capacity_ > 0) {
-          insert_prefix(std::string_view(keys.data() + l * n, d + 1),
-                        hashes[l * (n + 1) + d + 1], lanes[l]);
-        }
+    // Each pending lane advances through stage d: the advance_stage call
+    // carry_after makes.
+    const analysis::OperandWeights& w = weights_[d];
+    for (const std::uint32_t l : pending) {
+      lanes[l] = analysis::advance_stage(mkls_[chains[l][d]], w, lanes[l]);
+      if (capacity_ > 0) {
+        insert_prefix(std::string_view(keys.data() + l * n, d + 1),
+                      hashes[l * (n + 1) + d + 1], lanes[l]);
       }
     }
+    stats_.stages_computed += pending.size();
+    batch_stats_.lane_stages += pending.size();
     for (const auto& [follower, leader] : followers) {
       lanes[follower] = lanes[leader];
     }
@@ -402,103 +363,11 @@ std::vector<analysis::AnalysisResult> ChainEvaluator::evaluate_batch(
   return results;
 }
 
-std::vector<double> ChainEvaluator::score_extensions(
-    std::span<const std::vector<std::size_t>> parents,
-    std::span<const Extension> extensions) {
-  const std::size_t n = width();
-  const std::size_t depth = parents.empty() ? 0 : parents.front().size();
-  if (depth >= n) {
-    throw std::invalid_argument(
-        "ChainEvaluator::score_extensions: parent depth " +
-        std::to_string(depth) + " leaves no stage to extend (width " +
-        std::to_string(n) + ")");
-  }
-  for (const std::vector<std::size_t>& parent : parents) {
-    if (parent.size() != depth) {
-      throw std::invalid_argument(
-          "ChainEvaluator::score_extensions: parents must share one depth");
-    }
-  }
-  std::vector<double> out(extensions.size());
-  if (extensions.empty()) return out;
-
-  // Parent states go through carry_after: cache hits here are what keep
-  // round-to-round prefix reuse (and its accounting) identical to the
-  // per-extension path.  The raw FNV state is re-rolled per parent so
-  // each extension's key hash is one multiply away.
-  std::vector<analysis::CarryState> parent_lanes(parents.size());
-  std::vector<std::uint64_t> parent_fnv(parents.size());
-  for (std::size_t p = 0; p < parents.size(); ++p) {
-    parent_lanes[p] = carry_after(parents[p]);
-    std::uint64_t h = kFnvBasis;
-    for (const std::size_t c : parents[p]) {
-      h = (h ^ (c & 0xFFu)) * kFnvPrime;
-    }
-    parent_fnv[p] = h;
-  }
-
-  std::vector<std::uint32_t> parent_idx(extensions.size());
-  std::vector<std::uint8_t> choices(extensions.size());
-  for (std::size_t e = 0; e < extensions.size(); ++e) {
-    if (extensions[e].parent >= parents.size()) {
-      throw std::out_of_range(
-          "ChainEvaluator::score_extensions: extension parent " +
-          std::to_string(extensions[e].parent) + " out of range (" +
-          std::to_string(parents.size()) + " parents)");
-    }
-    check_choice(extensions[e].choice);
-    parent_idx[e] = extensions[e].parent;
-    choices[e] = extensions[e].choice;
-  }
-  note_batch(extensions.size());
-
-  if (depth + 1 == n) {
-    // Last stage: Equation 12 per extension, nothing cached — exactly
-    // what final_success(parent, choice) computes after its parent probe.
-    const analysis::OperandWeights& w = weights_[depth];
-    for (std::size_t e = 0; e < extensions.size(); ++e) {
-      out[e] = analysis::final_success(mkls_[choices[e]], w,
-                                       parent_lanes[parent_idx[e]]);
-    }
-    return out;
-  }
-
-  advance_lanes(depth, parent_lanes, parent_idx, choices, lane_scratch_);
-  stats_.stages_computed += extensions.size();
-  for (std::size_t e = 0; e < extensions.size(); ++e) {
-    out[e] = lane_scratch_[e].success_mass();
-    if (capacity_ == 0) continue;
-    // Cache the advanced state under parent-key + choice, mirroring the
-    // per-extension carry_after accounting: one probe (the miss that
-    // precedes an insert, or a hit when a shared evaluator already holds
-    // the key) per extension.
-    const std::vector<std::size_t>& parent = parents[extensions[e].parent];
-    key_scratch_.clear();
-    for (const std::size_t c : parent) {
-      key_scratch_.push_back(static_cast<char>(c));
-    }
-    key_scratch_.push_back(static_cast<char>(extensions[e].choice));
-    const std::uint64_t hash =
-        mix((parent_fnv[extensions[e].parent] ^ extensions[e].choice) *
-            kFnvPrime);
-    const std::string_view key(key_scratch_.data(), depth + 1);
-    const std::uint32_t slot = find_slot(key, hash);
-    if (slot != kNil) {
-      ++stats_.hits;
-      touch(slot);
-      continue;
-    }
-    ++stats_.misses;
-    insert_prefix(key, hash, lane_scratch_[e]);
-  }
-  return out;
-}
-
 void ChainEvaluator::pmf_insert(
     std::string_view key,
     std::shared_ptr<const analysis::ErrorPmfState> state) {
   ++pmf_stats_.insertions;
-  if (pmf_index_.size() >= pmf_capacity_ && !pmf_lru_.empty()) {
+  if (pmf_index_.size() >= kPmfCacheCapacity) {
     const PmfNode& victim = pmf_lru_.back();
     pmf_index_.erase(std::string_view(victim.key));
     pmf_lru_.pop_back();
@@ -529,18 +398,16 @@ std::shared_ptr<const analysis::ErrorPmfState> ChainEvaluator::pmf_state_after(
   // carry cache (one miss per depth tried).
   std::size_t found = 0;
   std::shared_ptr<const analysis::ErrorPmfState> state;
-  if (pmf_capacity_ > 0) {
-    for (std::size_t d = len; d >= 1; --d) {
-      const auto it = pmf_index_.find(std::string_view(key.data(), d));
-      if (it != pmf_index_.end()) {
-        ++pmf_stats_.hits;
-        pmf_lru_.splice(pmf_lru_.begin(), pmf_lru_, it->second);
-        found = d;
-        state = it->second->state;
-        break;
-      }
-      ++pmf_stats_.misses;
+  for (std::size_t d = len; d >= 1; --d) {
+    const auto it = pmf_index_.find(std::string_view(key.data(), d));
+    if (it != pmf_index_.end()) {
+      ++pmf_stats_.hits;
+      pmf_lru_.splice(pmf_lru_.begin(), pmf_lru_, it->second);
+      found = d;
+      state = it->second->state;
+      break;
     }
+    ++pmf_stats_.misses;
   }
   if (found == 0) {
     state = std::make_shared<const analysis::ErrorPmfState>(
@@ -551,12 +418,9 @@ std::shared_ptr<const analysis::ErrorPmfState> ChainEvaluator::pmf_state_after(
   for (std::size_t d = found; d < len; ++d) {
     state = std::make_shared<const analysis::ErrorPmfState>(
         analysis::next_error_pmf_state(*state, candidates_[choices[d]],
-                                       profile_.p_a(d), profile_.p_b(d),
-                                       pmf_options_));
+                                       profile_.p_a(d), profile_.p_b(d)));
     ++pmf_stats_.stages_computed;
-    if (pmf_capacity_ > 0) {
-      pmf_insert(std::string_view(key.data(), d + 1), state);
-    }
+    pmf_insert(std::string_view(key.data(), d + 1), state);
   }
   return state;
 }
@@ -564,8 +428,7 @@ std::shared_ptr<const analysis::ErrorPmfState> ChainEvaluator::pmf_state_after(
 analysis::ErrorPmf ChainEvaluator::error_pmf(
     std::span<const std::size_t> choices) {
   if (choices.size() == width()) ++pmf_stats_.chains_evaluated;
-  return analysis::finalize_error_pmf(*pmf_state_after(choices),
-                                      pmf_options_);
+  return analysis::finalize_error_pmf(*pmf_state_after(choices));
 }
 
 void ChainEvaluator::clear() {

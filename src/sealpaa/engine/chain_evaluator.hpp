@@ -1,23 +1,27 @@
-// Prefix-cached chain scoring for design-space exploration.
+// The analysis service's per-profile chain evaluator.
 //
-// DSE algorithms (exhaustive, beam, greedy) score thousands of candidate
-// chains drawn from a small cell palette, and consecutive candidates
-// share long prefixes.  `ChainEvaluator` memoizes the success-filtered
-// carry state of every prefix it computes in an LRU cache keyed by the
-// choice-index string, so extending a partial design by one stage costs
-// one cache probe plus one `advance_stage` — O(1) per candidate stage —
-// instead of re-running the recursion from bit 0.
+// The service pools one `ChainEvaluator` per (input profile, cell
+// palette) — engine::EvaluatorPool — and answers each recursive or
+// analytic-pmf request against it.  Requests name a chain as palette
+// indices, and a client sweeping designs repeats long prefixes and whole
+// chains, so the evaluator memoizes prefix states in two LRU caches
+// keyed by the choice-index string: the success-filtered carry state of
+// every prefix it computes (evaluate, carry_after) and the joint-carry
+// error-PMF state (error_pmf).  A repeated or extended chain then costs
+// a cache probe plus the stages past the longest cached prefix instead
+// of a run from bit 0.
 //
 // Scoring arithmetic is the exact call sequence of
-// `RecursiveAnalyzer::analyze`, so `evaluate()` is bit-identical to the
-// batch analyzer (enforced by tests/test_engine.cpp), and the cache can
+// `RecursiveAnalyzer::analyze` / `propagate_error_pmf`, so results are
+// bit-identical to the batch analyzers (enforced by
+// tests/test_engine.cpp and tests/test_error_pmf.cpp), and a cache can
 // never change a result — only how often stages are recomputed.
 //
-// Search frontiers (`score_extensions`, and `evaluate_batch` over
-// whole chains) advance many chains stage by stage as lanes.  Each lane
-// replays the same advance_stage / final_success calls, so a batch is
-// bit-identical to the per-chain path (DESIGN.md decision 9: one strict
-// lane path).
+// The design-space searches (explore/) do not use this class: they walk
+// their own path states (DESIGN.md decision 9).  `evaluate_batch` keeps
+// a lane loop over whole chains for the benchmark's per-layer probe; each
+// lane replays the same advance_stage / final_success calls, so a batch
+// is bit-identical to the per-chain path.
 #pragma once
 
 #include <cstdint>
@@ -41,13 +45,6 @@ struct ChainEvaluatorOptions {
   /// it).  0 disables caching entirely: every query recomputes from bit
   /// 0 and the hit/miss/insertion/eviction counters stay 0.
   std::size_t cache_capacity = std::size_t{1} << 16;
-  /// Maximum number of prefix error-PMF states kept by the PMF prefix
-  /// cache (pmf_state_after / error_pmf).  PMF states are far heavier
-  /// than carry states — four sparse distributions each — so the default
-  /// is correspondingly smaller.  0 disables PMF caching.
-  std::size_t pmf_cache_capacity = std::size_t{1} << 12;
-  /// Support safety rail for the PMF propagation.
-  analysis::PmfOptions pmf;
 };
 
 /// Exact accounting of the prefix cache's work, reported through
@@ -80,28 +77,17 @@ struct CacheStats {
   }
 };
 
-/// Lane accounting of evaluate_batch / score_extensions, reported in the
-/// search run reports — the counters that prove evaluation ran
-/// lane-parallel.
+/// Lane accounting of evaluate_batch.
 struct BatchStats {
-  std::uint64_t batches = 0;    // batch operations submitted
-  std::uint64_t lanes = 0;      // total lanes across those batches
-  std::uint64_t max_lanes = 0;  // widest single batch
   /// Lane-stage advances performed (the lane analogue of
   /// CacheStats::stages_computed).
   std::uint64_t lane_stages = 0;
-
-  void merge(const BatchStats& other) noexcept {
-    batches += other.batches;
-    lanes += other.lanes;
-    max_lanes = max_lanes < other.max_lanes ? other.max_lanes : max_lanes;
-    lane_stages += other.lane_stages;
-  }
 };
 
 /// Scores chains assembled from a fixed candidate palette under a fixed
 /// input profile.  A chain is a vector of candidate indices, least
-/// significant stage first.  Not thread-safe; use one per thread.
+/// significant stage first.  Not thread-safe: each dispatch worker owns
+/// its own pool of evaluators.
 class ChainEvaluator {
  public:
   /// Throws std::invalid_argument when `candidates` is empty or holds
@@ -132,12 +118,6 @@ class ChainEvaluator {
   [[nodiscard]] analysis::CarryState carry_after(
       std::span<const std::size_t> choices);
 
-  /// P(Success) of the full chain `prefix + [last_choice]` (Equation
-  /// 12).  Requires prefix.size() == width() - 1.  Raw dot product, no
-  /// clamping — the quantity DSE comparisons rank by.
-  [[nodiscard]] double final_success(std::span<const std::size_t> prefix,
-                                     std::size_t last_choice);
-
   /// Full analysis of a complete chain (choices.size() == width()).
   /// Bit-identical to `RecursiveAnalyzer::analyze` on the same cells.
   [[nodiscard]] analysis::AnalysisResult evaluate(
@@ -151,36 +131,15 @@ class ChainEvaluator {
   /// remaining lanes advance together.  Element i is bit-identical to
   /// evaluate(chains[i]) — cache adoption only changes how often stages
   /// are recomputed, never a value.  Accounted in stats()
-  /// (probes/advances) and batch_stats() (lanes).
+  /// (probes/advances) and batch_stats() (lane stages).
   [[nodiscard]] std::vector<analysis::AnalysisResult> evaluate_batch(
       std::span<const std::span<const std::size_t>> chains);
 
-  /// One frontier expansion of a beam/greedy DSE round: every extension
-  /// (parents[e.parent] + [e.choice]) scored in a single lane batch.
-  /// All parents must share one depth d; when d + 1 == width()
-  /// the scores are Equation-12 final success values (nothing cached,
-  /// like final_success), otherwise the advanced carry's success mass,
-  /// with each advanced state inserted into the prefix cache exactly as
-  /// the per-extension carry_after path would.  Scores are bit-identical
-  /// to the per-extension calls (same per-lane call sequence).
-  struct Extension {
-    std::uint32_t parent = 0;  // index into `parents`
-    std::uint8_t choice = 0;   // candidate index for the new stage
-  };
-  [[nodiscard]] std::vector<double> score_extensions(
-      std::span<const std::vector<std::size_t>> parents,
-      std::span<const Extension> extensions);
-
-  /// Joint-carry error-PMF state after the stages of `choices`, served
-  /// from the longest cached PMF prefix (its own LRU cache, accounted in
-  /// pmf_stats()).  The returned state is shared with the cache and
-  /// immutable; next_error_pmf_state builds a successor from it.
-  [[nodiscard]] std::shared_ptr<const analysis::ErrorPmfState>
-  pmf_state_after(std::span<const std::size_t> choices);
-
   /// Finalized error PMF of `choices` (any size up to width(); the
   /// carry-out difference is folded at the prefix depth, so a partial
-  /// chain yields its partial-adder error distribution).  For a
+  /// chain yields its partial-adder error distribution).  Served from
+  /// the longest prefix in the PMF cache (its own LRU of 4,096 states,
+  /// accounted in pmf_stats()).  For a
   /// full-width chain this is identical to propagate_error_pmf on the
   /// assembled chain; prefix reuse only changes how often stages are
   /// recomputed, never the result (mixture accumulation order is a
@@ -189,7 +148,7 @@ class ChainEvaluator {
       std::span<const std::size_t> choices);
 
   [[nodiscard]] const CacheStats& stats() const noexcept { return stats_; }
-  /// Lane accounting (evaluate_batch / score_extensions).
+  /// Lane accounting (evaluate_batch).
   [[nodiscard]] const BatchStats& batch_stats() const noexcept {
     return batch_stats_;
   }
@@ -216,16 +175,21 @@ class ChainEvaluator {
   void clear();
 
  private:
-  // The cache is a hand-rolled flat structure because it sits on the DSE
-  // hot path: a beam search does one probe-miss, one probe-hit and one
-  // insertion per candidate stage, and a node-based unordered_map pays
-  // an allocation per insertion plus pointer-chasing per probe.  Here a
-  // slot array holds the carry states (key bytes in a parallel pool at
-  // slot * stride), an open-addressing index table maps key -> slot, and
-  // the LRU list is threaded through the slots as indices — zero
-  // allocations at steady state.  Slots are recycled in place on
-  // eviction; the index table uses linear probing with backward-shift
-  // deletion, so no tombstones accumulate.
+  /// Prefix error-PMF states the PMF cache keeps.  PMF states are far
+  /// heavier than carry states — four sparse distributions each — so the
+  /// bound is correspondingly smaller.
+  static constexpr std::size_t kPmfCacheCapacity = std::size_t{1} << 12;
+
+  // The carry cache is a hand-rolled flat structure because it sits on
+  // the request hot path: a recursive request probes once per depth
+  // tried and inserts every newly computed prefix, and a node-based
+  // unordered_map pays an allocation per insertion plus pointer-chasing
+  // per probe.  Here a slot array holds the carry states (key bytes in a
+  // parallel pool at slot * stride), an open-addressing index table maps
+  // key -> slot, and the LRU list is threaded through the slots as
+  // indices — zero allocations at steady state.  Slots are recycled in
+  // place on eviction; the index table uses linear probing with
+  // backward-shift deletion, so no tombstones accumulate.
   static constexpr std::uint32_t kNil = 0xFFFF'FFFFu;
 
   struct Slot {
@@ -248,16 +212,11 @@ class ChainEvaluator {
 
   void pmf_insert(std::string_view key,
                   std::shared_ptr<const analysis::ErrorPmfState> state);
-
-  /// The lane loop behind evaluate_batch and score_extensions: out[j]
-  /// is lane in[parents[j]] advanced through `stage` with candidate
-  /// choices[j] — per lane the advance_stage call carry_after makes.
-  void advance_lanes(std::size_t stage,
-                     std::span<const analysis::CarryState> in,
-                     std::span<const std::uint32_t> parents,
-                     std::span<const std::uint8_t> choices,
-                     std::vector<analysis::CarryState>& out);
-  void note_batch(std::size_t lanes) noexcept;
+  /// Joint-carry error-PMF state after the stages of `choices`, served
+  /// from the longest cached PMF prefix; every newly computed prefix
+  /// state is cached on the way forward.
+  [[nodiscard]] std::shared_ptr<const analysis::ErrorPmfState>
+  pmf_state_after(std::span<const std::size_t> choices);
 
   void check_choice(std::size_t choice) const;
   [[nodiscard]] std::string_view key_of(std::uint32_t slot) const noexcept;
@@ -277,7 +236,6 @@ class ChainEvaluator {
   /// Equation 10's operand factor per stage, built once from profile_.
   std::vector<analysis::OperandWeights> weights_;
   analysis::CarryState base_;  // Equation 5 initial state
-  std::vector<analysis::CarryState> lane_scratch_;  // advance_lanes output
   BatchStats batch_stats_;
   std::size_t capacity_;
   std::size_t key_stride_;  // bytes reserved per slot in key_pool_
@@ -292,8 +250,6 @@ class ChainEvaluator {
   std::uint32_t lru_tail_ = kNil;
   CacheStats stats_;
 
-  std::size_t pmf_capacity_;
-  analysis::PmfOptions pmf_options_;
   PmfLru pmf_lru_;  // front = most recently used
   std::unordered_map<std::string_view, PmfLru::iterator> pmf_index_;
   CacheStats pmf_stats_;

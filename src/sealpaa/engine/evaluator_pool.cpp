@@ -44,8 +44,7 @@ std::shared_ptr<ChainEvaluator> EvaluatorPool::acquire(
     pool_hits_ += 1;
     return entries_.front().evaluator;
   }
-  auto evaluator = std::make_shared<ChainEvaluator>(profile, palette_,
-                                                    options_.evaluator);
+  auto evaluator = std::make_shared<ChainEvaluator>(profile, palette_);
   created_ += 1;
   entries_.push_front(Entry{key, evaluator});
   index_.emplace(std::move(key), entries_.begin());

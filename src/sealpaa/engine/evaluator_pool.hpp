@@ -1,13 +1,16 @@
 // Keyed pool of ChainEvaluators — the amortizable state behind the
 // batch analysis service.
 //
-// A ChainEvaluator's prefix cache is only useful while the (profile,
+// A ChainEvaluator's prefix caches are only useful while the (profile,
 // candidate palette) pair stays fixed, but a request stream mixes
 // widths and input probabilities.  The pool maps each distinct profile
 // to its own evaluator and keeps the most recently used ones alive, so
 // consecutive requests against the same profile — the common case for a
-// design-sweep client — reuse a hot prefix cache instead of rebuilding
-// M/K/L matrices and recomputing every chain from bit 0.
+// design-sweep client — reuse hot carry and PMF prefix caches instead of
+// rebuilding M/K/L matrices and recomputing every chain from bit 0.  A
+// repeated analytic-pmf chain is answered from the PMF cache without a
+// single propagation stage (DESIGN.md decision 11).  Evaluators are
+// built with default options.
 //
 // Single-threaded by design: each service dispatch worker owns one pool
 // and evaluates its batch's requests one at a time, acquiring each
@@ -32,8 +35,6 @@ struct EvaluatorPoolOptions {
   /// (their cache stats are folded into the retired aggregate).  Must
   /// be >= 1.
   std::size_t max_evaluators = 32;
-  /// Forwarded to every ChainEvaluator the pool constructs.
-  ChainEvaluatorOptions evaluator{};
 };
 
 class EvaluatorPool {

@@ -65,7 +65,7 @@ class MklCache {
 ///   inc.rewind(1);                  // back to the 1-stage prefix
 ///
 /// Not thread-safe; use one instance per thread (the exhaustive DSE runs
-/// one per shard).
+/// one per shard, branch-and-bound one per worker).
 class IncrementalAnalyzer {
  public:
   /// `mkl_cache` may be shared across analyzers (single-threaded use);

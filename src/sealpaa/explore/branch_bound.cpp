@@ -9,7 +9,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "sealpaa/engine/chain_evaluator.hpp"
+#include "sealpaa/analysis/mkl.hpp"
 #include "sealpaa/engine/incremental.hpp"
 #include "sealpaa/explore/detail.hpp"
 #include "sealpaa/util/parallel.hpp"
@@ -102,6 +102,8 @@ struct Ctx {
   std::vector<char> cell_usable;
   std::vector<double> power_of;
   std::vector<double> area_of;
+  /// Each candidate's M/K/L matrices: the err walk pushes these.
+  std::vector<analysis::MklMatrices> mkls;
   /// Saturating k^i for the historical (stage-0 least significant)
   /// design index; pow_k[i] for i in [0, n].
   std::vector<std::uint64_t> pow_k;
@@ -121,12 +123,14 @@ Ctx make_ctx(const multibit::InputProfile& profile,
   ctx.cell_usable.reserve(ctx.k);
   ctx.power_of.reserve(ctx.k);
   ctx.area_of.reserve(ctx.k);
+  ctx.mkls.reserve(ctx.k);
   for (const adders::AdderCell& cell : candidates) {
     const detail::CellCost cost = detail::cost_of(cell);
     const bool ok = detail::usable(cost, constraints);
     ctx.cell_usable.push_back(ok ? 1 : 0);
     ctx.power_of.push_back(ok && cost.power ? *cost.power : 0.0);
     ctx.area_of.push_back(ok && cost.area ? *cost.area : 0.0);
+    ctx.mkls.push_back(analysis::MklMatrices::from_cell(cell));
   }
   ctx.pow_k.resize(ctx.n + 1);
   ctx.leaves_below.resize(ctx.n + 1);
@@ -152,18 +156,14 @@ Ctx make_ctx(const multibit::InputProfile& profile,
   return ctx;
 }
 
-/// Additive merge of per-unit accounting (soa_max_lanes merges as max,
-/// nodes_pruned and candidates_rejected saturate).
+/// Additive merge of per-unit accounting (nodes_pruned and
+/// candidates_rejected saturate).  The search probes no cache and runs
+/// no lanes, so cache_* and soa_* are never set.
 void merge_stats(SearchStats& into, const SearchStats& from) noexcept {
   into.candidates_evaluated += from.candidates_evaluated;
   into.candidates_rejected =
       sat_add(into.candidates_rejected, from.candidates_rejected);
-  into.cache_hits += from.cache_hits;
-  into.cache_misses += from.cache_misses;
   into.stages_computed += from.stages_computed;
-  into.soa_batches += from.soa_batches;
-  into.soa_lanes += from.soa_lanes;
-  into.soa_max_lanes = std::max(into.soa_max_lanes, from.soa_max_lanes);
   into.nodes_expanded += from.nodes_expanded;
   into.nodes_pruned = sat_add(into.nodes_pruned, from.nodes_pruned);
   into.bound_cutoffs += from.bound_cutoffs;
@@ -264,21 +264,18 @@ void validate_checkpoint(const Ctx& ctx, const BnbCheckpoint& ckpt) {
   }
 }
 
-/// One worker: owns a ChainEvaluator (not thread-safe) and drains units
-/// from its range, stealing when empty.
+/// One worker: keeps its DFS path on an IncrementalAnalyzer (not
+/// thread-safe) — the carry state, and for med/mse the error-PMF state,
+/// of every stage on the path — and drains units from its range,
+/// stealing when empty.
 class Worker {
  public:
   Worker(const Ctx& ctx, Shared& shared, const BnbOptions& options,
          std::size_t id)
-      : ctx_(ctx),
-        shared_(shared),
-        options_(options),
-        id_(id),
-        eval_(ctx.profile,
-              std::vector<adders::AdderCell>(ctx.candidates.begin(),
-                                             ctx.candidates.end())),
-        parent_scratch_(1) {
+      : ctx_(ctx), shared_(shared), options_(options), id_(id),
+        path_(ctx.profile) {
     choices_.reserve(ctx.n);
+    if (!ctx.maximize) path_.enable_pmf_tracking();
   }
 
   void run() {
@@ -367,25 +364,23 @@ class Worker {
           sat_add(unit_stats_.candidates_rejected,
                   ctx_.leaves_below[ctx_.split_depth]);
     } else {
-      const engine::CacheStats cache_before = objective_cache_stats();
-      const engine::BatchStats batch_before = eval_.batch_stats();
+      path_.rewind(0);
+      for (const std::size_t c : choices_) push(c);
       dfs(unit, power, area);
-      const engine::CacheStats& cache_after = objective_cache_stats();
-      const engine::BatchStats& batch_after = eval_.batch_stats();
-      unit_stats_.cache_hits += cache_after.hits - cache_before.hits;
-      unit_stats_.cache_misses += cache_after.misses - cache_before.misses;
-      unit_stats_.stages_computed +=
-          cache_after.stages_computed - cache_before.stages_computed;
-      unit_stats_.soa_batches += batch_after.batches - batch_before.batches;
-      unit_stats_.soa_lanes += batch_after.lanes - batch_before.lanes;
-      unit_stats_.soa_max_lanes =
-          std::max(unit_stats_.soa_max_lanes, batch_after.max_lanes);
     }
     complete_unit(unit);
   }
 
-  [[nodiscard]] const engine::CacheStats& objective_cache_stats() const {
-    return ctx_.maximize ? eval_.stats() : eval_.pmf_stats();
+  /// Appends candidate `c` as the path's next stage.  Every stage the
+  /// search computes is one push, so a unit's stages_computed depends
+  /// on the unit alone.
+  void push(std::size_t c) {
+    if (ctx_.maximize) {
+      path_.push_stage(ctx_.mkls[c]);
+    } else {
+      path_.push_stage(ctx_.candidates[c]);  // the PMF needs the sum column
+    }
+    ++unit_stats_.stages_computed;
   }
 
   void refresh_incumbent_locked() {
@@ -407,9 +402,8 @@ class Worker {
     if (inc_found_) {
       const double bound =
           ctx_.maximize
-              ? eval_.carry_after(choices_).success_mass()
-              : residual_bound(*eval_.pmf_state_after(choices_), d,
-                               ctx_.objective);
+              ? path_.carry().success_mass()
+              : residual_bound(path_.pmf_state_at(d), d, ctx_.objective);
       if (prunable(bound)) {
         ++unit_stats_.bound_cutoffs;
         unit_stats_.nodes_pruned =
@@ -447,20 +441,19 @@ class Worker {
         }
       }
       choices_.push_back(c);
+      push(c);
       dfs(sat_add(prefix_index, sat_mul(c, ctx_.pow_k[d])), next_power,
           next_area);
+      path_.pop();
       choices_.pop_back();
     }
   }
 
-  /// Scores all surviving extensions of the depth-(n-1) prefix.  The err
-  /// objective scores them in one score_extensions SoA batch (lane-
-  /// parallel, bit-identical to per-extension final_success); the PMF
-  /// objectives finalize each candidate's prefix PMF.
+  /// Scores all surviving extensions of the depth-(n-1) prefix: err
+  /// closes the path's carry with Equation 12, med/mse push the leaf and
+  /// finalize its PMF.
   void score_leaves(std::uint64_t prefix_index, double power, double area) {
     const std::size_t d = choices_.size();
-    pending_.clear();
-    pending_choice_.clear();
     for (std::size_t c = 0; c < ctx_.k; ++c) {
       if (!ctx_.cell_usable[c]) {
         ++unit_stats_.candidates_rejected;
@@ -476,31 +469,16 @@ class Worker {
         ++unit_stats_.candidates_rejected;
         continue;
       }
+      ++unit_stats_.candidates_evaluated;
+      double score = 0.0;
       if (ctx_.maximize) {
-        pending_.push_back(engine::ChainEvaluator::Extension{
-            0, static_cast<std::uint8_t>(c)});
-        pending_choice_.push_back(c);
+        score = path_.final_success_with(ctx_.mkls[c]);
       } else {
-        choices_.push_back(c);
-        const double metric =
-            detail::pmf_metric(eval_.error_pmf(choices_), ctx_.objective);
-        choices_.pop_back();
-        ++unit_stats_.candidates_evaluated;
-        consider(metric,
-                 sat_add(prefix_index, sat_mul(c, ctx_.pow_k[d])), c);
+        push(c);
+        score = detail::pmf_metric(path_.error_pmf(), ctx_.objective);
+        path_.pop();
       }
-    }
-    if (ctx_.maximize && !pending_.empty()) {
-      unit_stats_.candidates_evaluated += pending_.size();
-      parent_scratch_[0] = choices_;
-      const std::vector<double> scores =
-          eval_.score_extensions(parent_scratch_, pending_);
-      for (std::size_t e = 0; e < pending_.size(); ++e) {
-        consider(scores[e],
-                 sat_add(prefix_index,
-                         sat_mul(pending_choice_[e], ctx_.pow_k[d])),
-                 pending_choice_[e]);
-      }
+      consider(score, sat_add(prefix_index, sat_mul(c, ctx_.pow_k[d])), c);
     }
   }
 
@@ -542,7 +520,7 @@ class Worker {
   Shared& shared_;
   const BnbOptions& options_;
   std::size_t id_;
-  engine::ChainEvaluator eval_;
+  engine::IncrementalAnalyzer path_;  // the states of choices_, by depth
   // Live local view of the incumbent (score/index only) used for
   // pruning; refreshed under the lock at unit starts and publishes.
   bool inc_found_ = false;
@@ -550,13 +528,11 @@ class Worker {
   std::uint64_t inc_index_ = 0;
   SearchStats unit_stats_;
   std::vector<std::size_t> choices_;
-  std::vector<std::vector<std::size_t>> parent_scratch_;
-  std::vector<engine::ChainEvaluator::Extension> pending_;
-  std::vector<std::size_t> pending_choice_;
 };
 
-/// Seeds the incumbent with the beam winner, re-scored through the same
-/// leaf-scoring arithmetic the tree uses so comparisons are bit-exact.
+/// Seeds the incumbent with the beam winner, re-scored on a fresh
+/// analyzer through the same leaf-scoring calls the tree makes, so
+/// comparisons are bit-exact.
 void seed_incumbent(const Ctx& ctx, Shared& shared,
                     const BnbOptions& options) {
   if (options.seed_beam_width == 0 || ctx.n == 0) return;
@@ -585,16 +561,17 @@ void seed_incumbent(const Ctx& ctx, Shared& shared,
     }
     choices.push_back(found);
   }
-  engine::ChainEvaluator eval(
-      ctx.profile, std::vector<adders::AdderCell>(ctx.candidates.begin(),
-                                                  ctx.candidates.end()));
+  engine::IncrementalAnalyzer path(ctx.profile);
   double score = 0.0;
   if (ctx.maximize) {
-    const std::span<const std::size_t> prefix(choices.data(),
-                                              choices.size() - 1);
-    score = eval.final_success(prefix, choices.back());
+    for (std::size_t i = 0; i + 1 < ctx.n; ++i) {
+      path.push_stage(ctx.mkls[choices[i]]);
+    }
+    score = path.final_success_with(ctx.mkls[choices.back()]);
   } else {
-    score = detail::pmf_metric(eval.error_pmf(choices), ctx.objective);
+    path.enable_pmf_tracking();
+    for (const std::size_t c : choices) path.push_stage(ctx.candidates[c]);
+    score = detail::pmf_metric(path.error_pmf(), ctx.objective);
   }
   std::uint64_t index = 0;
   for (std::size_t i = 0; i < ctx.n; ++i) {

@@ -39,15 +39,20 @@
 // unit order, which is what makes node counts reproducible and
 // checkpoints exact.
 //
+// Each worker keeps its DFS path on an engine::IncrementalAnalyzer: the
+// carry state (and for med/mse the error-PMF state) of every stage on
+// the path, pushed on the way down and popped on the way back.  A unit
+// rewinds to depth 0 and pushes its split-depth prefix, so everything a
+// unit computes is a function of the unit and the incumbent it starts
+// from; stages_computed counts the pushes.
+//
 // Checkpoints snapshot the incumbent, the completed-unit set and the
 // accumulated SearchStats at unit granularity.  They contain no RNG
 // state and no partially-expanded subtrees, so resuming re-runs exactly
 // the units that had not completed: single-threaded, an interrupted +
-// resumed search reproduces the uninterrupted run's incumbent AND its
-// nodes_expanded / nodes_pruned / candidates_evaluated totals
-// bit-for-bit.  (Only the evaluator cache-warmth counters — cache_hits /
-// cache_misses / stages_computed — may differ, because the resumed
-// process starts its prefix caches cold.)  Serialization lives in
+// resumed search reproduces the uninterrupted run's incumbent AND every
+// SearchStats counter bit-for-bit.  No state outlives a unit, so a
+// resumed process has no cold cache to warm.  Serialization lives in
 // obs/checkpoint.hpp (explore sits below the JSON layer); this header
 // only defines the plain data snapshot and a sink callback.
 #pragma once
@@ -99,7 +104,7 @@ struct BnbCheckpoint {
 /// Tuning and lifecycle knobs for one branch-and-bound run.
 struct BnbOptions {
   /// Worker threads (0 → util::default_threads()).  The final design is
-  /// identical for every value; only node/cache counters and wall time
+  /// identical for every value; only node/stage counters and wall time
   /// vary beyond 1 thread.
   unsigned threads = 0;
   /// Width of the beam search whose winner seeds the incumbent (a good

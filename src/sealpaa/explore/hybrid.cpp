@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <stdexcept>
 
 #include "sealpaa/adders/characteristics.hpp"
-#include "sealpaa/engine/chain_evaluator.hpp"
+#include "sealpaa/analysis/error_pmf.hpp"
+#include "sealpaa/analysis/mkl.hpp"
+#include "sealpaa/analysis/recursive.hpp"
 #include "sealpaa/engine/incremental.hpp"
 #include "sealpaa/engine/method.hpp"
 #include "sealpaa/explore/detail.hpp"
@@ -476,85 +479,62 @@ HybridDesign HybridOptimizer::beam(const multibit::InputProfile& profile,
   SearchStats stats;
 
   std::vector<CellCost> costs;
+  std::vector<analysis::MklMatrices> mkls;
   costs.reserve(candidates.size());
+  mkls.reserve(candidates.size());
   for (const adders::AdderCell& cell : candidates) {
     costs.push_back(cost_of(cell));
+    mkls.push_back(analysis::MklMatrices::from_cell(cell));
   }
+  const std::vector<analysis::OperandWeights> weights =
+      analysis::operand_weights(profile);
 
-  // Size the cache for the whole search (one insertion per expansion,
-  // width x beam_width x candidates in total) so the hot loop never pays
-  // for an eviction; the live set per round is only beam_width x
-  // candidates, but dead prefixes are cheaper to keep than to evict.
-  // Capped so pathological configurations stay within tens of MB.
-  engine::ChainEvaluatorOptions cache_options;
-  cache_options.cache_capacity = std::clamp<std::size_t>(
-      n * beam_width * (candidates.size() + 1), 4096, std::size_t{1} << 18);
-  engine::ChainEvaluator evaluator(
-      profile,
-      std::vector<adders::AdderCell>(candidates.begin(), candidates.end()),
-      cache_options);
-
+  // A partial design carries the state after its stages — the
+  // success-filtered carry (err) or the joint-carry error-PMF state
+  // (med/mse) — so an extension costs one step from its parent.
   struct Partial {
     std::vector<std::size_t> choice;
+    analysis::CarryState carry;
+    std::shared_ptr<const analysis::ErrorPmfState> pmf;
     double power = 0.0;
     double area = 0.0;
   };
-  // Expansions are scored as (parent, choice) pairs; the full choice
-  // vector is only materialized for the `beam_width` survivors of each
-  // round, so the 1-in-|candidates| losers never pay an allocation.
+  // The full choice vector is only materialized for the `beam_width`
+  // survivors of each round, so the 1-in-|candidates| losers never pay
+  // an allocation for it.
   struct Extension {
     std::size_t parent = 0;
     std::size_t choice = 0;
     double score = 0.0;  // success mass (err) or prefix PMF metric
+    analysis::CarryState carry;
+    std::shared_ptr<const analysis::ErrorPmfState> pmf;
     double power = 0.0;
     double area = 0.0;
-  };
-
-  // Partial-design score: the err objective ranks by remaining success
-  // mass (maximized, the historical behaviour — carry_after probes the
-  // carry prefix cache), the PMF objectives by the finalized prefix
-  // PMF's metric (minimized — error_pmf probes the PMF prefix cache).
-  const auto prefix_score = [&](std::span<const std::size_t> choices) {
-    return by_pmf ? pmf_metric(evaluator.error_pmf(choices), objective)
-                  : evaluator.carry_after(choices).success_mass();
   };
   const auto better = [by_pmf](double a, double b) {
     return by_pmf ? a < b : a > b;
   };
 
-  std::vector<Partial> beam_set{Partial{}};
+  Partial root;
+  if (by_pmf) {
+    root.pmf = std::make_shared<const analysis::ErrorPmfState>(
+        analysis::make_error_pmf_state(profile.p_cin()));
+  } else {
+    root.carry = {1.0 - profile.p_cin(), profile.p_cin()};  // Equation 5
+  }
+  std::vector<Partial> beam_set{std::move(root)};
   std::vector<Extension> expanded;
-  std::vector<std::size_t> scratch;
-  scratch.reserve(n);
-  // The err objective scores each round's whole frontier in one
-  // ChainEvaluator::score_extensions SoA batch: `pending` collects the
-  // constraint-surviving (parent, choice) pairs in the exact per-parent,
-  // per-candidate order of the historical loop, and `parent_choices`
-  // hands the evaluator the shared parent prefixes.  Scores are
-  // bit-identical to the per-extension carry_after / final_success
-  // calls, so the survivors (and the winner) cannot change.
-  std::vector<engine::ChainEvaluator::Extension> pending;
-  std::vector<std::vector<std::size_t>> parent_choices;
 
   bool have_best = false;
   double best_score = 0.0;
   std::vector<std::size_t> best_choice;
 
   for (std::size_t i = 0; i < n; ++i) {
+    const bool last = i + 1 == n;
     expanded.clear();
     expanded.reserve(beam_set.size() * candidates.size());
-    if (!by_pmf) {
-      pending.clear();
-      parent_choices.clear();
-      parent_choices.reserve(beam_set.size());
-      for (const Partial& partial : beam_set) {
-        parent_choices.push_back(partial.choice);
-      }
-    }
     for (std::size_t parent = 0; parent < beam_set.size(); ++parent) {
       const Partial& partial = beam_set[parent];
-      scratch.assign(partial.choice.begin(), partial.choice.end());
-      scratch.push_back(0);
       for (std::size_t c = 0; c < candidates.size(); ++c) {
         if (!usable(costs[c], constraints)) {
           ++stats.candidates_rejected;
@@ -577,50 +557,38 @@ HybridDesign HybridOptimizer::beam(const multibit::InputProfile& profile,
           }
         }
         ++stats.candidates_evaluated;
-        if (!by_pmf) {
-          pending.push_back(engine::ChainEvaluator::Extension{
-              static_cast<std::uint32_t>(parent),
-              static_cast<std::uint8_t>(c)});
-          if (i + 1 < n) {
-            expanded.push_back(Extension{parent, c, 0.0, power, area});
-          }
-          continue;
-        }
-        scratch.back() = c;
-        if (i + 1 == n) {
-          const double score = pmf_metric(evaluator.error_pmf(scratch),
-                                          objective);
-          if (!have_best || better(score, best_score)) {
-            have_best = true;
-            best_score = score;
-            best_choice = partial.choice;
-            best_choice.push_back(c);
-          }
+        // Ranking score: remaining success mass (err, maximized; Equation
+        // 12 at the last stage) or the finalized prefix PMF's metric
+        // (med/mse, minimized).
+        Extension ext{parent, c, 0.0, {}, nullptr, power, area};
+        if (by_pmf) {
+          ext.pmf = std::make_shared<const analysis::ErrorPmfState>(
+              analysis::next_error_pmf_state(*partial.pmf, candidates[c],
+                                             profile.p_a(i),
+                                             profile.p_b(i)));
+          ++stats.stages_computed;
+          ext.score =
+              pmf_metric(analysis::finalize_error_pmf(*ext.pmf), objective);
+        } else if (last) {
+          ext.score = analysis::final_success(mkls[c], weights[i],
+                                              partial.carry);
         } else {
-          expanded.push_back(Extension{parent, c, prefix_score(scratch),
-                                       power, area});
+          ext.carry = analysis::advance_stage(mkls[c], weights[i],
+                                              partial.carry);
+          ++stats.stages_computed;
+          ext.score = ext.carry.success_mass();
+        }
+        if (!last) {
+          expanded.push_back(std::move(ext));
+        } else if (!have_best || better(ext.score, best_score)) {
+          have_best = true;
+          best_score = ext.score;
+          best_choice = partial.choice;
+          best_choice.push_back(c);
         }
       }
     }
-    if (!by_pmf && !pending.empty()) {
-      const std::vector<double> scores =
-          evaluator.score_extensions(parent_choices, pending);
-      if (i + 1 == n) {
-        for (std::size_t e = 0; e < pending.size(); ++e) {
-          if (!have_best || better(scores[e], best_score)) {
-            have_best = true;
-            best_score = scores[e];
-            best_choice = parent_choices[pending[e].parent];
-            best_choice.push_back(pending[e].choice);
-          }
-        }
-      } else {
-        for (std::size_t e = 0; e < pending.size(); ++e) {
-          expanded[e].score = scores[e];
-        }
-      }
-    }
-    if (i + 1 == n) break;
+    if (last) break;
     if (expanded.empty()) {
       throw std::runtime_error(
           "HybridOptimizer::beam: constraints eliminated every design");
@@ -635,10 +603,12 @@ HybridDesign HybridOptimizer::beam(const multibit::InputProfile& profile,
     expanded.resize(keep);
     std::vector<Partial> survivors;
     survivors.reserve(keep);
-    for (const Extension& ext : expanded) {
+    for (Extension& ext : expanded) {
       Partial next;
       next.choice = beam_set[ext.parent].choice;
       next.choice.push_back(ext.choice);
+      next.carry = ext.carry;
+      next.pmf = std::move(ext.pmf);
       next.power = ext.power;
       next.area = ext.area;
       survivors.push_back(std::move(next));
@@ -654,15 +624,6 @@ HybridDesign HybridOptimizer::beam(const multibit::InputProfile& profile,
   stages.reserve(n);
   for (std::size_t c : best_choice) stages.push_back(candidates[c]);
   HybridDesign design = finalize(std::move(stages), profile, objective);
-  const engine::CacheStats& cache =
-      by_pmf ? evaluator.pmf_stats() : evaluator.stats();
-  stats.cache_hits = cache.hits;
-  stats.cache_misses = cache.misses;
-  stats.stages_computed = cache.stages_computed;
-  const engine::BatchStats& batch = evaluator.batch_stats();
-  stats.soa_batches = batch.batches;
-  stats.soa_lanes = batch.lanes;
-  stats.soa_max_lanes = batch.max_lanes;
   design.stats = stats;
   return design;
 }

@@ -45,7 +45,8 @@ enum class Objective {
 
 /// Execution accounting of one optimizer run — what the observability
 /// layer reports for the DSE: how much of the space was scored, how much
-/// the constraints pruned, and how well the engine's prefix reuse worked.
+/// the constraints pruned, and how many stages the prefix reuse left to
+/// compute.
 /// Wall-clock timing is *not* recorded here: call sites wrap the search
 /// in an obs::ScopedTimer so DSE timings land in the run-report through
 /// the same channel as every other phase.
@@ -55,22 +56,18 @@ struct SearchStats {
   std::uint64_t candidates_evaluated = 0;
   /// Candidates discarded by power/area constraints before scoring.
   std::uint64_t candidates_rejected = 0;
-  /// Prefix-cache probes answered / missed (beam and greedy, which run
-  /// on engine::ChainEvaluator; zero for the exhaustive DFS, which
-  /// shares prefixes structurally instead of through a cache).
+  /// Prefix-cache probes answered / missed.  0 for every optimizer
+  /// (each carries its own path states); kept for the frozen benchmark
+  /// and checkpoint v1.
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
-  /// advance_stage calls actually performed.  Without prefix reuse this
-  /// would be ~candidates_evaluated * width; the ratio is the measured
-  /// benefit of the incremental engine.
+  /// Stage advances actually performed: carry advance_stage calls, or
+  /// error-PMF stages for med/mse.  Without prefix reuse this would be
+  /// ~candidates_evaluated * width; the beam spends at most one per
+  /// scored expansion, branch-and-bound one per path push.
   std::uint64_t stages_computed = 0;
-  /// SoA batch accounting of the err-objective beam/greedy search, which
-  /// scores each frontier expansion through one
-  /// engine::ChainEvaluator::score_extensions call: batch operations
-  /// submitted, total lanes across them, and the widest single batch.
-  /// soa_max_lanes > 1 is the run-report proof that expansion ran
-  /// lane-parallel rather than extension-at-a-time.  Zero for the
-  /// exhaustive DFS and the PMF-ranked objectives.
+  /// SoA lane-batch accounting.  0 for every optimizer; kept for the
+  /// frozen benchmark and checkpoint v1.
   std::uint64_t soa_batches = 0;
   std::uint64_t soa_lanes = 0;
   std::uint64_t soa_max_lanes = 0;
@@ -149,18 +146,16 @@ class HybridOptimizer {
   /// partial designs per stage, scored by remaining success mass.
   /// NOTE: beam and greedy are *fast preview* modes — they carry no
   /// optimality guarantee; branch_bound() is the quality mode.
-  /// Extensions are scored through an engine::ChainEvaluator whose LRU
-  /// prefix cache serves each surviving partial's carry state in O(1),
-  /// so a stage costs one advance per expansion instead of a full
-  /// re-analysis of the prefix.  Each round's surviving-constraint
-  /// expansions go through one ChainEvaluator::score_extensions SoA
-  /// batch (bit-identical to the per-extension calls; see
-  /// SearchStats::soa_batches), so the whole beam_width x |candidates|
-  /// frontier advances in a single lane-parallel pass per stage.
-  /// With `objective` kMed/kMse partial designs are ranked by the
-  /// analytic metric of their prefix PMF instead of success mass, served
-  /// from the evaluator's PMF prefix cache at the same cache-hit
-  /// latency; stats then report that cache's counters.
+  /// Each surviving partial carries its own carry state (Equation 5 at
+  /// the root), so an extension costs one advance_stage from its parent
+  /// — or Equation 12's final_success at the last stage — instead of a
+  /// re-analysis of the prefix; scores are bit-identical to analyzing
+  /// every partial design from bit 0.  With `objective` kMed/kMse each
+  /// partial carries its joint-carry error-PMF state instead, and an
+  /// extension costs one next_error_pmf_state plus a finalize to rank it
+  /// by its prefix PMF's metric.  stats.stages_computed counts the
+  /// advances (Equation 12 closes an err chain without one), so it never
+  /// exceeds candidates_evaluated.
   [[nodiscard]] static HybridDesign beam(
       const multibit::InputProfile& profile,
       std::span<const adders::AdderCell> candidates,

@@ -57,8 +57,8 @@ namespace sealpaa::obs {
 /// entropy, extrema, top-k mass points).
 [[nodiscard]] Json to_json(const engine::Evaluation& evaluation);
 
-/// Search accounting of one optimizer run, including its prefix-cache
-/// counters.
+/// Search accounting of one optimizer run: all twelve counters, zeros
+/// included.
 [[nodiscard]] Json to_json(const explore::SearchStats& stats);
 
 /// A fully evaluated hybrid design including its search stats.

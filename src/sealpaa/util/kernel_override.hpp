@@ -4,11 +4,12 @@
 // Dispatch normally picks the widest instruction set the CPU reports,
 // which means one machine exercises exactly one code path.  The
 // `SEALPAA_FORCE_KERNEL` environment variable caps the dispatch level so
-// CI (or a user chasing a kernel-specific bug) can run the scalar,
-// AVX2 and AVX-512 paths of the same binary on one box:
+// CI (or a user chasing a kernel-specific bug) can run the scalar and
+// AVX-512 paths of the same binary on one box:
 //
 //   SEALPAA_FORCE_KERNEL=scalar   portable reference paths only
-//   SEALPAA_FORCE_KERNEL=avx2     at most the AVX2/FMA kernels
+//   SEALPAA_FORCE_KERNEL=avx2     the same as scalar: no kernel is
+//                                 dispatched at the AVX2 tier
 //   SEALPAA_FORCE_KERNEL=avx512   at most the AVX-512 kernels (i.e. no
 //                                 cap — still falls back when the CPU
 //                                 lacks the instructions)
@@ -29,7 +30,8 @@
 namespace sealpaa::util {
 
 /// Dispatch tiers, ordered: a forced level allows every tier at or
-/// below it.
+/// below it.  kAvx2 selects no kernel of its own (the only dispatched
+/// SIMD tier is AVX-512), so capping at it runs the scalar kernels.
 enum class KernelLevel { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
 
 /// "scalar", "avx2" or "avx512".

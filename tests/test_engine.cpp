@@ -222,8 +222,9 @@ TEST(ChainEvaluator, BitIdenticalToBatchAnalyzerOver200RandomChains) {
 }
 
 TEST(ChainEvaluator, FinalSuccessMatchesIncrementalScoringPath) {
-  // final_success(prefix, c) is the raw Equation 12 dot product the DSE
-  // ranks by — identical to IncrementalAnalyzer::final_success_with.
+  // final_success_with(mkl) is the raw Equation 12 dot product the DSE
+  // leaves rank by — bit-identical to a from-root analysis of the
+  // closed chain.
   sealpaa::prob::SplitMix64 cell_rng(0xc4a1'7e57'0000'0004ULL);
   sealpaa::prob::Xoshiro256StarStar profile_rng(0xc4a1'7e57'0000'0005ULL);
   const std::size_t width = 8;
@@ -231,18 +232,19 @@ TEST(ChainEvaluator, FinalSuccessMatchesIncrementalScoringPath) {
   for (int c = 0; c < 5; ++c) palette.push_back(random_cell(cell_rng, c));
   const InputProfile profile =
       InputProfile::random(width, profile_rng, 0.05, 0.95);
-  ChainEvaluator evaluator(profile, palette);
   MklCache mkls;
   IncrementalAnalyzer inc(profile, &mkls);
 
-  std::vector<std::size_t> prefix;
+  std::vector<AdderCell> stages;
   for (std::size_t s = 0; s < width - 1; ++s) {
-    prefix.push_back(s % palette.size());
-    inc.push_stage(palette[prefix.back()]);
+    stages.push_back(palette[s % palette.size()]);
+    inc.push_stage(stages.back());
   }
   for (std::size_t c = 0; c < palette.size(); ++c) {
-    EXPECT_EQ(evaluator.final_success(prefix, c),
-              inc.final_success_with(mkls.of(palette[c])))
+    std::vector<AdderCell> chain = stages;
+    chain.push_back(palette[c]);
+    EXPECT_EQ(inc.final_success_with(mkls.of(palette[c])),
+              RecursiveAnalyzer::analyze(AdderChain(chain), profile).p_success)
         << "last choice " << c;
   }
 }
@@ -373,8 +375,6 @@ TEST(ChainEvaluator, ValidatesArguments) {
   EXPECT_THROW((void)evaluator.carry_after(too_long), std::invalid_argument);
   const std::vector<std::size_t> short_chain{0, 0, 0};
   EXPECT_THROW((void)evaluator.evaluate(short_chain), std::invalid_argument);
-  EXPECT_THROW((void)evaluator.final_success(too_long, 0),
-               std::invalid_argument);
   const std::vector<std::size_t> bad_choice{0, 0, 0, 1};
   EXPECT_THROW((void)evaluator.evaluate(bad_choice), std::out_of_range);
 }
@@ -436,12 +436,9 @@ TEST(ChainEvaluator, BatchStatsCountBatchesAndLaneStages) {
   const std::vector<std::size_t> chain(6, 0);
   const std::vector<std::span<const std::size_t>> spans{chain, chain, chain};
   (void)evaluator.evaluate_batch(spans);
-  EXPECT_EQ(evaluator.batch_stats().batches, 1u);
-  EXPECT_EQ(evaluator.batch_stats().lanes, 3u);
-  EXPECT_EQ(evaluator.batch_stats().max_lanes, 3u);
   EXPECT_EQ(evaluator.batch_stats().lane_stages, 3u * 6u);
   evaluator.reset_stats();
-  EXPECT_EQ(evaluator.batch_stats().batches, 0u);
+  EXPECT_EQ(evaluator.batch_stats().lane_stages, 0u);
 }
 
 TEST(ChainEvaluator, EvaluateBatchValidatesArguments) {
@@ -501,91 +498,15 @@ TEST(ChainEvaluator, EvaluateBatchBitIdenticalToPerChainEvaluate) {
     expect_bit_identical(results[l], sequential.evaluate(chains[l]),
                          "lane " + std::to_string(l));
   }
-  // The SoA counters are the proof the batch actually ran lane-parallel.
-  EXPECT_EQ(batched.batch_stats().batches, 1u);
-  EXPECT_EQ(batched.batch_stats().lanes, chains.size());
-  EXPECT_EQ(batched.batch_stats().max_lanes, chains.size());
+  // Every stage the batch computed is a lane stage.
+  EXPECT_EQ(batched.batch_stats().lane_stages,
+            batched.stats().stages_computed);
   // Shared prefixes mean the batch advanced strictly fewer lane-stages
   // than 24 cache-less evaluations (24 x width) would have, and no more
   // than the sequential evaluator with its own warm prefix cache.
   EXPECT_LT(batched.stats().stages_computed, chains.size() * width);
   EXPECT_LE(batched.stats().stages_computed,
             sequential.stats().stages_computed);
-}
-
-TEST(ChainEvaluator, ScoreExtensionsBitIdenticalToPerExtensionPath) {
-  // Both the interior (carry advance, cached) and final (Equation 12,
-  // uncached) depths must reproduce the historical per-extension scores
-  // exactly — this is what keeps the beam DSE bit-identical to the naive
-  // recursion after the SoA rewiring.
-  sealpaa::prob::SplitMix64 cell_rng(0xba7c'40c1'0000'0031ULL);
-  sealpaa::prob::Xoshiro256StarStar profile_rng(0xba7c'40c1'0000'0032ULL);
-  sealpaa::prob::SplitMix64 chain_rng(0xba7c'40c1'0000'0033ULL);
-  const std::size_t width = 10;
-  const std::size_t palette_size = 5;
-  std::vector<AdderCell> palette;
-  for (std::size_t c = 0; c < palette_size; ++c) {
-    palette.push_back(random_cell(cell_rng, static_cast<int>(c)));
-  }
-  const InputProfile profile =
-      InputProfile::random(width, profile_rng, 0.05, 0.95);
-
-  for (const std::size_t depth : {std::size_t{4}, width - 1}) {
-    std::vector<std::vector<std::size_t>> parents(6);
-    for (std::vector<std::size_t>& parent : parents) {
-      for (std::size_t s = 0; s < depth; ++s) {
-        parent.push_back(chain_rng.next() % palette_size);
-      }
-    }
-    std::vector<ChainEvaluator::Extension> extensions;
-    for (std::size_t p = 0; p < parents.size(); ++p) {
-      for (std::size_t c = 0; c < palette_size; ++c) {
-        extensions.push_back(ChainEvaluator::Extension{
-            static_cast<std::uint32_t>(p), static_cast<std::uint8_t>(c)});
-      }
-    }
-
-    ChainEvaluator batched(profile, palette);
-    ChainEvaluator reference(profile, palette);
-    const std::vector<double> scores =
-        batched.score_extensions(parents, extensions);
-    ASSERT_EQ(scores.size(), extensions.size());
-    for (std::size_t e = 0; e < extensions.size(); ++e) {
-      const std::vector<std::size_t>& parent = parents[extensions[e].parent];
-      double want = 0.0;
-      if (depth + 1 == width) {
-        want = reference.final_success(parent, extensions[e].choice);
-      } else {
-        std::vector<std::size_t> extended = parent;
-        extended.push_back(extensions[e].choice);
-        const sealpaa::analysis::CarryState state =
-            reference.carry_after(extended);
-        want = state.c0 + state.c1;
-      }
-      EXPECT_EQ(scores[e], want)
-          << "depth " << depth << " extension " << e;
-    }
-  }
-}
-
-TEST(ChainEvaluator, ScoreExtensionsValidatesArguments) {
-  const AdderCell cell = sealpaa::adders::builtin_lpaas()[0];
-  const InputProfile profile = InputProfile::uniform(4, 0.5);
-  ChainEvaluator evaluator(profile, {cell});
-  const std::vector<std::vector<std::size_t>> full{{0, 0, 0, 0}};
-  const std::vector<ChainEvaluator::Extension> one{{0, 0}};
-  EXPECT_THROW((void)evaluator.score_extensions(full, one),
-               std::invalid_argument);
-  const std::vector<std::vector<std::size_t>> ragged{{0, 0}, {0}};
-  EXPECT_THROW((void)evaluator.score_extensions(ragged, one),
-               std::invalid_argument);
-  const std::vector<std::vector<std::size_t>> parents{{0, 0}};
-  const std::vector<ChainEvaluator::Extension> bad_parent{{7, 0}};
-  EXPECT_THROW((void)evaluator.score_extensions(parents, bad_parent),
-               std::out_of_range);
-  const std::vector<ChainEvaluator::Extension> bad_choice{{0, 9}};
-  EXPECT_THROW((void)evaluator.score_extensions(parents, bad_choice),
-               std::out_of_range);
 }
 
 // ---------------------------------------------------------------------------

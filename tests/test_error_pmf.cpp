@@ -8,8 +8,7 @@
 //  * an exact chain collapses to the point mass at 0;
 //  * every mixture, and every propagation, is bit-identical to a
 //    gather + stable-sort oracle over its (value, probability) pairs in
-//    term order, and convolve()'s FFT path agrees with the exact naive
-//    product;
+//    term order;
 //  * the engine integrations (IncrementalAnalyzer PMF tracking and the
 //    ChainEvaluator PMF prefix cache) reproduce the batch propagation
 //    exactly while accounting their cache traffic.
@@ -18,7 +17,6 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <map>
 #include <span>
 #include <stdexcept>
@@ -46,7 +44,6 @@ using sealpaa::analysis::PmfOptions;
 using sealpaa::baseline::ExhaustiveReport;
 using sealpaa::baseline::WeightedExhaustive;
 using sealpaa::engine::ChainEvaluator;
-using sealpaa::engine::ChainEvaluatorOptions;
 using sealpaa::engine::IncrementalAnalyzer;
 using sealpaa::multibit::AdderChain;
 using sealpaa::multibit::InputProfile;
@@ -353,41 +350,6 @@ TEST(ErrorPmf, MixtureMatchesGatherSortOracle) {
         sealpaa::analysis::propagate_error_pmf(AdderChain(stages), profile),
         oracle_propagate(stages, profile),
         "chain trial " + std::to_string(trial));
-  }
-}
-
-TEST(ErrorPmf, ConvolveFftPathMatchesExactProduct) {
-  sealpaa::prob::Xoshiro256StarStar rng(0x70f'0000'0009ULL);
-  for (int trial = 0; trial < 10; ++trial) {
-    ErrorPmf::Entries a_entries;
-    ErrorPmf::Entries b_entries;
-    for (int i = 0; i < 48; ++i) {
-      a_entries.push_back(
-          {static_cast<std::int64_t>(rng.next() % 600) - 300,
-           rng.uniform01()});
-      b_entries.push_back(
-          {static_cast<std::int64_t>(rng.next() % 400) - 200,
-           rng.uniform01()});
-    }
-    const ErrorPmf a = ErrorPmf::from_entries(a_entries);
-    const ErrorPmf b = ErrorPmf::from_entries(b_entries);
-
-    PmfOptions naive_only;
-    naive_only.fft_threshold = std::numeric_limits<std::size_t>::max();
-    PmfOptions fft_always;
-    fft_always.fft_threshold = 1;
-
-    const ErrorPmf exact = ErrorPmf::convolve(a, b, naive_only);
-    const ErrorPmf fast = ErrorPmf::convolve(a, b, fft_always);
-    ASSERT_EQ(fast.support_size(), exact.support_size()) << trial;
-    for (std::size_t i = 0; i < exact.support_size(); ++i) {
-      EXPECT_EQ(fast.entries()[i].value, exact.entries()[i].value) << trial;
-      EXPECT_NEAR(fast.entries()[i].probability, exact.entries()[i].probability,
-                  1e-12)
-          << trial;
-    }
-    expect_close(fast.total_mass(), exact.total_mass(),
-                 "mass trial " + std::to_string(trial));
   }
 }
 

@@ -2,15 +2,25 @@
 // four-season robustness ranking.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "sealpaa/adders/builtin.hpp"
+#include "sealpaa/adders/characteristics.hpp"
+#include "sealpaa/analysis/error_pmf.hpp"
 #include "sealpaa/analysis/recursive.hpp"
 #include "sealpaa/engine/method.hpp"
 #include "sealpaa/explore/hybrid.hpp"
 #include "sealpaa/explore/pareto.hpp"
 #include "sealpaa/explore/robustness.hpp"
+#include "sealpaa/multibit/chain.hpp"
+#include "sealpaa/prob/rng.hpp"
 
 namespace {
 
+using sealpaa::adders::AdderCell;
 using sealpaa::adders::accurate;
 using sealpaa::adders::builtin_lpaas;
 using sealpaa::adders::lpaa;
@@ -18,8 +28,107 @@ using sealpaa::analysis::RecursiveAnalyzer;
 using sealpaa::explore::DesignConstraints;
 using sealpaa::explore::DesignPoint;
 using sealpaa::explore::HybridOptimizer;
+using sealpaa::explore::Objective;
 using sealpaa::explore::pareto_front;
+using sealpaa::multibit::AdderChain;
 using sealpaa::multibit::InputProfile;
+
+/// The beam's search policy with every extension scored from bit 0 on
+/// the truncated chain and profile: success mass (err) or the prefix
+/// PMF's metric (med/mse) below full width, p_success or the full PMF's
+/// metric at it.  Same expansion order, budget sums, comparator and
+/// partial_sort as HybridOptimizer::beam, so any difference in the
+/// winner is a scoring difference, not a policy one.
+struct FromRootBeam {
+  std::vector<std::size_t> winner;
+  std::uint64_t evaluated = 0;
+  std::uint64_t rejected = 0;
+};
+
+FromRootBeam from_root_beam(const InputProfile& profile,
+                            const std::vector<AdderCell>& candidates,
+                            std::optional<double> max_power_nw,
+                            std::size_t beam_width, Objective objective) {
+  const std::size_t n = profile.width();
+  const bool by_pmf = objective != Objective::kErrorRate;
+  const auto truncated = [&](std::size_t width) {
+    return InputProfile(
+        std::vector<double>(profile.all_p_a().begin(),
+                            profile.all_p_a().begin() +
+                                static_cast<std::ptrdiff_t>(width)),
+        std::vector<double>(profile.all_p_b().begin(),
+                            profile.all_p_b().begin() +
+                                static_cast<std::ptrdiff_t>(width)),
+        profile.p_cin());
+  };
+  const auto score_of = [&](const std::vector<std::size_t>& choice) {
+    std::vector<AdderCell> stages;
+    for (const std::size_t c : choice) stages.push_back(candidates[c]);
+    const AdderChain chain(stages);
+    const InputProfile prefix = truncated(choice.size());
+    if (by_pmf) {
+      const auto pmf = sealpaa::analysis::propagate_error_pmf(chain, prefix);
+      return objective == Objective::kMse ? pmf.mean_squared_error()
+                                          : pmf.mean_error_distance();
+    }
+    const auto result = RecursiveAnalyzer::analyze(chain, prefix);
+    return choice.size() == n ? result.p_success
+                              : result.final_carry.success_mass();
+  };
+  const auto better = [by_pmf](double a, double b) {
+    return by_pmf ? a < b : a > b;
+  };
+
+  struct Partial {
+    std::vector<std::size_t> choice;
+    double power = 0.0;
+    double score = 0.0;
+  };
+  FromRootBeam out;
+  std::vector<Partial> beam_set{Partial{}};
+  bool have_best = false;
+  double best_score = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    std::vector<Partial> expanded;
+    for (const Partial& partial : beam_set) {
+      for (std::size_t c = 0; c < candidates.size(); ++c) {
+        double power = partial.power;
+        if (max_power_nw) {
+          power += *sealpaa::adders::find_characteristics(candidates[c])
+                        ->power_nw;
+          if (power > *max_power_nw) {
+            ++out.rejected;
+            continue;
+          }
+        }
+        ++out.evaluated;
+        Partial next{partial.choice, power, 0.0};
+        next.choice.push_back(c);
+        next.score = score_of(next.choice);
+        if (i + 1 == n) {
+          if (!have_best || better(next.score, best_score)) {
+            have_best = true;
+            best_score = next.score;
+            out.winner = next.choice;
+          }
+        } else {
+          expanded.push_back(std::move(next));
+        }
+      }
+    }
+    if (i + 1 == n) break;
+    const std::size_t keep = std::min(beam_width, expanded.size());
+    std::partial_sort(expanded.begin(),
+                      expanded.begin() + static_cast<std::ptrdiff_t>(keep),
+                      expanded.end(),
+                      [&better](const Partial& a, const Partial& b) {
+                        return better(a.score, b.score);
+                      });
+    expanded.resize(keep);
+    beam_set = std::move(expanded);
+  }
+  return out;
+}
 
 TEST(HybridExhaustive, BeatsOrTiesEveryHomogeneousDesign) {
   const InputProfile profile({0.1, 0.2, 0.8, 0.9}, {0.2, 0.1, 0.9, 0.8}, 0.1);
@@ -60,12 +169,63 @@ TEST(HybridBeam, WideBeamRecoversExhaustiveOptimum) {
   const auto beam =
       HybridOptimizer::beam(profile, builtin_lpaas(), {}, 4096);
   EXPECT_NEAR(beam.p_error, exact.p_error, 1e-9);
-  // The beam runs on the engine's prefix cache: sibling expansions share
-  // their parent's prefix, so the cache must have answered probes and
-  // must have saved stage recomputation versus per-chain re-analysis.
-  EXPECT_GT(beam.stats.cache_hits, 0u);
+  // Survivors carry their state, so every scored expansion costs at most
+  // one stage from its parent — far below per-chain re-analysis.
+  EXPECT_LE(beam.stats.stages_computed, beam.stats.candidates_evaluated);
   EXPECT_LT(beam.stats.stages_computed,
             beam.stats.candidates_evaluated * profile.width());
+}
+
+TEST(HybridBeam, MatchesFromRootRescoringAllObjectives) {
+  // The beam scores an extension with one step from its parent's state;
+  // the reference re-analyzes every partial design from bit 0.  Any
+  // drift in a score would reorder the survivors and change the winner.
+  std::vector<AdderCell> candidates;
+  for (int i = 1; i <= 5; ++i) candidates.push_back(lpaa(i));
+  candidates.push_back(accurate());
+  sealpaa::prob::Xoshiro256StarStar rng(0xbea3'0000'0000'0001ULL);
+  int cases = 0;
+  for (const Objective objective :
+       {Objective::kErrorRate, Objective::kMed, Objective::kMse}) {
+    for (const std::size_t width : {5u, 8u, 10u}) {
+      const InputProfile profile =
+          InputProfile::random(width, rng, 0.05, 0.95);
+      for (const std::size_t beam_width : {1u, 3u, 16u}) {
+        for (const bool budget : {false, true}) {
+          const std::string context =
+              std::string(sealpaa::explore::objective_name(objective)) +
+              " width " + std::to_string(width) + " beam " +
+              std::to_string(beam_width) + (budget ? " budget" : "");
+          DesignConstraints constraints;
+          // Between LPAA4 and LPAA1 per stage: prunes, never empties.
+          if (budget) {
+            constraints.max_power_nw = 500.0 * static_cast<double>(width);
+          }
+          const FromRootBeam want =
+              from_root_beam(profile, candidates, constraints.max_power_nw,
+                             beam_width, objective);
+          const auto design = HybridOptimizer::beam(
+              profile, candidates, constraints, beam_width, objective);
+          ASSERT_EQ(design.stages.size(), want.winner.size()) << context;
+          for (std::size_t s = 0; s < width; ++s) {
+            EXPECT_EQ(design.stages[s].name(),
+                      candidates[want.winner[s]].name())
+                << context << " stage " << s;
+          }
+          EXPECT_EQ(design.stats.candidates_evaluated, want.evaluated)
+              << context;
+          EXPECT_EQ(design.stats.candidates_rejected, want.rejected)
+              << context;
+          // Every scored expansion costs at most one stage.
+          EXPECT_LE(design.stats.stages_computed,
+                    design.stats.candidates_evaluated)
+              << context;
+          ++cases;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 54);
 }
 
 TEST(HybridBeam, GreedyIsNoBetterThanBeam) {
