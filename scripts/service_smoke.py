@@ -18,7 +18,8 @@ through every behavior the wire protocol promises (stdlib only, no pip):
    writes into its run report for the same configuration;
 6. analytic-pmf: the simulation-free method returns a distribution
    whose MED/MSE fields equal the CLI's run-report values and a PMF
-   whose mass sums to 1;
+   whose mass sums to 1; a repeated chain is answered identically from
+   the evaluator's PMF cache (one hit each, no stage recomputed);
 7. block-analytic: block-adder requests (a "blocks" spec instead of a
    cell chain) return evaluations byte-identical to the CLI's, and a
    spec on any other method is rejected;
@@ -280,10 +281,20 @@ def phase_cli_parity(port, cli):
     conn.close()
 
 
+def pmf_cache_stats(conn, request_id):
+    """The daemon's evaluators.pmf_cache counters."""
+    conn.send_request({"id": request_id, "method": "stats"})
+    response = conn.read_response()
+    expect_envelope(response, request_id)
+    return ((response or {}).get("stats", {}).get("evaluators", {})
+            .get("pmf_cache", {}))
+
+
 def phase_analytic_pmf(port, cli):
     print("-- analytic-pmf: simulation-free MED/MSE match the CLI")
     combos = [("LPAA1", 8, 0.3), ("LPAA6", 12, 0.5), ("LPAA3", 16, 0.42)]
     conn = Connection(port)
+    first = []
     for index, (cell, bits, p) in enumerate(combos):
         with tempfile.NamedTemporaryFile(suffix=".json") as report_file:
             subprocess.run(
@@ -301,6 +312,7 @@ def phase_analytic_pmf(port, cli):
         response = conn.read_response()
         expect_envelope(response, request_id)
         evaluation = (response or {}).get("evaluation", {})
+        first.append(evaluation)
         actual = evaluation.get("distribution")
         check(isinstance(actual, dict),
               f"analytic-pmf {cell} width {bits} carries a distribution")
@@ -314,6 +326,33 @@ def phase_analytic_pmf(port, cli):
         mass = pmf.get("total_mass")
         check(isinstance(mass, (int, float)) and abs(mass - 1.0) <= 1e-9,
               f"analytic-pmf {cell} width {bits} pmf mass ~ 1 ({mass!r})")
+
+    # Each repeat is one PMF-cache hit on its profile's evaluator: the
+    # same evaluation, and no stage recomputed.  A worker publishes its
+    # counters before it answers, so each read covers what came before.
+    before = pmf_cache_stats(conn, "pmf-stats-before")
+    for index, (cell, bits, p) in enumerate(combos):
+        request_id = f"pmf-repeat{index}"
+        conn.send_request(evaluate_request(request_id, cell, width=bits,
+                                           p=p, method="analytic-pmf"))
+        response = conn.read_response()
+        expect_envelope(response, request_id)
+        check((response or {}).get("evaluation") == first[index],
+              f"repeated analytic-pmf {cell} width {bits} returns the same "
+              "evaluation")
+    after = pmf_cache_stats(conn, "pmf-stats-after")
+    counters = ("hits", "misses", "stages_computed", "chains_evaluated")
+    moved = {key: after.get(key, 0) - before.get(key, 0) for key in counters}
+    check(moved["hits"] == len(combos),
+          f"pmf_cache.hits rose by {len(combos)} (moved {moved['hits']})")
+    check(moved["misses"] == 0 and moved["stages_computed"] == 0,
+          "pmf_cache.misses and stages_computed did not move "
+          f"({moved['misses']}, {moved['stages_computed']})")
+    check(after.get("hits", 0) + after.get("misses", 0)
+          == after.get("chains_evaluated"),
+          "pmf_cache.hits + misses == chains_evaluated "
+          f"({after.get('hits')} + {after.get('misses')} vs "
+          f"{after.get('chains_evaluated')})")
     conn.close()
 
 

@@ -180,12 +180,6 @@ void ChainEvaluator::insert_prefix(std::string_view key, std::uint64_t hash,
 
 analysis::CarryState ChainEvaluator::carry_after(
     std::span<const std::size_t> choices) {
-  if (choices.size() > width()) {
-    throw std::invalid_argument("ChainEvaluator::carry_after: " +
-                                std::to_string(choices.size()) +
-                                " choices exceed width " +
-                                std::to_string(width()));
-  }
   const std::size_t len = choices.size();
   key_scratch_.clear();
   hash_scratch_.resize(len + 1);
@@ -363,72 +357,61 @@ std::vector<analysis::AnalysisResult> ChainEvaluator::evaluate_batch(
   return results;
 }
 
-void ChainEvaluator::pmf_insert(
-    std::string_view key,
-    std::shared_ptr<const analysis::ErrorPmfState> state) {
-  ++pmf_stats_.insertions;
-  if (pmf_index_.size() >= kPmfCacheCapacity) {
+void ChainEvaluator::pmf_insert(std::string key,
+                                const analysis::ErrorPmf& pmf) {
+  // Each entry is charged its PMF entries, its key, and its list node
+  // and index slot (with the links and bucket pointer around them).
+  const std::size_t bytes =
+      pmf.support_size() * sizeof(analysis::ErrorPmf::Entry) + key.size() +
+      sizeof(PmfNode) + sizeof(PmfIndex::value_type) + 4 * sizeof(void*);
+  if (bytes > kPmfCacheBytes) return;
+  while (pmf_bytes_ + bytes > kPmfCacheBytes) {
     const PmfNode& victim = pmf_lru_.back();
+    pmf_bytes_ -= victim.bytes;
     pmf_index_.erase(std::string_view(victim.key));
     pmf_lru_.pop_back();
     ++pmf_stats_.evictions;
   }
-  pmf_lru_.push_front(PmfNode{std::string(key), std::move(state)});
+  ++pmf_stats_.insertions;
+  pmf_lru_.push_front(PmfNode{std::move(key), pmf, bytes});
   pmf_index_.emplace(std::string_view(pmf_lru_.front().key),
                      pmf_lru_.begin());
-}
-
-std::shared_ptr<const analysis::ErrorPmfState> ChainEvaluator::pmf_state_after(
-    std::span<const std::size_t> choices) {
-  if (choices.size() > width()) {
-    throw std::invalid_argument("ChainEvaluator::pmf_state_after: " +
-                                std::to_string(choices.size()) +
-                                " choices exceed width " +
-                                std::to_string(width()));
-  }
-  const std::size_t len = choices.size();
-  std::string key;
-  key.reserve(len);
-  for (std::size_t i = 0; i < len; ++i) {
-    check_choice(choices[i]);
-    key.push_back(static_cast<char>(choices[i]));
-  }
-
-  // Longest cached prefix, deepest first — same probe accounting as the
-  // carry cache (one miss per depth tried).
-  std::size_t found = 0;
-  std::shared_ptr<const analysis::ErrorPmfState> state;
-  for (std::size_t d = len; d >= 1; --d) {
-    const auto it = pmf_index_.find(std::string_view(key.data(), d));
-    if (it != pmf_index_.end()) {
-      ++pmf_stats_.hits;
-      pmf_lru_.splice(pmf_lru_.begin(), pmf_lru_, it->second);
-      found = d;
-      state = it->second->state;
-      break;
-    }
-    ++pmf_stats_.misses;
-  }
-  if (found == 0) {
-    state = std::make_shared<const analysis::ErrorPmfState>(
-        analysis::make_error_pmf_state(profile_.p_cin()));
-  }
-
-  // Advance from the deepest known state, caching every new prefix.
-  for (std::size_t d = found; d < len; ++d) {
-    state = std::make_shared<const analysis::ErrorPmfState>(
-        analysis::next_error_pmf_state(*state, candidates_[choices[d]],
-                                       profile_.p_a(d), profile_.p_b(d)));
-    ++pmf_stats_.stages_computed;
-    pmf_insert(std::string_view(key.data(), d + 1), state);
-  }
-  return state;
+  pmf_bytes_ += bytes;
 }
 
 analysis::ErrorPmf ChainEvaluator::error_pmf(
     std::span<const std::size_t> choices) {
-  if (choices.size() == width()) ++pmf_stats_.chains_evaluated;
-  return analysis::finalize_error_pmf(*pmf_state_after(choices));
+  if (choices.size() > width()) {
+    throw std::invalid_argument("ChainEvaluator::error_pmf: " +
+                                std::to_string(choices.size()) +
+                                " choices exceed width " +
+                                std::to_string(width()));
+  }
+  std::string key;
+  key.reserve(choices.size());
+  for (const std::size_t choice : choices) {
+    check_choice(choice);
+    key.push_back(static_cast<char>(choice));
+  }
+  ++pmf_stats_.chains_evaluated;
+  if (const auto it = pmf_index_.find(key); it != pmf_index_.end()) {
+    ++pmf_stats_.hits;
+    pmf_lru_.splice(pmf_lru_.begin(), pmf_lru_, it->second);
+    return it->second->pmf;
+  }
+  ++pmf_stats_.misses;
+
+  // propagate_error_pmf's call sequence, so the result is bit-identical.
+  analysis::ErrorPmfState state =
+      analysis::make_error_pmf_state(profile_.p_cin());
+  for (std::size_t d = 0; d < choices.size(); ++d) {
+    analysis::advance_error_pmf(state, candidates_[choices[d]],
+                                profile_.p_a(d), profile_.p_b(d));
+    ++pmf_stats_.stages_computed;
+  }
+  analysis::ErrorPmf pmf = analysis::finalize_error_pmf(state);
+  pmf_insert(std::move(key), pmf);
+  return pmf;
 }
 
 void ChainEvaluator::clear() {
@@ -440,6 +423,7 @@ void ChainEvaluator::clear() {
   lru_tail_ = kNil;
   pmf_index_.clear();
   pmf_lru_.clear();
+  pmf_bytes_ = 0;
 }
 
 }  // namespace sealpaa::engine

@@ -4,12 +4,12 @@
 // palette) — engine::EvaluatorPool — and answers each recursive or
 // analytic-pmf request against it.  Requests name a chain as palette
 // indices, and a client sweeping designs repeats long prefixes and whole
-// chains, so the evaluator memoizes prefix states in two LRU caches
-// keyed by the choice-index string: the success-filtered carry state of
-// every prefix it computes (evaluate, carry_after) and the joint-carry
-// error-PMF state (error_pmf).  A repeated or extended chain then costs
-// a cache probe plus the stages past the longest cached prefix instead
-// of a run from bit 0.
+// chains, so the evaluator keeps two LRU caches keyed by the
+// choice-index string: the success-filtered carry state of every prefix
+// it computes, so a repeated or extended chain costs a probe plus the
+// stages past the longest cached prefix, and the finished error PMF of
+// every whole chain (error_pmf), under a byte budget (DESIGN.md
+// decision 11).
 //
 // Scoring arithmetic is the exact call sequence of
 // `RecursiveAnalyzer::analyze` / `propagate_error_pmf`, so results are
@@ -26,7 +26,6 @@
 
 #include <cstdint>
 #include <list>
-#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -51,13 +50,13 @@ struct ChainEvaluatorOptions {
 /// sealpaa::obs into the run-report JSON.
 struct CacheStats {
   std::uint64_t hits = 0;        // probes answered from the cache
-  std::uint64_t misses = 0;      // probes (one per depth tried) that missed
-  std::uint64_t insertions = 0;  // prefix states stored
+  std::uint64_t misses = 0;      // probes that missed
+  std::uint64_t insertions = 0;  // entries stored
   std::uint64_t evictions = 0;   // LRU entries dropped at capacity
-  /// advance_stage calls actually performed — the number the cache
-  /// exists to minimise.
+  /// Stage advances actually performed — the number the cache exists to
+  /// minimise.
   std::uint64_t stages_computed = 0;
-  std::uint64_t chains_evaluated = 0;  // full evaluate() calls
+  std::uint64_t chains_evaluated = 0;  // chains scored; error_pmf calls
 
   /// hits / (hits + misses); 0 when no probe has happened yet.
   [[nodiscard]] double hit_rate() const noexcept {
@@ -112,12 +111,6 @@ class ChainEvaluator {
     return mkls_.at(c);
   }
 
-  /// Success-filtered carry state after the stages of `choices`
-  /// (size() may be 0..width()).  Served from the longest cached prefix;
-  /// any newly computed prefix states are cached on the way forward.
-  [[nodiscard]] analysis::CarryState carry_after(
-      std::span<const std::size_t> choices);
-
   /// Full analysis of a complete chain (choices.size() == width()).
   /// Bit-identical to `RecursiveAnalyzer::analyze` on the same cells.
   [[nodiscard]] analysis::AnalysisResult evaluate(
@@ -137,13 +130,12 @@ class ChainEvaluator {
 
   /// Finalized error PMF of `choices` (any size up to width(); the
   /// carry-out difference is folded at the prefix depth, so a partial
-  /// chain yields its partial-adder error distribution).  Served from
-  /// the longest prefix in the PMF cache (its own LRU of 4,096 states,
-  /// accounted in pmf_stats()).  For a
-  /// full-width chain this is identical to propagate_error_pmf on the
-  /// assembled chain; prefix reuse only changes how often stages are
-  /// recomputed, never the result (mixture accumulation order is a
-  /// function of the choice sequence alone).
+  /// chain yields its partial-adder error distribution).  A chain held
+  /// in the PMF cache is one hit and runs no stage; any other chain is
+  /// one miss that propagates every stage from bit 0, keeping only the
+  /// current state, and is then stored unless its PMF alone exceeds the
+  /// cache's byte budget.  For a full-width chain the result is
+  /// identical to propagate_error_pmf on the assembled chain.
   [[nodiscard]] analysis::ErrorPmf error_pmf(
       std::span<const std::size_t> choices);
 
@@ -152,8 +144,8 @@ class ChainEvaluator {
   [[nodiscard]] const BatchStats& batch_stats() const noexcept {
     return batch_stats_;
   }
-  /// PMF prefix-cache accounting (stages_computed counts
-  /// next_error_pmf_state calls, chains_evaluated counts error_pmf calls).
+  /// PMF-cache accounting: one probe per error_pmf call, so hits +
+  /// misses == chains_evaluated.
   [[nodiscard]] const CacheStats& pmf_stats() const noexcept {
     return pmf_stats_;
   }
@@ -167,18 +159,22 @@ class ChainEvaluator {
   [[nodiscard]] std::size_t cache_size() const noexcept {
     return live_slots_;
   }
-  /// Cached PMF prefix states currently held.
+  /// Finished PMFs currently held.
   [[nodiscard]] std::size_t pmf_cache_size() const noexcept {
     return pmf_index_.size();
+  }
+  /// Bytes the held PMFs are charged against the cache's budget.
+  [[nodiscard]] std::size_t pmf_cache_bytes() const noexcept {
+    return pmf_bytes_;
   }
   /// Drops every cached prefix, carry and PMF (stats are kept).
   void clear();
 
  private:
-  /// Prefix error-PMF states the PMF cache keeps.  PMF states are far
-  /// heavier than carry states — four sparse distributions each — so the
-  /// bound is correspondingly smaller.
-  static constexpr std::size_t kPmfCacheCapacity = std::size_t{1} << 12;
+  /// Bytes of finished PMFs the PMF cache keeps.  The largest
+  /// 16-chain working set of a service load-generator profile is about
+  /// 1.25 MB; a PMF charged more than the whole budget is never stored.
+  static constexpr std::size_t kPmfCacheBytes = std::size_t{4} << 20;
 
   // The carry cache is a hand-rolled flat structure because it sits on
   // the request hot path: a recursive request probes once per depth
@@ -201,23 +197,25 @@ class ChainEvaluator {
   };
 
   // The PMF cache is deliberately *not* the flat slot structure above:
-  // PMF states are heavyweight (four sparse vectors) and the PMF
-  // propagation itself dwarfs a map probe, so a node-based LRU
-  // (unordered_map over a std::list) is simple and fast enough.
+  // entries are whole sparse PMFs whose propagation dwarfs a map probe,
+  // so a node-based LRU (unordered_map over a std::list) is simple and
+  // fast enough.
   struct PmfNode {
     std::string key;  // choice-index bytes, as in the carry cache
-    std::shared_ptr<const analysis::ErrorPmfState> state;
+    analysis::ErrorPmf pmf;
+    std::size_t bytes = 0;  // charged against kPmfCacheBytes
   };
   using PmfLru = std::list<PmfNode>;
+  using PmfIndex = std::unordered_map<std::string_view, PmfLru::iterator>;
 
-  void pmf_insert(std::string_view key,
-                  std::shared_ptr<const analysis::ErrorPmfState> state);
-  /// Joint-carry error-PMF state after the stages of `choices`, served
-  /// from the longest cached PMF prefix; every newly computed prefix
-  /// state is cached on the way forward.
-  [[nodiscard]] std::shared_ptr<const analysis::ErrorPmfState>
-  pmf_state_after(std::span<const std::size_t> choices);
+  /// Stores `pmf` as most recently used, evicting from the LRU end until
+  /// it fits the budget; a PMF charged more than the budget is skipped.
+  void pmf_insert(std::string key, const analysis::ErrorPmf& pmf);
 
+  /// Carry state after `choices`, from the longest cached prefix; every
+  /// newly computed prefix state is cached on the way forward.
+  [[nodiscard]] analysis::CarryState carry_after(
+      std::span<const std::size_t> choices);
   void check_choice(std::size_t choice) const;
   [[nodiscard]] std::string_view key_of(std::uint32_t slot) const noexcept;
   [[nodiscard]] std::uint32_t find_slot(std::string_view key,
@@ -251,7 +249,8 @@ class ChainEvaluator {
   CacheStats stats_;
 
   PmfLru pmf_lru_;  // front = most recently used
-  std::unordered_map<std::string_view, PmfLru::iterator> pmf_index_;
+  PmfIndex pmf_index_;
+  std::size_t pmf_bytes_ = 0;
   CacheStats pmf_stats_;
 };
 

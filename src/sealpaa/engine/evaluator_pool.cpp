@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <stdexcept>
+#include <utility>
 
 namespace sealpaa::engine {
 
@@ -38,6 +39,7 @@ std::string EvaluatorPool::key_of(const multibit::InputProfile& profile) {
 
 std::shared_ptr<ChainEvaluator> EvaluatorPool::acquire(
     const multibit::InputProfile& profile) {
+  retire_released();
   std::string key = key_of(profile);
   if (const auto found = index_.find(key); found != index_.end()) {
     entries_.splice(entries_.begin(), entries_, found->second);
@@ -49,8 +51,8 @@ std::shared_ptr<ChainEvaluator> EvaluatorPool::acquire(
   entries_.push_front(Entry{key, evaluator});
   index_.emplace(std::move(key), entries_.begin());
   while (entries_.size() > options_.max_evaluators) {
-    const Entry& oldest = entries_.back();
-    retire(oldest);
+    Entry& oldest = entries_.back();
+    evicted_held_.push_back(std::move(oldest.evaluator));
     index_.erase(oldest.key);
     entries_.pop_back();
     evicted_ += 1;
@@ -58,25 +60,29 @@ std::shared_ptr<ChainEvaluator> EvaluatorPool::acquire(
   return evaluator;
 }
 
-CacheStats EvaluatorPool::aggregate_stats() const {
-  CacheStats total = retired_;
-  for (const Entry& entry : entries_) {
-    total.merge(entry.evaluator->stats());
-  }
+CacheStats EvaluatorPool::aggregate(
+    CacheStats total,
+    const CacheStats& (ChainEvaluator::*of)() const noexcept) const {
+  for (const Entry& entry : entries_) total.merge((*entry.evaluator.*of)());
+  for (const auto& evaluator : evicted_held_) total.merge((*evaluator.*of)());
   return total;
+}
+
+CacheStats EvaluatorPool::aggregate_stats() const {
+  return aggregate(retired_, &ChainEvaluator::stats);
 }
 
 CacheStats EvaluatorPool::aggregate_pmf_stats() const {
-  CacheStats total = retired_pmf_;
-  for (const Entry& entry : entries_) {
-    total.merge(entry.evaluator->pmf_stats());
-  }
-  return total;
+  return aggregate(retired_pmf_, &ChainEvaluator::pmf_stats);
 }
 
-void EvaluatorPool::retire(const Entry& entry) {
-  retired_.merge(entry.evaluator->stats());
-  retired_pmf_.merge(entry.evaluator->pmf_stats());
+void EvaluatorPool::retire_released() {
+  std::erase_if(evicted_held_, [this](const auto& evaluator) {
+    if (evaluator.use_count() > 1) return false;
+    retired_.merge(evaluator->stats());
+    retired_pmf_.merge(evaluator->pmf_stats());
+    return true;
+  });
 }
 
 }  // namespace sealpaa::engine

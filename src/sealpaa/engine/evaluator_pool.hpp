@@ -1,22 +1,23 @@
 // Keyed pool of ChainEvaluators — the amortizable state behind the
 // batch analysis service.
 //
-// A ChainEvaluator's prefix caches are only useful while the (profile,
+// A ChainEvaluator's caches are only useful while the (profile,
 // candidate palette) pair stays fixed, but a request stream mixes
 // widths and input probabilities.  The pool maps each distinct profile
 // to its own evaluator and keeps the most recently used ones alive, so
 // consecutive requests against the same profile — the common case for a
-// design-sweep client — reuse hot carry and PMF prefix caches instead of
+// design-sweep client — reuse hot carry and PMF caches instead of
 // rebuilding M/K/L matrices and recomputing every chain from bit 0.  A
 // repeated analytic-pmf chain is answered from the PMF cache without a
-// single propagation stage (DESIGN.md decision 11).  Evaluators are
-// built with default options.
+// single propagation stage, and each evaluator holds at most 4 MiB of
+// finished PMFs (DESIGN.md decision 11).
 //
 // Single-threaded by design: each service dispatch worker owns one pool
 // and evaluates its batch's requests one at a time, acquiring each
 // profile's evaluator once per batch.  `acquire` returns shared
 // ownership so an evaluator evicted while a batch holds it stays valid
-// until the batch completes.
+// until the batch completes; its stats stay in the aggregates until the
+// pool is its only owner, so work done after the eviction still counts.
 #pragma once
 
 #include <cstdint>
@@ -61,12 +62,11 @@ class EvaluatorPool {
   /// acquire() calls answered by a live evaluator.
   [[nodiscard]] std::uint64_t pool_hits() const noexcept { return pool_hits_; }
 
-  /// Sum of every evaluator's prefix-cache stats: the live ones plus
-  /// everything folded in at eviction time.  (Activity on an evicted
-  /// evaluator still shared by an in-flight batch is not re-counted.)
+  /// Sum of every evaluator's prefix-cache stats: the live ones, the
+  /// evicted ones a caller still holds, and the retired ones.
   [[nodiscard]] CacheStats aggregate_stats() const;
 
-  /// Same aggregation over the PMF prefix caches.
+  /// Same aggregation over the PMF caches.
   [[nodiscard]] CacheStats aggregate_pmf_stats() const;
 
  private:
@@ -77,12 +77,20 @@ class EvaluatorPool {
 
   [[nodiscard]] static std::string key_of(
       const multibit::InputProfile& profile);
-  void retire(const Entry& entry);
+  /// `total` plus `of` (stats or pmf_stats) of every evaluator still
+  /// held: the live ones and the evicted ones a caller still holds.
+  [[nodiscard]] CacheStats aggregate(
+      CacheStats total,
+      const CacheStats& (ChainEvaluator::*of)() const noexcept) const;
+  /// Folds the evicted evaluators only the pool still owns into the
+  /// retired stats and drops them.
+  void retire_released();
 
   std::vector<adders::AdderCell> palette_;
   EvaluatorPoolOptions options_;
   std::list<Entry> entries_;  // front = most recently used
   std::unordered_map<std::string, std::list<Entry>::iterator> index_;
+  std::vector<std::shared_ptr<ChainEvaluator>> evicted_held_;
   CacheStats retired_;
   CacheStats retired_pmf_;
   std::uint64_t created_ = 0;

@@ -357,8 +357,8 @@ void Dispatcher::process_batch(Shard& shard, std::vector<ParsedItem> items,
       // ChainEvaluator::evaluate is bit-identical to
       // RecursiveAnalyzer::analyze and error_pmf to propagate_error_pmf
       // for a full-width chain, so this response is byte-for-byte what
-      // engine::evaluate serializes — the prefix caches only change how
-      // often stages recompute.
+      // engine::evaluate serializes — the caches only change how often
+      // stages recompute.
       analysis::AnalysisResult result = evaluator->evaluate(item.choices);
       std::optional<analysis::ErrorPmf> pmf;
       if (request.method == engine::Method::kAnalyticPmf) {

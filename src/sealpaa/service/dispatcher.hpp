@@ -8,7 +8,7 @@
 // of its `(width, profile)` key, so every request against one profile
 // always lands on the same worker: evaluator state is never shared
 // across threads, and a design-sweep client's chains keep hitting one
-// hot prefix cache no matter how many workers run.  Control requests
+// evaluator's hot caches no matter how many workers run.  Control requests
 // (ping / stats) are answered inline by submit() — they never queue
 // behind evaluations.
 //
@@ -112,7 +112,7 @@ class Dispatcher {
   void stop();
 
   /// Lifetime service statistics: request/batch counters, adaptive-
-  /// window accounting, evaluator-pool and prefix-cache accounting and
+  /// window accounting, evaluator-pool and cache accounting and
   /// per-method latency histograms — aggregated across shards, plus a
   /// per-shard breakdown under "shards".  The payload of a
   /// {"method": "stats"} response.  Thread-safe (reads the per-shard

@@ -18,6 +18,7 @@
 
 #include "sealpaa/adders/builtin.hpp"
 #include "sealpaa/adders/cell.hpp"
+#include "sealpaa/analysis/error_pmf.hpp"
 #include "sealpaa/analysis/recursive.hpp"
 #include "sealpaa/engine/chain_evaluator.hpp"
 #include "sealpaa/engine/incremental.hpp"
@@ -31,6 +32,7 @@ namespace {
 
 using sealpaa::adders::AdderCell;
 using sealpaa::analysis::AnalysisResult;
+using sealpaa::analysis::ErrorPmf;
 using sealpaa::analysis::RecursiveAnalyzer;
 using sealpaa::engine::ChainEvaluator;
 using sealpaa::engine::ChainEvaluatorOptions;
@@ -372,11 +374,86 @@ TEST(ChainEvaluator, ValidatesArguments) {
   EXPECT_THROW(ChainEvaluator(profile, {}), std::invalid_argument);
   ChainEvaluator evaluator(profile, {cell});
   const std::vector<std::size_t> too_long{0, 0, 0, 0, 0};
-  EXPECT_THROW((void)evaluator.carry_after(too_long), std::invalid_argument);
+  EXPECT_THROW((void)evaluator.evaluate(too_long), std::invalid_argument);
   const std::vector<std::size_t> short_chain{0, 0, 0};
   EXPECT_THROW((void)evaluator.evaluate(short_chain), std::invalid_argument);
   const std::vector<std::size_t> bad_choice{0, 0, 0, 1};
   EXPECT_THROW((void)evaluator.evaluate(bad_choice), std::out_of_range);
+}
+
+TEST(ChainEvaluator, PmfCacheStaysWithinByteBudget) {
+  // The PMF cache keeps finished PMFs of whole chains under a 4 MiB
+  // budget (ChainEvaluator's private kPmfCacheBytes).  Width-32 chains
+  // shaped like the service fleet's (12 random LPAA stages, exact above)
+  // each hold a few thousand entries, so about 70 fit.
+  constexpr std::size_t kBudget = std::size_t{4} << 20;
+  constexpr std::size_t kWidth = 32;
+  constexpr double kP = 0.37;
+  const std::span<const AdderCell> lpaas = sealpaa::adders::builtin_lpaas();
+  std::vector<AdderCell> palette(lpaas.begin(), lpaas.end());
+  palette.push_back(sealpaa::adders::accurate());
+  const std::size_t accurate = lpaas.size();
+  ChainEvaluator evaluator(InputProfile::uniform(kWidth, kP), palette);
+  const auto reference = [&](std::span<const std::size_t> choices) {
+    std::vector<AdderCell> stages;
+    for (const std::size_t c : choices) stages.push_back(palette[c]);
+    return sealpaa::analysis::propagate_error_pmf(
+        AdderChain(stages), InputProfile::uniform(choices.size(), kP));
+  };
+
+  sealpaa::prob::SplitMix64 rng(0xb7d9'e700'0000'0001ULL);
+  std::vector<std::vector<std::size_t>> chains;
+  while (evaluator.pmf_stats().evictions < 4) {
+    ASSERT_LT(chains.size(), 400u) << "the budget never filled";
+    std::vector<std::size_t> choices(kWidth, accurate);
+    for (std::size_t i = 0; i < 12; ++i) choices[i] = rng.next() % lpaas.size();
+    (void)evaluator.error_pmf(choices);
+    chains.push_back(std::move(choices));
+    EXPECT_LE(evaluator.pmf_cache_bytes(), kBudget);
+  }
+  EXPECT_GT(evaluator.pmf_cache_size(), 16u);
+  EXPECT_LT(evaluator.pmf_cache_size(), chains.size());
+
+  // The least recently used chain went first: re-querying it is one
+  // miss that recomputes every stage, bit-identical to the batch
+  // propagation.
+  sealpaa::engine::CacheStats before = evaluator.pmf_stats();
+  const ErrorPmf evicted = evaluator.error_pmf(chains.front());
+  EXPECT_EQ(evaluator.pmf_stats().misses, before.misses + 1);
+  EXPECT_EQ(evaluator.pmf_stats().hits, before.hits);
+  EXPECT_EQ(evaluator.pmf_stats().stages_computed,
+            before.stages_computed + kWidth);
+  EXPECT_TRUE(evicted.entries() == reference(chains.front()).entries());
+  EXPECT_LE(evaluator.pmf_cache_bytes(), kBudget);
+
+  // The most recent chain is still held: one hit, no stage.
+  before = evaluator.pmf_stats();
+  const ErrorPmf held = evaluator.error_pmf(chains.back());
+  EXPECT_EQ(evaluator.pmf_stats().hits, before.hits + 1);
+  EXPECT_EQ(evaluator.pmf_stats().stages_computed, before.stages_computed);
+  EXPECT_TRUE(held.entries() == reference(chains.back()).entries());
+
+  // A 20-stage all-LPAA prefix (LPAA7, LPAA5, LPAA7, ...) has an 11 MiB
+  // PMF: it is returned exactly but never stored, and evicts nothing.
+  std::vector<std::size_t> wide(20);
+  for (std::size_t i = 0; i < wide.size(); ++i) wide[i] = i % 2 == 0 ? 6 : 4;
+  const std::size_t size_before = evaluator.pmf_cache_size();
+  const std::size_t bytes_before = evaluator.pmf_cache_bytes();
+  const std::uint64_t evictions_before = evaluator.pmf_stats().evictions;
+  const ErrorPmf big = evaluator.error_pmf(wide);
+  EXPECT_GT(big.support_size() * sizeof(ErrorPmf::Entry), kBudget);
+  EXPECT_TRUE(big.entries() == reference(wide).entries());
+  EXPECT_EQ(evaluator.pmf_cache_size(), size_before);
+  EXPECT_EQ(evaluator.pmf_cache_bytes(), bytes_before);
+  EXPECT_EQ(evaluator.pmf_stats().evictions, evictions_before);
+
+  const sealpaa::engine::CacheStats& stats = evaluator.pmf_stats();
+  EXPECT_EQ(stats.hits + stats.misses, stats.chains_evaluated);
+  EXPECT_EQ(stats.chains_evaluated, chains.size() + 3);
+
+  evaluator.clear();
+  EXPECT_EQ(evaluator.pmf_cache_size(), 0u);
+  EXPECT_EQ(evaluator.pmf_cache_bytes(), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -10,14 +10,15 @@
 //    gather + stable-sort oracle over its (value, probability) pairs in
 //    term order;
 //  * the engine integrations (IncrementalAnalyzer PMF tracking and the
-//    ChainEvaluator PMF prefix cache) reproduce the batch propagation
-//    exactly while accounting their cache traffic.
+//    ChainEvaluator PMF cache) reproduce the batch propagation exactly
+//    while accounting their cache traffic.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cmath>
 #include <cstdint>
 #include <map>
+#include <set>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -457,35 +458,46 @@ TEST(ErrorPmf, ChainEvaluatorPmfPrefixCacheIsExactAndAccounted) {
       InputProfile::random(width, profile_rng, 0.05, 0.95);
   ChainEvaluator evaluator(profile, palette);
 
+  // The cache holds finished PMFs of whole chains: a distinct chain is
+  // one miss and `width` stages, a repeat is one hit and no stage, and
+  // both are bit-identical to the batch propagation.
   sealpaa::prob::SplitMix64 walk_rng(0x70f'0000'000eULL);
+  std::vector<std::vector<std::size_t>> queries;
   for (int query = 0; query < 40; ++query) {
     std::vector<std::size_t> choices(width);
-    std::vector<AdderCell> stages;
     for (std::size_t i = 0; i < width; ++i) {
       choices[i] = walk_rng.next() % palette.size();
-      stages.push_back(palette[choices[i]]);
     }
+    queries.push_back(std::move(choices));
+  }
+  for (int repeat = 0; repeat < 10; ++repeat) {
+    queries.push_back(queries[static_cast<std::size_t>(repeat * 3)]);
+  }
+  std::set<std::vector<std::size_t>> seen;
+  for (std::size_t query = 0; query < queries.size(); ++query) {
+    const std::vector<std::size_t>& choices = queries[query];
+    std::vector<AdderCell> stages;
+    for (const std::size_t c : choices) stages.push_back(palette[c]);
+    const sealpaa::engine::CacheStats before = evaluator.pmf_stats();
     const ErrorPmf cached = evaluator.error_pmf(choices);
     const ErrorPmf batch =
         sealpaa::analysis::propagate_error_pmf(AdderChain(stages), profile);
-    expect_same_entries(cached, batch, "query " + std::to_string(query));
+    const std::string context = "query " + std::to_string(query);
+    expect_same_entries(cached, batch, context);
+    const sealpaa::engine::CacheStats& after = evaluator.pmf_stats();
+    const bool repeat = !seen.insert(choices).second;
+    EXPECT_EQ(after.hits - before.hits, repeat ? 1u : 0u) << context;
+    EXPECT_EQ(after.misses - before.misses, repeat ? 0u : 1u) << context;
+    EXPECT_EQ(after.stages_computed - before.stages_computed,
+              repeat ? 0u : width)
+        << context;
   }
-  EXPECT_GT(evaluator.pmf_stats().hits, 0u);
-  EXPECT_GT(evaluator.pmf_stats().stages_computed, 0u);
-  EXPECT_EQ(evaluator.pmf_stats().chains_evaluated, 40u);
-  EXPECT_GT(evaluator.pmf_cache_size(), 0u);
-  // A stage budget far below the no-cache cost: 40 full-width chains over
-  // a 4-cell palette share prefixes massively.
-  EXPECT_LT(evaluator.pmf_stats().stages_computed, 40u * width);
-
-  // Identical repeat query: answered entirely from the cache.
-  const std::vector<std::size_t> probe(width, 0);
-  (void)evaluator.error_pmf(probe);
-  const auto hits_before = evaluator.pmf_stats().hits;
-  const auto stages_before = evaluator.pmf_stats().stages_computed;
-  (void)evaluator.error_pmf(probe);
-  EXPECT_GT(evaluator.pmf_stats().hits, hits_before);
-  EXPECT_EQ(evaluator.pmf_stats().stages_computed, stages_before);
+  const sealpaa::engine::CacheStats& stats = evaluator.pmf_stats();
+  EXPECT_GE(stats.hits, 10u);
+  EXPECT_EQ(stats.chains_evaluated, queries.size());
+  EXPECT_EQ(stats.hits + stats.misses, queries.size());
+  EXPECT_EQ(stats.stages_computed, seen.size() * width);
+  EXPECT_EQ(evaluator.pmf_cache_size(), seen.size());
 
   evaluator.clear();
   EXPECT_EQ(evaluator.pmf_cache_size(), 0u);

@@ -687,14 +687,30 @@ TEST(Dispatcher, StatsReconcileWithResponsesAtOneAndFourWorkers) {
     const std::vector<OutgoingResponse> responses = collector.sorted();
     ASSERT_EQ(responses.size(), frames.size());
     std::uint64_t failed = 0;
+    std::map<std::string, std::uint64_t> ok_by_method;
     for (std::size_t i = 0; i < responses.size(); ++i) {
       EXPECT_EQ(responses[i].sequence, i);
-      failed += Json::parse(responses[i].frame).find("ok")->boolean() ? 0u : 1u;
+      if (!Json::parse(responses[i].frame).find("ok")->boolean()) {
+        failed += 1;
+        continue;
+      }
+      ok_by_method[Json::parse(frames[i]).find("method")->string_value()] += 1;
     }
     EXPECT_EQ(failed, kFailed);
     EXPECT_EQ(uint_at(stats, "requests.received"), frames.size());
     EXPECT_EQ(uint_at(stats, "requests.ok"), frames.size() - kFailed);
     EXPECT_EQ(uint_at(stats, "requests.errors"), kFailed);
+
+    // Each ok recursive or analytic-pmf response ran one chain on its
+    // pooled evaluator, and each analytic-pmf chain probed the PMF cache
+    // exactly once.
+    EXPECT_EQ(uint_at(stats, "evaluators.prefix_cache.chains_evaluated"),
+              ok_by_method["recursive"] + ok_by_method["analytic-pmf"]);
+    EXPECT_EQ(uint_at(stats, "evaluators.pmf_cache.chains_evaluated"),
+              ok_by_method["analytic-pmf"]);
+    EXPECT_EQ(uint_at(stats, "evaluators.pmf_cache.hits") +
+                  uint_at(stats, "evaluators.pmf_cache.misses"),
+              uint_at(stats, "evaluators.pmf_cache.chains_evaluated"));
 
     // Σ methods.*.count = batches.size.sum = routed evaluation requests.
     const Json& methods = *stats.find("methods");
@@ -739,6 +755,46 @@ TEST(Dispatcher, StatsReconcileWithResponsesAtOneAndFourWorkers) {
       EXPECT_EQ(uint_at(stats, path), sum) << path;
     }
   }
+}
+
+TEST(Dispatcher, EvaluatorEvictedMidBatchKeepsItsCounts) {
+  // One evaluator per shard: profile B evicts A's evaluator while the
+  // batch still holds it, and the second A request runs on the evicted
+  // evaluator.  That work must reach the stats too.
+  DispatcherOptions options;
+  options.pool.max_evaluators = 1;
+  Dispatcher dispatcher(options);
+  const std::vector<std::string> frames = {
+      R"({"id":0,"method":"analytic-pmf","width":8,"chain":"LPAA3"})",
+      R"({"id":1,"method":"analytic-pmf","width":8,"chain":"LPAA3",)"
+      R"("params":{"p":0.3}})",
+      R"({"id":2,"method":"analytic-pmf","width":8,"chain":"LPAA5"})",
+  };
+  // Submitted before start(), so the worker takes all three as one batch.
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    dispatcher.submit(pending(1, i, frames[i]));
+  }
+  Collector collector;
+  dispatcher.start(collector.sink());
+  dispatcher.drain();
+  const Json stats = dispatcher.stats_json();
+  EXPECT_EQ(uint_at(stats, "batches.count"), 1u);
+  EXPECT_EQ(uint_at(stats, "evaluators.evicted"), 1u);
+  EXPECT_EQ(uint_at(stats, "evaluators.prefix_cache.chains_evaluated"), 3u);
+  EXPECT_EQ(uint_at(stats, "evaluators.pmf_cache.chains_evaluated"), 3u);
+  EXPECT_EQ(uint_at(stats, "evaluators.pmf_cache.misses"), 3u);
+
+  // The next batch retires the evicted evaluator: its counts move into
+  // the retired totals once, neither lost nor doubled.
+  dispatcher.submit(pending(1, frames.size(), frames[1]));
+  dispatcher.drain();
+  const Json later = dispatcher.stats_json();
+  dispatcher.stop();
+  EXPECT_EQ(uint_at(later, "evaluators.prefix_cache.chains_evaluated"), 4u);
+  EXPECT_EQ(uint_at(later, "evaluators.pmf_cache.chains_evaluated"), 4u);
+  EXPECT_EQ(uint_at(later, "evaluators.pmf_cache.hits"), 1u);
+  EXPECT_EQ(uint_at(later, "evaluators.pmf_cache.misses"), 3u);
+  EXPECT_EQ(collector.sorted().size(), frames.size() + 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -10,15 +10,16 @@
 // byte-for-byte against a frame built locally from engine::evaluate,
 // and each run's final `stats` must reconcile with what its clients saw
 // (received = ok + errors; per-method counts and batch sizes sum to the
-// requests sent; every total is the sum over shards).  Any divergence
-// exits non-zero.
+// requests sent; the evaluators' chain counts match the ok recursive and
+// analytic-pmf responses, one PMF-cache probe each; every total is the
+// sum over shards).  Any divergence exits non-zero.
 //
 // The run executes twice, with 1 and with 4 dispatch workers, and
 // reports the throughput ratio.  The profile grid is sized to overflow
 // a single worker's EvaluatorPool (48 keys against the 32-evaluator
 // default, swept cyclically — the LRU-pessimal order), while the
-// sharded fleet keeps every profile's evaluator and PMF prefix cache
-// resident on its home worker.  The ratio therefore measures what the
+// sharded fleet keeps every profile's evaluator and PMF cache resident
+// on its home worker.  The ratio therefore measures what the
 // sharding actually buys — aggregate evaluator-cache capacity — and
 // holds on a single-core CI box, where a thread-parallelism speedup
 // could not.
@@ -147,7 +148,7 @@ Workload build_workload(std::size_t total_requests, std::uint64_t seed) {
 
       // 16 analytic-pmf chains per profile, distinct from the first
       // stage on: cold visits pay full per-chain PMF propagation, hot
-      // visits finish from the evaluator's PMF prefix cache.  The low
+      // visits are answered from the evaluator's PMF cache.  The low
       // 12 stages are approximate with an accurate tail — the shape
       // such chains deploy as, and it keeps the error-PMF support well
       // under PmfOptions::max_support at width 32.
@@ -276,6 +277,8 @@ struct PhaseResult {
   double seconds = 0.0;
   std::uint64_t requests = 0;
   std::uint64_t mismatches = 0;
+  std::uint64_t ok_recursive = 0;  // verified ok responses, per method
+  std::uint64_t ok_analytic_pmf = 0;
   int serve_rc = -1;
   obs::Json server_stats;
 };
@@ -325,6 +328,8 @@ PhaseResult run_phase(unsigned workers, unsigned connections,
   }
 
   std::vector<std::uint64_t> mismatches(connections, 0);
+  std::vector<std::uint64_t> ok_recursive(connections, 0);
+  std::vector<std::uint64_t> ok_analytic_pmf(connections, 0);
   const util::WallTimer timer;
   std::vector<std::thread> pumps;
   pumps.reserve(connections);
@@ -351,11 +356,16 @@ PhaseResult run_phase(unsigned workers, unsigned connections,
             mismatches[c] += 1;
             continue;
           }
-          const std::string& expected =
-              workload.configs[static_cast<std::size_t>(id)].expected_frame;
+          const Config& config =
+              workload.configs[static_cast<std::size_t>(id)];
+          const std::string& expected = config.expected_frame;
           if (frame->size() + 1 != expected.size() ||
               expected.compare(0, frame->size(), *frame) != 0) {
             mismatches[c] += 1;
+          } else if (config.method == "recursive") {
+            ok_recursive[c] += 1;
+          } else if (config.method == "analytic-pmf") {
+            ok_analytic_pmf[c] += 1;
           }
           expected_counts[c][static_cast<std::size_t>(id)] -= 1;
         }
@@ -370,7 +380,11 @@ PhaseResult run_phase(unsigned workers, unsigned connections,
   for (std::thread& pump : pumps) pump.join();
   result.seconds = timer.elapsed_seconds();
   result.requests = workload.schedule.size();
-  for (const std::uint64_t m : mismatches) result.mismatches += m;
+  for (unsigned c = 0; c < connections; ++c) {
+    result.mismatches += mismatches[c];
+    result.ok_recursive += ok_recursive[c];
+    result.ok_analytic_pmf += ok_analytic_pmf[c];
+  }
 
   {
     service::Client client;
@@ -404,12 +418,16 @@ PhaseResult run_phase(unsigned workers, unsigned connections,
 }
 
 /// Checks that a phase's final `stats` reconcile with what its clients
-/// saw: `evaluations` evaluation requests plus the stats request itself
-/// were received, received = ok + errors, the per-method counts and the
-/// batch sizes each sum to the evaluations, and every top-level total is
-/// the sum over the shards.  Prints each broken invariant.
-[[nodiscard]] bool stats_reconcile(const char* phase, const obs::Json& stats,
-                                   std::uint64_t evaluations) {
+/// saw: every evaluation request plus the stats request itself were
+/// received, received = ok + errors, the per-method counts and the batch
+/// sizes each sum to the evaluations, the evaluators ran one chain per
+/// ok recursive or analytic-pmf response and probed the PMF cache once
+/// per analytic-pmf chain, and every top-level total is the sum over the
+/// shards.  Prints each broken invariant.
+[[nodiscard]] bool stats_reconcile(const char* phase,
+                                   const PhaseResult& result) {
+  const obs::Json& stats = result.server_stats;
+  const std::uint64_t evaluations = result.requests;
   bool holds = true;
   const auto expect = [&](std::uint64_t got, std::uint64_t want,
                           const std::string& what) {
@@ -423,6 +441,17 @@ PhaseResult run_phase(unsigned workers, unsigned connections,
   expect(stat_at(stats, "requests.ok") + stat_at(stats, "requests.errors"),
          received, "requests.ok + requests.errors");
   expect(stat_at(stats, "batches.size.sum"), evaluations, "batches.size.sum");
+  expect(stat_at(stats, "evaluators.prefix_cache.chains_evaluated"),
+         result.ok_recursive + result.ok_analytic_pmf,
+         "evaluators.prefix_cache.chains_evaluated (ok recursive + "
+         "analytic-pmf responses)");
+  const std::uint64_t pmf_chains =
+      stat_at(stats, "evaluators.pmf_cache.chains_evaluated");
+  expect(pmf_chains, result.ok_analytic_pmf,
+         "evaluators.pmf_cache.chains_evaluated (ok analytic-pmf responses)");
+  expect(stat_at(stats, "evaluators.pmf_cache.hits") +
+             stat_at(stats, "evaluators.pmf_cache.misses"),
+         pmf_chains, "evaluators.pmf_cache.hits + misses");
 
   std::vector<std::string> totals = {
       "batches.count", "batches.size.count", "batches.size.sum",
@@ -524,10 +553,8 @@ int main(int argc, char** argv) {
     const bool verified =
         mismatches == 0 && baseline.serve_rc == 0 && fleet.serve_rc == 0;
     const bool batched = batch_size_p50 > 1;
-    const bool baseline_reconciled =
-        stats_reconcile("baseline", baseline.server_stats, baseline.requests);
-    const bool fleet_reconciled =
-        stats_reconcile("fleet", fleet.server_stats, fleet.requests);
+    const bool baseline_reconciled = stats_reconcile("baseline", baseline);
+    const bool fleet_reconciled = stats_reconcile("fleet", fleet);
     const bool reconciled = baseline_reconciled && fleet_reconciled;
     const bool scaling_at_least_4x = speedup >= 4.0;
 
