@@ -3,25 +3,23 @@
 // The service pools one `ChainEvaluator` per (input profile, cell
 // palette) — engine::EvaluatorPool — and answers each recursive or
 // analytic-pmf request against it.  Requests name a chain as palette
-// indices, and a client sweeping designs repeats long prefixes and whole
-// chains, so the evaluator keeps two LRU caches keyed by the
-// choice-index string: the success-filtered carry state of every prefix
-// it computes, so a repeated or extended chain costs a probe plus the
-// stages past the longest cached prefix, and the finished error PMF of
-// every whole chain (error_pmf), under a byte budget (DESIGN.md
+// indices.  The evaluator holds what one profile needs: each palette
+// cell's M/K/L matrices, the profile's per-stage operand weights, and an
+// LRU of the finished error PMFs of whole chains (error_pmf), keyed by
+// the choice-index string under a byte budget.  A recursive request runs
+// the paper's O(N) carry recursion from bit 0 each time: a stage costs
+// tens of nanoseconds, so there is nothing worth caching (DESIGN.md
 // decision 11).
 //
 // Scoring arithmetic is the exact call sequence of
 // `RecursiveAnalyzer::analyze` / `propagate_error_pmf`, so results are
 // bit-identical to the batch analyzers (enforced by
-// tests/test_engine.cpp and tests/test_error_pmf.cpp), and a cache can
-// never change a result — only how often stages are recomputed.
+// tests/test_engine.cpp and tests/test_error_pmf.cpp), and the PMF cache
+// can never change a result — only how often stages are recomputed.
 //
 // The design-space searches (explore/) do not use this class: they walk
-// their own path states (DESIGN.md decision 9).  `evaluate_batch` keeps
-// a lane loop over whole chains for the benchmark's per-layer probe; each
-// lane replays the same advance_stage / final_success calls, so a batch
-// is bit-identical to the per-chain path.
+// their own path states (DESIGN.md decision 9).  `evaluate_batch` is a
+// loop over evaluate() kept for the benchmark's per-layer probe.
 #pragma once
 
 #include <cstdint>
@@ -39,24 +37,17 @@
 
 namespace sealpaa::engine {
 
-struct ChainEvaluatorOptions {
-  /// Maximum number of prefix carry states kept (LRU eviction beyond
-  /// it).  0 disables caching entirely: every query recomputes from bit
-  /// 0 and the hit/miss/insertion/eviction counters stay 0.
-  std::size_t cache_capacity = std::size_t{1} << 16;
-};
-
-/// Exact accounting of the prefix cache's work, reported through
+/// Exact accounting of the PMF cache's work, reported through
 /// sealpaa::obs into the run-report JSON.
 struct CacheStats {
   std::uint64_t hits = 0;        // probes answered from the cache
   std::uint64_t misses = 0;      // probes that missed
   std::uint64_t insertions = 0;  // entries stored
-  std::uint64_t evictions = 0;   // LRU entries dropped at capacity
+  std::uint64_t evictions = 0;   // LRU entries dropped over the budget
   /// Stage advances actually performed — the number the cache exists to
   /// minimise.
   std::uint64_t stages_computed = 0;
-  std::uint64_t chains_evaluated = 0;  // chains scored; error_pmf calls
+  std::uint64_t chains_evaluated = 0;  // error_pmf calls
 
   /// hits / (hits + misses); 0 when no probe has happened yet.
   [[nodiscard]] double hit_rate() const noexcept {
@@ -78,8 +69,7 @@ struct CacheStats {
 
 /// Lane accounting of evaluate_batch.
 struct BatchStats {
-  /// Lane-stage advances performed (the lane analogue of
-  /// CacheStats::stages_computed).
+  /// Stage advances performed: width() per chain.
   std::uint64_t lane_stages = 0;
 };
 
@@ -90,10 +80,9 @@ struct BatchStats {
 class ChainEvaluator {
  public:
   /// Throws std::invalid_argument when `candidates` is empty or holds
-  /// more than 255 cells (prefix keys pack choice indices into bytes).
+  /// more than 255 cells (PMF cache keys pack choice indices into bytes).
   ChainEvaluator(multibit::InputProfile profile,
-                 std::vector<adders::AdderCell> candidates,
-                 ChainEvaluatorOptions options = {});
+                 std::vector<adders::AdderCell> candidates);
 
   [[nodiscard]] std::size_t width() const noexcept {
     return profile_.width();
@@ -116,15 +105,8 @@ class ChainEvaluator {
   [[nodiscard]] analysis::AnalysisResult evaluate(
       std::span<const std::size_t> choices);
 
-  /// Many full chains in one stage-major lane pass: per stage, every
-  /// lane first probes the prefix cache at its next depth (so one lane's
-  /// freshly cached prefix serves every other lane, within the batch as
-  /// well as across calls), lanes sharing a not-yet-cached prefix are
-  /// deduplicated so each distinct prefix advances exactly once, and the
-  /// remaining lanes advance together.  Element i is bit-identical to
-  /// evaluate(chains[i]) — cache adoption only changes how often stages
-  /// are recomputed, never a value.  Accounted in stats()
-  /// (probes/advances) and batch_stats() (lane stages).
+  /// evaluate() of every chain, after checking them all: a bad chain
+  /// throws before any is evaluated.  Accounted in batch_stats().
   [[nodiscard]] std::vector<analysis::AnalysisResult> evaluate_batch(
       std::span<const std::span<const std::size_t>> chains);
 
@@ -139,7 +121,6 @@ class ChainEvaluator {
   [[nodiscard]] analysis::ErrorPmf error_pmf(
       std::span<const std::size_t> choices);
 
-  [[nodiscard]] const CacheStats& stats() const noexcept { return stats_; }
   /// Lane accounting (evaluate_batch).
   [[nodiscard]] const BatchStats& batch_stats() const noexcept {
     return batch_stats_;
@@ -150,15 +131,10 @@ class ChainEvaluator {
     return pmf_stats_;
   }
   void reset_stats() noexcept {
-    stats_ = CacheStats{};
     pmf_stats_ = CacheStats{};
     batch_stats_ = BatchStats{};
   }
 
-  /// Cached prefix states currently held.
-  [[nodiscard]] std::size_t cache_size() const noexcept {
-    return live_slots_;
-  }
   /// Finished PMFs currently held.
   [[nodiscard]] std::size_t pmf_cache_size() const noexcept {
     return pmf_index_.size();
@@ -167,7 +143,7 @@ class ChainEvaluator {
   [[nodiscard]] std::size_t pmf_cache_bytes() const noexcept {
     return pmf_bytes_;
   }
-  /// Drops every cached prefix, carry and PMF (stats are kept).
+  /// Drops every cached PMF (stats are kept).
   void clear();
 
  private:
@@ -176,32 +152,10 @@ class ChainEvaluator {
   /// 1.25 MB; a PMF charged more than the whole budget is never stored.
   static constexpr std::size_t kPmfCacheBytes = std::size_t{4} << 20;
 
-  // The carry cache is a hand-rolled flat structure because it sits on
-  // the request hot path: a recursive request probes once per depth
-  // tried and inserts every newly computed prefix, and a node-based
-  // unordered_map pays an allocation per insertion plus pointer-chasing
-  // per probe.  Here a slot array holds the carry states (key bytes in a
-  // parallel pool at slot * stride), an open-addressing index table maps
-  // key -> slot, and the LRU list is threaded through the slots as
-  // indices — zero allocations at steady state.  Slots are recycled in
-  // place on eviction; the index table uses linear probing with
-  // backward-shift deletion, so no tombstones accumulate.
-  static constexpr std::uint32_t kNil = 0xFFFF'FFFFu;
-
-  struct Slot {
-    analysis::CarryState carry;
-    std::uint64_t hash = 0;    // of the key bytes; avoids rehash on grow
-    std::uint32_t prev = kNil;  // LRU links (head = most recent)
-    std::uint32_t next = kNil;
-    std::uint32_t len = 0;  // key length in bytes (one per choice index)
-  };
-
-  // The PMF cache is deliberately *not* the flat slot structure above:
-  // entries are whole sparse PMFs whose propagation dwarfs a map probe,
-  // so a node-based LRU (unordered_map over a std::list) is simple and
-  // fast enough.
+  // A node-based LRU (unordered_map over a std::list): entries are whole
+  // sparse PMFs whose propagation dwarfs a map probe.
   struct PmfNode {
-    std::string key;  // choice-index bytes, as in the carry cache
+    std::string key;  // one byte per choice index
     analysis::ErrorPmf pmf;
     std::size_t bytes = 0;  // charged against kPmfCacheBytes
   };
@@ -212,21 +166,10 @@ class ChainEvaluator {
   /// it fits the budget; a PMF charged more than the budget is skipped.
   void pmf_insert(std::string key, const analysis::ErrorPmf& pmf);
 
-  /// Carry state after `choices`, from the longest cached prefix; every
-  /// newly computed prefix state is cached on the way forward.
-  [[nodiscard]] analysis::CarryState carry_after(
-      std::span<const std::size_t> choices);
   void check_choice(std::size_t choice) const;
-  [[nodiscard]] std::string_view key_of(std::uint32_t slot) const noexcept;
-  [[nodiscard]] std::uint32_t find_slot(std::string_view key,
-                                        std::uint64_t hash) const noexcept;
-  void insert_prefix(std::string_view key, std::uint64_t hash,
-                     const analysis::CarryState& carry);
-  void touch(std::uint32_t slot) noexcept;  // mark most recently used
-  void unlink(std::uint32_t slot) noexcept;
-  void link_front(std::uint32_t slot) noexcept;
-  void table_erase(std::uint32_t slot) noexcept;
-  void grow_table();
+  /// Throws unless `choices` is a full-width chain of valid indices.
+  void check_chain(std::span<const std::size_t> choices,
+                   const char* caller) const;
 
   multibit::InputProfile profile_;
   std::vector<adders::AdderCell> candidates_;
@@ -235,18 +178,6 @@ class ChainEvaluator {
   std::vector<analysis::OperandWeights> weights_;
   analysis::CarryState base_;  // Equation 5 initial state
   BatchStats batch_stats_;
-  std::size_t capacity_;
-  std::size_t key_stride_;  // bytes reserved per slot in key_pool_
-  std::vector<char> key_scratch_;
-  std::vector<std::uint64_t> hash_scratch_;  // probe hashes, reused on insert
-
-  std::vector<Slot> slots_;           // grows lazily up to capacity_
-  std::vector<char> key_pool_;        // slot i's key at i * key_stride_
-  std::vector<std::uint32_t> table_;  // open addressing; kNil = empty
-  std::size_t live_slots_ = 0;
-  std::uint32_t lru_head_ = kNil;
-  std::uint32_t lru_tail_ = kNil;
-  CacheStats stats_;
 
   PmfLru pmf_lru_;  // front = most recently used
   PmfIndex pmf_index_;

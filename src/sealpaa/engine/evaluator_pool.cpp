@@ -60,26 +60,18 @@ std::shared_ptr<ChainEvaluator> EvaluatorPool::acquire(
   return evaluator;
 }
 
-CacheStats EvaluatorPool::aggregate(
-    CacheStats total,
-    const CacheStats& (ChainEvaluator::*of)() const noexcept) const {
-  for (const Entry& entry : entries_) total.merge((*entry.evaluator.*of)());
-  for (const auto& evaluator : evicted_held_) total.merge((*evaluator.*of)());
-  return total;
-}
-
-CacheStats EvaluatorPool::aggregate_stats() const {
-  return aggregate(retired_, &ChainEvaluator::stats);
-}
-
 CacheStats EvaluatorPool::aggregate_pmf_stats() const {
-  return aggregate(retired_pmf_, &ChainEvaluator::pmf_stats);
+  CacheStats total = retired_pmf_;
+  for (const Entry& entry : entries_) total.merge(entry.evaluator->pmf_stats());
+  for (const auto& evaluator : evicted_held_) {
+    total.merge(evaluator->pmf_stats());
+  }
+  return total;
 }
 
 void EvaluatorPool::retire_released() {
   std::erase_if(evicted_held_, [this](const auto& evaluator) {
     if (evaluator.use_count() > 1) return false;
-    retired_.merge(evaluator->stats());
     retired_pmf_.merge(evaluator->pmf_stats());
     return true;
   });

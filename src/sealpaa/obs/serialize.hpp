@@ -47,7 +47,7 @@ namespace sealpaa::obs {
 /// Full exhaustive-sweep report.
 [[nodiscard]] Json to_json(const sim::ExhaustiveSimReport& report);
 
-/// Prefix-cache accounting of an engine::ChainEvaluator.
+/// PMF-cache accounting of an engine::ChainEvaluator.
 [[nodiscard]] Json to_json(const engine::CacheStats& stats);
 
 /// Uniform engine evaluation: method name, probabilities, work measure,

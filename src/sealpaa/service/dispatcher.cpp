@@ -46,7 +46,6 @@ struct ShardStats {
   std::uint64_t pool_created = 0;
   std::uint64_t pool_evicted = 0;
   std::uint64_t pool_hits = 0;
-  engine::CacheStats prefix{};
   engine::CacheStats pmf{};
 
   /// Folds another shard's snapshot in: the fleet-wide totals are the
@@ -66,7 +65,6 @@ struct ShardStats {
     pool_created += other.pool_created;
     pool_evicted += other.pool_evicted;
     pool_hits += other.pool_hits;
-    prefix.merge(other.prefix);
     pmf.merge(other.pmf);
   }
 };
@@ -97,7 +95,6 @@ struct ShardStats {
   out.set("created", obs::Json(stats.pool_created));
   out.set("evicted", obs::Json(stats.pool_evicted));
   out.set("pool_hits", obs::Json(stats.pool_hits));
-  out.set("prefix_cache", obs::to_json(stats.prefix));
   out.set("pmf_cache", obs::to_json(stats.pmf));
   return out;
 }
@@ -357,8 +354,8 @@ void Dispatcher::process_batch(Shard& shard, std::vector<ParsedItem> items,
       // ChainEvaluator::evaluate is bit-identical to
       // RecursiveAnalyzer::analyze and error_pmf to propagate_error_pmf
       // for a full-width chain, so this response is byte-for-byte what
-      // engine::evaluate serializes — the caches only change how often
-      // stages recompute.
+      // engine::evaluate serializes — the PMF cache only changes how
+      // often stages recompute.
       analysis::AnalysisResult result = evaluator->evaluate(item.choices);
       std::optional<analysis::ErrorPmf> pmf;
       if (request.method == engine::Method::kAnalyticPmf) {
@@ -441,7 +438,6 @@ void Dispatcher::process_batch(Shard& shard, std::vector<ParsedItem> items,
     stats.pool_created = shard.pool.created();
     stats.pool_evicted = shard.pool.evicted();
     stats.pool_hits = shard.pool.pool_hits();
-    stats.prefix = shard.pool.aggregate_stats();
     stats.pmf = shard.pool.aggregate_pmf_stats();
   }
 

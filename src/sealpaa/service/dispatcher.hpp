@@ -8,9 +8,9 @@
 // of its `(width, profile)` key, so every request against one profile
 // always lands on the same worker: evaluator state is never shared
 // across threads, and a design-sweep client's chains keep hitting one
-// evaluator's hot caches no matter how many workers run.  Control requests
-// (ping / stats) are answered inline by submit() — they never queue
-// behind evaluations.
+// evaluator's matrices and PMF cache no matter how many workers run.
+// Control requests (ping / stats) are answered inline by submit() — they
+// never queue behind evaluations.
 //
 // Each worker batches adaptively: when its previous drain left work
 // behind (the shard is backlogged) it holds the window open up to
@@ -112,7 +112,7 @@ class Dispatcher {
   void stop();
 
   /// Lifetime service statistics: request/batch counters, adaptive-
-  /// window accounting, evaluator-pool and cache accounting and
+  /// window accounting, evaluator-pool and PMF-cache accounting and
   /// per-method latency histograms — aggregated across shards, plus a
   /// per-shard breakdown under "shards".  The payload of a
   /// {"method": "stats"} response.  Thread-safe (reads the per-shard

@@ -2,9 +2,8 @@
 // ChainEvaluator are *bit-identical* to RecursiveAnalyzer::analyze —
 // EXPECT_EQ on doubles, not EXPECT_NEAR — because they replay the exact
 // advance_stage / final_success call sequence from the same base carry.
-// Plus the prefix cache's pathological configurations (zero capacity,
-// tiny capacity with evictions) and exact counter accounting, and the
-// method registry's parse/dispatch behaviour.
+// Plus the PMF cache's byte budget, evaluate_batch's validation and lane
+// accounting, and the method registry's parse/dispatch behaviour.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -35,7 +34,6 @@ using sealpaa::analysis::AnalysisResult;
 using sealpaa::analysis::ErrorPmf;
 using sealpaa::analysis::RecursiveAnalyzer;
 using sealpaa::engine::ChainEvaluator;
-using sealpaa::engine::ChainEvaluatorOptions;
 using sealpaa::engine::IncrementalAnalyzer;
 using sealpaa::engine::MklCache;
 using sealpaa::multibit::AdderChain;
@@ -188,8 +186,12 @@ TEST(ChainEvaluator, BitIdenticalToBatchAnalyzerOver200RandomChains) {
   sealpaa::prob::Xoshiro256StarStar profile_rng(0xc4a1'7e57'0000'0002ULL);
   sealpaa::prob::SplitMix64 choice_rng(0xc4a1'7e57'0000'0003ULL);
   int chains_checked = 0;
-  for (int config = 0; config < 10; ++config) {
-    const std::size_t width = 4 + static_cast<std::size_t>(config % 13);
+  for (int config = 0; config < 12; ++config) {
+    // Widths 4..13, then the rails: width 1 runs no advance_stage before
+    // Equation 12, and width 63.
+    const std::size_t width =
+        config < 10 ? 4 + static_cast<std::size_t>(config % 13)
+                    : (config == 10 ? 1 : 63);
     const std::size_t palette_size = 4 + static_cast<std::size_t>(config % 5);
     std::vector<AdderCell> palette;
     for (std::size_t c = 0; c < palette_size; ++c) {
@@ -211,14 +213,12 @@ TEST(ChainEvaluator, BitIdenticalToBatchAnalyzerOver200RandomChains) {
           RecursiveAnalyzer::analyze(AdderChain(stages), profile);
       const std::string context = "config " + std::to_string(config) +
                                   " rep " + std::to_string(rep);
-      // Cold (first visit caches the prefixes) and warm (served from the
-      // cache) evaluations must both be exact.
+      // A repeat evaluation must be exact too.
       expect_bit_identical(evaluator.evaluate(choices), batch, context);
       expect_bit_identical(evaluator.evaluate(choices), batch,
-                           context + " (warm)");
+                           context + " (repeat)");
       ++chains_checked;
     }
-    EXPECT_GT(evaluator.stats().hits, 0u) << "config " << config;
   }
   EXPECT_GE(chains_checked, 200);
 }
@@ -249,123 +249,6 @@ TEST(ChainEvaluator, FinalSuccessMatchesIncrementalScoringPath) {
               RecursiveAnalyzer::analyze(AdderChain(chain), profile).p_success)
         << "last choice " << c;
   }
-}
-
-// ---------------------------------------------------------------------------
-// Cache pathologies
-
-TEST(ChainEvaluator, ZeroCapacityDisablesCachingButStaysExact) {
-  sealpaa::prob::SplitMix64 cell_rng(0xc4a1'7e57'0000'0006ULL);
-  const std::size_t width = 6;
-  std::vector<AdderCell> palette;
-  for (int c = 0; c < 3; ++c) palette.push_back(random_cell(cell_rng, c));
-  const InputProfile profile = InputProfile::uniform(width, 0.3);
-  ChainEvaluator evaluator(profile, palette,
-                           ChainEvaluatorOptions{.cache_capacity = 0});
-
-  const std::vector<std::size_t> choices{0, 1, 2, 0, 1, 2};
-  std::vector<AdderCell> stages;
-  for (const std::size_t c : choices) stages.push_back(palette[c]);
-  const AnalysisResult batch =
-      RecursiveAnalyzer::analyze(AdderChain(stages), profile);
-  for (int rep = 0; rep < 3; ++rep) {
-    expect_bit_identical(evaluator.evaluate(choices), batch,
-                         "rep " + std::to_string(rep));
-  }
-  const auto& stats = evaluator.stats();
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.misses, 0u);
-  EXPECT_EQ(stats.insertions, 0u);
-  EXPECT_EQ(stats.evictions, 0u);
-  // Every stage recomputed every time: width advances per evaluate().
-  EXPECT_EQ(stats.stages_computed, 3u * width);
-  EXPECT_EQ(stats.chains_evaluated, 3u);
-  EXPECT_EQ(evaluator.cache_size(), 0u);
-}
-
-TEST(ChainEvaluator, TinyCapacityEvictsLruAndStaysExact) {
-  sealpaa::prob::SplitMix64 cell_rng(0xc4a1'7e57'0000'0007ULL);
-  sealpaa::prob::SplitMix64 choice_rng(0xc4a1'7e57'0000'0008ULL);
-  const std::size_t width = 8;
-  std::vector<AdderCell> palette;
-  for (int c = 0; c < 4; ++c) palette.push_back(random_cell(cell_rng, c));
-  const InputProfile profile = InputProfile::uniform(width, 0.4);
-  for (const std::size_t capacity : {1u, 2u, 3u}) {
-    ChainEvaluator evaluator(
-        profile, palette, ChainEvaluatorOptions{.cache_capacity = capacity});
-    for (int rep = 0; rep < 40; ++rep) {
-      std::vector<std::size_t> choices(width);
-      for (std::size_t s = 0; s < width; ++s) {
-        choices[s] = choice_rng.next() % palette.size();
-      }
-      std::vector<AdderCell> stages;
-      for (const std::size_t c : choices) stages.push_back(palette[c]);
-      expect_bit_identical(
-          evaluator.evaluate(choices),
-          RecursiveAnalyzer::analyze(AdderChain(stages), profile),
-          "capacity " + std::to_string(capacity) + " rep " +
-              std::to_string(rep));
-      EXPECT_LE(evaluator.cache_size(), capacity);
-    }
-    EXPECT_GT(evaluator.stats().evictions, 0u)
-        << "capacity " << capacity << " never evicted";
-    EXPECT_EQ(evaluator.stats().insertions,
-              evaluator.stats().evictions + evaluator.cache_size());
-  }
-}
-
-TEST(ChainEvaluator, EvictionKeepsMostRecentlyUsedPrefix) {
-  // Capacity 2, width 4: evaluating one chain inserts prefixes of depth
-  // 1, 2, 3 — depth 1 (least recently used) must be the one evicted, so
-  // a re-evaluation still hits the full depth-3 prefix immediately.
-  const AdderCell cell = sealpaa::adders::builtin_lpaas()[0];
-  const InputProfile profile = InputProfile::uniform(4, 0.5);
-  ChainEvaluator evaluator(profile, {cell},
-                           ChainEvaluatorOptions{.cache_capacity = 2});
-  const std::vector<std::size_t> choices{0, 0, 0, 0};
-  (void)evaluator.evaluate(choices);
-  EXPECT_EQ(evaluator.stats().insertions, 3u);
-  EXPECT_EQ(evaluator.stats().evictions, 1u);  // depth-1 prefix dropped
-  EXPECT_EQ(evaluator.cache_size(), 2u);
-
-  (void)evaluator.evaluate(choices);
-  // Depth 3 was still cached: exactly one new hit, no new misses.
-  EXPECT_EQ(evaluator.stats().hits, 1u);
-  EXPECT_EQ(evaluator.stats().misses, 3u);
-  EXPECT_EQ(evaluator.stats().evictions, 1u);
-}
-
-TEST(ChainEvaluator, CountersMatchHandComputedScenario) {
-  // Width 4, ample capacity.  First evaluate({c,c,c,c}): the probe walks
-  // depths 3, 2, 1 (3 misses), computes and caches them (3 insertions,
-  // 3 advances) and advances the uncached final stage: 4 stages total.
-  // Second evaluate: one probe hits depth 3, only the final stage is
-  // recomputed.
-  const AdderCell cell = sealpaa::adders::builtin_lpaas()[0];
-  const InputProfile profile = InputProfile::uniform(4, 0.5);
-  ChainEvaluator evaluator(profile, {cell});
-  const std::vector<std::size_t> choices{0, 0, 0, 0};
-
-  (void)evaluator.evaluate(choices);
-  EXPECT_EQ(evaluator.stats().hits, 0u);
-  EXPECT_EQ(evaluator.stats().misses, 3u);
-  EXPECT_EQ(evaluator.stats().insertions, 3u);
-  EXPECT_EQ(evaluator.stats().evictions, 0u);
-  EXPECT_EQ(evaluator.stats().stages_computed, 4u);
-  EXPECT_EQ(evaluator.stats().chains_evaluated, 1u);
-
-  (void)evaluator.evaluate(choices);
-  EXPECT_EQ(evaluator.stats().hits, 1u);
-  EXPECT_EQ(evaluator.stats().misses, 3u);
-  EXPECT_EQ(evaluator.stats().insertions, 3u);
-  EXPECT_EQ(evaluator.stats().stages_computed, 5u);
-  EXPECT_EQ(evaluator.stats().chains_evaluated, 2u);
-  EXPECT_DOUBLE_EQ(evaluator.stats().hit_rate(), 0.25);
-
-  evaluator.reset_stats();
-  EXPECT_EQ(evaluator.stats().hits, 0u);
-  evaluator.clear();
-  EXPECT_EQ(evaluator.cache_size(), 0u);
 }
 
 TEST(ChainEvaluator, ValidatesArguments) {
@@ -457,8 +340,8 @@ TEST(ChainEvaluator, PmfCacheStaysWithinByteBudget) {
 }
 
 // ---------------------------------------------------------------------------
-// ChainEvaluator lane loop (evaluate_batch with the prefix cache off, so
-// every lane-stage runs through the lane advance)
+// ChainEvaluator::evaluate_batch (a loop over evaluate, kept for the
+// benchmark's lane probe)
 
 TEST(ChainEvaluator, EvaluateBatchBitIdenticalToAnalyzeOver240RandomChains) {
   // 20 configurations x 12 chains = 240 random chains; config*7 mod 29
@@ -477,8 +360,7 @@ TEST(ChainEvaluator, EvaluateBatchBitIdenticalToAnalyzeOver240RandomChains) {
     }
     const InputProfile profile =
         InputProfile::random(width, profile_rng, 0.05, 0.95);
-    ChainEvaluator evaluator(profile, palette,
-                             ChainEvaluatorOptions{.cache_capacity = 0});
+    ChainEvaluator evaluator(profile, palette);
 
     std::vector<std::vector<std::size_t>> chains(12);
     std::vector<std::span<const std::size_t>> spans;
@@ -508,8 +390,7 @@ TEST(ChainEvaluator, EvaluateBatchBitIdenticalToAnalyzeOver240RandomChains) {
 TEST(ChainEvaluator, BatchStatsCountBatchesAndLaneStages) {
   const AdderCell cell = sealpaa::adders::builtin_lpaas()[0];
   const InputProfile profile = InputProfile::uniform(6, 0.5);
-  ChainEvaluator evaluator(profile, {cell},
-                           ChainEvaluatorOptions{.cache_capacity = 0});
+  ChainEvaluator evaluator(profile, {cell});
   const std::vector<std::size_t> chain(6, 0);
   const std::vector<std::span<const std::size_t>> spans{chain, chain, chain};
   (void)evaluator.evaluate_batch(spans);
@@ -528,62 +409,6 @@ TEST(ChainEvaluator, EvaluateBatchValidatesArguments) {
   const std::vector<std::size_t> bad_choice{0, 0, 0, 1};
   const std::vector<std::span<const std::size_t>> bad{bad_choice};
   EXPECT_THROW((void)evaluator.evaluate_batch(bad), std::out_of_range);
-}
-
-// ---------------------------------------------------------------------------
-// ChainEvaluator batch entry points (SoA path behind the prefix cache)
-
-TEST(ChainEvaluator, EvaluateBatchBitIdenticalToPerChainEvaluate) {
-  // Chains share prefixes on purpose: the batch path must dedup and
-  // adopt cached states without changing a single bit of any result.
-  sealpaa::prob::SplitMix64 cell_rng(0xba7c'40c1'0000'0021ULL);
-  sealpaa::prob::Xoshiro256StarStar profile_rng(0xba7c'40c1'0000'0022ULL);
-  sealpaa::prob::SplitMix64 chain_rng(0xba7c'40c1'0000'0023ULL);
-  const std::size_t width = 12;
-  const std::size_t palette_size = 4;
-  std::vector<AdderCell> palette;
-  for (std::size_t c = 0; c < palette_size; ++c) {
-    palette.push_back(random_cell(cell_rng, static_cast<int>(c)));
-  }
-  const InputProfile profile =
-      InputProfile::random(width, profile_rng, 0.05, 0.95);
-
-  std::vector<std::size_t> base;
-  for (std::size_t s = 0; s < width; ++s) {
-    base.push_back(chain_rng.next() % palette_size);
-  }
-  std::vector<std::vector<std::size_t>> chains;
-  std::vector<std::span<const std::size_t>> spans;
-  for (int v = 0; v < 24; ++v) {
-    std::vector<std::size_t> chain = base;
-    // Mutate a suffix so early prefixes collide across lanes.
-    const std::size_t from = chain_rng.next() % width;
-    for (std::size_t s = from; s < width; ++s) {
-      chain[s] = chain_rng.next() % palette_size;
-    }
-    chains.push_back(std::move(chain));
-  }
-  for (const std::vector<std::size_t>& chain : chains) {
-    spans.emplace_back(chain);
-  }
-
-  ChainEvaluator batched(profile, palette);
-  ChainEvaluator sequential(profile, palette);
-  const std::vector<AnalysisResult> results = batched.evaluate_batch(spans);
-  ASSERT_EQ(results.size(), chains.size());
-  for (std::size_t l = 0; l < chains.size(); ++l) {
-    expect_bit_identical(results[l], sequential.evaluate(chains[l]),
-                         "lane " + std::to_string(l));
-  }
-  // Every stage the batch computed is a lane stage.
-  EXPECT_EQ(batched.batch_stats().lane_stages,
-            batched.stats().stages_computed);
-  // Shared prefixes mean the batch advanced strictly fewer lane-stages
-  // than 24 cache-less evaluations (24 x width) would have, and no more
-  // than the sequential evaluator with its own warm prefix cache.
-  EXPECT_LT(batched.stats().stages_computed, chains.size() * width);
-  EXPECT_LE(batched.stats().stages_computed,
-            sequential.stats().stages_computed);
 }
 
 // ---------------------------------------------------------------------------

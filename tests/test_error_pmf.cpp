@@ -501,7 +501,6 @@ TEST(ErrorPmf, ChainEvaluatorPmfPrefixCacheIsExactAndAccounted) {
 
   evaluator.clear();
   EXPECT_EQ(evaluator.pmf_cache_size(), 0u);
-  EXPECT_EQ(evaluator.cache_size(), 0u);
 }
 
 TEST(ErrorPmf, ChainEvaluatorPartialPrefixMatchesPartialChain) {

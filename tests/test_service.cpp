@@ -265,9 +265,9 @@ TEST(EvaluatorPool, AggregateStatsFoldInEvictedEvaluators) {
   options.max_evaluators = 1;
   EvaluatorPool pool(palette(), options);
   const auto a = pool.acquire(sealpaa::multibit::InputProfile::uniform(4, 0.1));
-  (void)a->evaluate(std::vector<std::size_t>{0, 0, 0, 0});
+  (void)a->error_pmf(std::vector<std::size_t>{0, 0, 0, 0});
   (void)pool.acquire(sealpaa::multibit::InputProfile::uniform(4, 0.2));
-  EXPECT_EQ(pool.aggregate_stats().chains_evaluated, 1u);
+  EXPECT_EQ(pool.aggregate_pmf_stats().chains_evaluated, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -355,33 +355,6 @@ TEST(Dispatcher, RecursiveResponseMatchesEngineEvaluate) {
       "\"evaluation\":" + sealpaa::obs::to_json(expected).dump(0);
   EXPECT_NE(responses[0].frame.find(expected_fragment), std::string::npos)
       << responses[0].frame;
-}
-
-TEST(Dispatcher, GroupedRecursiveRequestsShareThePrefixCache) {
-  Dispatcher dispatcher;
-  std::vector<PendingRequest> batch;
-  // Beam-search-style mix: shared prefix, varying last stage.
-  const std::string prefix =
-      R"(["LPAA3","LPAA3","LPAA3","LPAA3","LPAA3","LPAA3","LPAA3",)";
-  for (int i = 0; i < 4; ++i) {
-    const std::string cell = i % 2 == 0 ? "\"LPAA1\"" : "\"LPAA2\"";
-    batch.push_back(pending(
-        1, static_cast<std::uint64_t>(i),
-        R"({"id":)" + std::to_string(i) +
-            R"(,"method":"recursive","width":8,"chain":)" + prefix + cell +
-            "]}"));
-  }
-  const auto responses = run_live(dispatcher, std::move(batch));
-  ASSERT_EQ(responses.size(), 4u);
-  for (const auto& response : responses) {
-    EXPECT_NE(response.frame.find("\"ok\":true"), std::string::npos)
-        << response.frame;
-  }
-  // 4 chains x 8 stages = 32 lookups; the shared 7-stage prefix plus the
-  // repeated last cells make most of them cache hits.
-  const std::string stats = dispatcher.stats_json().dump(0);
-  EXPECT_NE(stats.find("\"chains_evaluated\":4"), std::string::npos) << stats;
-  EXPECT_EQ(dispatcher.requests_served(), 4u);
 }
 
 TEST(Dispatcher, ZeroTimeoutExpiresBeforeEvaluation) {
@@ -701,11 +674,18 @@ TEST(Dispatcher, StatsReconcileWithResponsesAtOneAndFourWorkers) {
     EXPECT_EQ(uint_at(stats, "requests.ok"), frames.size() - kFailed);
     EXPECT_EQ(uint_at(stats, "requests.errors"), kFailed);
 
-    // Each ok recursive or analytic-pmf response ran one chain on its
-    // pooled evaluator, and each analytic-pmf chain probed the PMF cache
-    // exactly once.
-    EXPECT_EQ(uint_at(stats, "evaluators.prefix_cache.chains_evaluated"),
-              ok_by_method["recursive"] + ok_by_method["analytic-pmf"]);
+    // For every evaluation method, count − errors = that method's ok
+    // responses.
+    const Json& methods = *stats.find("methods");
+    EXPECT_EQ(methods.size(), 7u);
+    for (const auto& [name, method] : methods.items()) {
+      EXPECT_EQ(uint_at(method, "count") - uint_at(method, "errors"),
+                ok_by_method[name])
+          << name;
+    }
+
+    // Each ok analytic-pmf response ran one chain on its pooled
+    // evaluator and probed the PMF cache exactly once.
     EXPECT_EQ(uint_at(stats, "evaluators.pmf_cache.chains_evaluated"),
               ok_by_method["analytic-pmf"]);
     EXPECT_EQ(uint_at(stats, "evaluators.pmf_cache.hits") +
@@ -713,8 +693,6 @@ TEST(Dispatcher, StatsReconcileWithResponsesAtOneAndFourWorkers) {
               uint_at(stats, "evaluators.pmf_cache.chains_evaluated"));
 
     // Σ methods.*.count = batches.size.sum = routed evaluation requests.
-    const Json& methods = *stats.find("methods");
-    EXPECT_EQ(methods.size(), 7u);
     std::uint64_t routed = 0;
     for (const auto& [name, method] : methods.items()) {
       routed += uint_at(method, "count");
@@ -732,11 +710,9 @@ TEST(Dispatcher, StatsReconcileWithResponsesAtOneAndFourWorkers) {
         "dispatch.cut_through_batches", "dispatch.coalesced_batches",
         "evaluators.live", "evaluators.created", "evaluators.evicted",
         "evaluators.pool_hits"};
-    for (const char* cache : {".prefix_cache.", ".pmf_cache."}) {
-      for (const char* key : {"hits", "misses", "insertions", "evictions",
-                              "stages_computed", "chains_evaluated"}) {
-        totals.push_back("evaluators" + (cache + std::string(key)));
-      }
+    for (const char* key : {"hits", "misses", "insertions", "evictions",
+                            "stages_computed", "chains_evaluated"}) {
+      totals.push_back("evaluators.pmf_cache." + std::string(key));
     }
     for (const auto& [name, method] : methods.items()) {
       for (const char* key :
@@ -780,7 +756,6 @@ TEST(Dispatcher, EvaluatorEvictedMidBatchKeepsItsCounts) {
   const Json stats = dispatcher.stats_json();
   EXPECT_EQ(uint_at(stats, "batches.count"), 1u);
   EXPECT_EQ(uint_at(stats, "evaluators.evicted"), 1u);
-  EXPECT_EQ(uint_at(stats, "evaluators.prefix_cache.chains_evaluated"), 3u);
   EXPECT_EQ(uint_at(stats, "evaluators.pmf_cache.chains_evaluated"), 3u);
   EXPECT_EQ(uint_at(stats, "evaluators.pmf_cache.misses"), 3u);
 
@@ -790,7 +765,6 @@ TEST(Dispatcher, EvaluatorEvictedMidBatchKeepsItsCounts) {
   dispatcher.drain();
   const Json later = dispatcher.stats_json();
   dispatcher.stop();
-  EXPECT_EQ(uint_at(later, "evaluators.prefix_cache.chains_evaluated"), 4u);
   EXPECT_EQ(uint_at(later, "evaluators.pmf_cache.chains_evaluated"), 4u);
   EXPECT_EQ(uint_at(later, "evaluators.pmf_cache.hits"), 1u);
   EXPECT_EQ(uint_at(later, "evaluators.pmf_cache.misses"), 3u);

@@ -10,9 +10,10 @@
 // byte-for-byte against a frame built locally from engine::evaluate,
 // and each run's final `stats` must reconcile with what its clients saw
 // (received = ok + errors; per-method counts and batch sizes sum to the
-// requests sent; the evaluators' chain counts match the ok recursive and
-// analytic-pmf responses, one PMF-cache probe each; every total is the
-// sum over shards).  Any divergence exits non-zero.
+// requests sent; each method's count minus its errors is that method's
+// ok responses; the PMF cache ran one chain, one probe, per ok
+// analytic-pmf response; every total is the sum over shards).  Any
+// divergence exits non-zero.
 //
 // The run executes twice, with 1 and with 4 dispatch workers, and
 // reports the throughput ratio.  The profile grid is sized to overflow
@@ -36,6 +37,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <map>
 #include <span>
 #include <string>
 #include <string_view>
@@ -171,7 +173,7 @@ Workload build_workload(std::size_t total_requests, std::uint64_t seed) {
       }
 
       // A beam-shaped recursive family: shared prefix, last two stages
-      // enumerated — siblings finish from the profile's prefix cache.
+      // enumerated — siblings share the profile's pooled evaluator.
       for (std::size_t member = 0; member < 8; ++member) {
         std::vector<adders::AdderCell> stages;
         stages.reserve(width);
@@ -277,8 +279,8 @@ struct PhaseResult {
   double seconds = 0.0;
   std::uint64_t requests = 0;
   std::uint64_t mismatches = 0;
-  std::uint64_t ok_recursive = 0;  // verified ok responses, per method
-  std::uint64_t ok_analytic_pmf = 0;
+  /// Verified ok responses per method label.
+  std::map<std::string, std::uint64_t> ok_by_method;
   int serve_rc = -1;
   obs::Json server_stats;
 };
@@ -328,8 +330,8 @@ PhaseResult run_phase(unsigned workers, unsigned connections,
   }
 
   std::vector<std::uint64_t> mismatches(connections, 0);
-  std::vector<std::uint64_t> ok_recursive(connections, 0);
-  std::vector<std::uint64_t> ok_analytic_pmf(connections, 0);
+  std::vector<std::map<std::string, std::uint64_t>> ok_by_method(
+      connections);
   const util::WallTimer timer;
   std::vector<std::thread> pumps;
   pumps.reserve(connections);
@@ -362,10 +364,8 @@ PhaseResult run_phase(unsigned workers, unsigned connections,
           if (frame->size() + 1 != expected.size() ||
               expected.compare(0, frame->size(), *frame) != 0) {
             mismatches[c] += 1;
-          } else if (config.method == "recursive") {
-            ok_recursive[c] += 1;
-          } else if (config.method == "analytic-pmf") {
-            ok_analytic_pmf[c] += 1;
+          } else {
+            ok_by_method[c][config.method] += 1;
           }
           expected_counts[c][static_cast<std::size_t>(id)] -= 1;
         }
@@ -382,8 +382,9 @@ PhaseResult run_phase(unsigned workers, unsigned connections,
   result.requests = workload.schedule.size();
   for (unsigned c = 0; c < connections; ++c) {
     result.mismatches += mismatches[c];
-    result.ok_recursive += ok_recursive[c];
-    result.ok_analytic_pmf += ok_analytic_pmf[c];
+    for (const auto& [method, ok] : ok_by_method[c]) {
+      result.ok_by_method[method] += ok;
+    }
   }
 
   {
@@ -420,10 +421,10 @@ PhaseResult run_phase(unsigned workers, unsigned connections,
 /// Checks that a phase's final `stats` reconcile with what its clients
 /// saw: every evaluation request plus the stats request itself were
 /// received, received = ok + errors, the per-method counts and the batch
-/// sizes each sum to the evaluations, the evaluators ran one chain per
-/// ok recursive or analytic-pmf response and probed the PMF cache once
-/// per analytic-pmf chain, and every top-level total is the sum over the
-/// shards.  Prints each broken invariant.
+/// sizes each sum to the evaluations, each method's count minus its
+/// errors is that method's ok responses, the PMF cache ran one chain and
+/// one probe per ok analytic-pmf response, and every top-level total is
+/// the sum over the shards.  Prints each broken invariant.
 [[nodiscard]] bool stats_reconcile(const char* phase,
                                    const PhaseResult& result) {
   const obs::Json& stats = result.server_stats;
@@ -441,13 +442,13 @@ PhaseResult run_phase(unsigned workers, unsigned connections,
   expect(stat_at(stats, "requests.ok") + stat_at(stats, "requests.errors"),
          received, "requests.ok + requests.errors");
   expect(stat_at(stats, "batches.size.sum"), evaluations, "batches.size.sum");
-  expect(stat_at(stats, "evaluators.prefix_cache.chains_evaluated"),
-         result.ok_recursive + result.ok_analytic_pmf,
-         "evaluators.prefix_cache.chains_evaluated (ok recursive + "
-         "analytic-pmf responses)");
+  const auto ok_of = [&result](const std::string& method) -> std::uint64_t {
+    const auto it = result.ok_by_method.find(method);
+    return it == result.ok_by_method.end() ? 0 : it->second;
+  };
   const std::uint64_t pmf_chains =
       stat_at(stats, "evaluators.pmf_cache.chains_evaluated");
-  expect(pmf_chains, result.ok_analytic_pmf,
+  expect(pmf_chains, ok_of("analytic-pmf"),
          "evaluators.pmf_cache.chains_evaluated (ok analytic-pmf responses)");
   expect(stat_at(stats, "evaluators.pmf_cache.hits") +
              stat_at(stats, "evaluators.pmf_cache.misses"),
@@ -458,16 +459,18 @@ PhaseResult run_phase(unsigned workers, unsigned connections,
       "dispatch.cut_through_batches", "dispatch.coalesced_batches",
       "evaluators.live", "evaluators.created", "evaluators.evicted",
       "evaluators.pool_hits"};
-  for (const char* cache : {".prefix_cache.", ".pmf_cache."}) {
-    for (const char* key : {"hits", "misses", "insertions", "evictions",
-                            "stages_computed", "chains_evaluated"}) {
-      totals.push_back("evaluators" + (cache + std::string(key)));
-    }
+  for (const char* key : {"hits", "misses", "insertions", "evictions",
+                          "stages_computed", "chains_evaluated"}) {
+    totals.push_back("evaluators.pmf_cache." + std::string(key));
   }
   std::uint64_t method_count = 0;
   if (const obs::Json* methods = stats.find("methods")) {
     for (const auto& [name, method] : methods->items()) {
       method_count += stat_at(method, "count");
+      expect(stat_at(method, "count") - stat_at(method, "errors"),
+             ok_of(name),
+             "methods." + name + ".count - errors (ok " + name +
+                 " responses)");
       totals.push_back("methods." + name + ".count");
       totals.push_back("methods." + name + ".errors");
     }

@@ -5,9 +5,9 @@
 // stdin/stdout.  Evaluations run on N dispatch workers
 // (--dispatch-threads), each owning the shard of (width, p) profiles
 // that hashes to it, with adaptive cross-request batching so a
-// design-sweep client's chains share one hot prefix cache.  Responses
-// complete out of order per connection across shards -- clients match
-// them by request id.
+// design-sweep client's chains share one pooled evaluator per batch.
+// Responses complete out of order per connection across shards --
+// clients match them by request id.
 //
 //   sealpaad --port=0                 # ephemeral port, printed on stdout
 //   sealpaad --port=7413 --dispatch-threads=4 --window-us=500
