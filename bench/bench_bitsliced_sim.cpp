@@ -102,8 +102,8 @@ obs::Json row_json(const std::string& sim_name, std::size_t width,
 int main(int argc, char** argv) {
   const util::CliArgs args(argc, argv);
   try {
-    args.expect_flags({"reps", "subrange", "samples", "quick", "threads",
-                       "json-report", "no-json"});
+    args.expect_flags({"reps", "subrange", "samples", "quick", "json-report",
+                       "no-json"});
     const bool quick = args.get_bool("quick", false);
     const int reps = static_cast<int>(args.get_uint("reps", quick ? 1 : 3));
     const std::uint64_t subrange =

@@ -21,8 +21,8 @@
 //
 // Hand-rolled driver (not google-benchmark) so the run can emit the
 // versioned sealpaa.run-report JSON: results land in
-// BENCH_block_adders.json next to the binary (--no-json suppresses,
-// --json-report=FILE redirects).
+// BENCH_block_adders.json in the current directory (--no-json
+// suppresses, --json-report=FILE redirects).
 //
 // Flags: --reps=5  --p=0.42  --quick
 #include <cmath>
@@ -46,8 +46,7 @@ double relative_gap(double got, double want) {
 int main(int argc, char** argv) {
   const util::CliArgs args(argc, argv);
   try {
-    args.expect_flags({"reps", "p", "quick", "threads", "json-report",
-                       "no-json"});
+    args.expect_flags({"reps", "p", "quick", "json-report", "no-json"});
     const bool quick = args.get_bool("quick", false);
     const int reps = static_cast<int>(args.get_uint("reps", quick ? 2 : 5));
     const double p = args.get_double("p", 0.42);

@@ -72,7 +72,7 @@ bool same_design(const explore::HybridDesign& a,
 int main(int argc, char** argv) {
   const util::CliArgs args(argc, argv);
   try {
-    args.expect_flags({"reps", "quick", "threads", "json-report", "no-json"});
+    args.expect_flags({"reps", "quick", "json-report", "no-json"});
     const bool quick = args.get_bool("quick", false);
     const int reps = static_cast<int>(args.get_uint("reps", quick ? 1 : 3));
 

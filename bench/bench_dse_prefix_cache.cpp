@@ -16,8 +16,8 @@
 //
 // Hand-rolled driver (not google-benchmark) so the run can emit the
 // versioned sealpaa.run-report JSON: results land in
-// BENCH_dse_prefix_cache.json next to the binary (--no-json suppresses,
-// --json-report=FILE redirects).
+// BENCH_dse_prefix_cache.json in the current directory (--no-json
+// suppresses, --json-report=FILE redirects).
 //
 // Flags: --bits=16  --beam=128  --reps=3  --p=0.35  --quick
 #include <algorithm>
@@ -126,8 +126,8 @@ NaiveResult naive_beam(const multibit::InputProfile& profile,
 int main(int argc, char** argv) {
   const util::CliArgs args(argc, argv);
   try {
-    args.expect_flags({"bits", "beam", "reps", "p", "quick", "threads",
-                       "json-report", "no-json"});
+    args.expect_flags({"bits", "beam", "reps", "p", "quick", "json-report",
+                       "no-json"});
     const bool quick = args.get_bool("quick", false);
     const auto bits =
         static_cast<std::size_t>(args.get_uint("bits", quick ? 10 : 16));

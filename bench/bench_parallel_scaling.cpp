@@ -115,8 +115,7 @@ int main(int argc, char** argv) {
   const util::CliArgs args(argc, argv);
   try {
     args.expect_flags({"thread-counts", "reps", "samples", "exhaustive-bits",
-                       "hybrid-bits", "quick", "threads", "json-report",
-                       "no-json"});
+                       "hybrid-bits", "quick", "json-report", "no-json"});
     const bool quick = args.get_bool("quick", false);
     const std::vector<unsigned> thread_counts =
         parse_thread_counts(args.get("thread-counts", "1,2,4,8"));

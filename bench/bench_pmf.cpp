@@ -18,7 +18,7 @@
 //
 // Hand-rolled driver (not google-benchmark) so the run can emit the
 // versioned sealpaa.run-report JSON: results land in BENCH_pmf.json
-// next to the binary (--no-json suppresses, --json-report=FILE
+// in the current directory (--no-json suppresses, --json-report=FILE
 // redirects).
 //
 // Flags: --reps=5  --samples=400000  --p=0.42  --quick

@@ -12,7 +12,7 @@ int main(int argc, char** argv) {
   using namespace sealpaa;
   const util::CliArgs args(argc, argv);
   try {
-    args.expect_flags({"bits", "p", "threads", "json-report", "no-json"});
+    args.expect_flags({"bits", "p", "json-report", "no-json"});
     const auto bits = static_cast<std::size_t>(args.get_uint("bits", 8));
     const double p = args.get_double("p", 0.5);
 
@@ -35,8 +35,7 @@ int main(int argc, char** argv) {
 
     const auto profile = multibit::InputProfile::uniform(bits, p);
     util::ShardTimings sweep_timings;
-    const auto points =
-        explore::homogeneous_sweep(profile, args.threads(), &sweep_timings);
+    const auto points = explore::homogeneous_sweep(profile, &sweep_timings);
     std::cout << "\nExtension: " << bits << "-bit homogeneous chains at p = "
               << util::fixed(p, 2) << "\n";
     util::TextTable sweep({"Design", "P(Error)", "Power (nW)", "Area (GE)"});

@@ -14,7 +14,7 @@ int main(int argc, char** argv) {
   using namespace sealpaa;
   const util::CliArgs args(argc, argv);
   try {
-    args.expect_flags({"threads", "json-report", "no-json"});
+    args.expect_flags({"json-report", "no-json"});
     obs::RunReport report("bench_table3_ie_cost");
     report.record_args(args);
 

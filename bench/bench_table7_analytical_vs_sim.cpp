@@ -12,7 +12,7 @@ int main(int argc, char** argv) {
   using namespace sealpaa;
   const util::CliArgs args(argc, argv);
   try {
-    args.expect_flags({"samples", "p", "threads", "json-report", "no-json"});
+    args.expect_flags({"samples", "p", "json-report", "no-json"});
     const std::uint64_t samples = args.get_uint("samples", 1'000'000);
     const double p = args.get_double("p", 0.1);
 

@@ -3,9 +3,9 @@
 // cells (the use-case the paper's §5 motivates).
 //
 // The search runs on the engine layer: the exhaustive optimizer walks a
-// DFS over engine::IncrementalAnalyzer, and the beam fallback keeps each
-// survivor's carry state, so an expansion costs one stage advance from
-// its parent.  The winner is re-checked through engine::evaluate — the
+// DFS of palette indices over engine::IncrementalAnalyzer, one walk for
+// every objective, and the beam fallback keeps each survivor's carry
+// state, so an expansion costs one stage advance from its parent.  The winner is re-checked through engine::evaluate — the
 // same uniform entry point the CLI's --method flag uses — and the search
 // counters are printed (and reported as JSON) so the prefix reuse is
 // visible: stage advances against candidates scored.

@@ -2,79 +2,57 @@
 
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "sealpaa/prob/probability.hpp"
 
 namespace sealpaa::engine {
 
-std::uint16_t MklCache::key_of(const adders::AdderCell& cell) noexcept {
-  std::uint16_t key = 0;
-  const adders::AdderCell::Rows& rows = cell.rows();
-  for (std::size_t r = 0; r < adders::AdderCell::kRows; ++r) {
-    if (rows[r].sum) key |= static_cast<std::uint16_t>(1u << r);
-    if (rows[r].carry) key |= static_cast<std::uint16_t>(1u << (8 + r));
-  }
-  return key;
-}
-
-const analysis::MklMatrices& MklCache::of(const adders::AdderCell& cell) {
-  const std::uint16_t key = key_of(cell);
-  const auto it = table_.find(key);
-  if (it != table_.end()) return it->second;
-  ++derivations_;
-  return table_.emplace(key, analysis::MklMatrices::from_cell(cell))
-      .first->second;
-}
-
-IncrementalAnalyzer::IncrementalAnalyzer(multibit::InputProfile profile,
-                                         MklCache* mkl_cache)
+IncrementalAnalyzer::IncrementalAnalyzer(
+    multibit::InputProfile profile, std::span<const adders::AdderCell> palette,
+    bool track_pmf)
     : profile_(std::move(profile)),
+      palette_(palette.begin(), palette.end()),
       weights_(analysis::operand_weights(profile_)),
       base_{1.0 - profile_.p_cin(), profile_.p_cin()},
-      cache_(mkl_cache != nullptr ? mkl_cache : &owned_cache_) {
+      track_pmf_(track_pmf) {
+  if (palette_.empty()) {
+    throw std::invalid_argument("IncrementalAnalyzer: empty cell palette");
+  }
+  mkls_.reserve(palette_.size());
+  for (const adders::AdderCell& cell : palette_) {
+    mkls_.push_back(analysis::MklMatrices::from_cell(cell));
+  }
+  if (track_pmf_) pmf_base_ = analysis::make_error_pmf_state(profile_.p_cin());
   stack_.reserve(profile_.width());
 }
 
-const analysis::CarryState& IncrementalAnalyzer::push_stage(
-    const adders::AdderCell& cell) {
-  const std::size_t i = depth();
-  if (i >= width()) {
-    throw std::logic_error(
-        "IncrementalAnalyzer::push_stage: chain already holds all " +
-        std::to_string(width()) + " stages");
+void IncrementalAnalyzer::check_choice(std::size_t choice,
+                                       const char* caller) const {
+  if (choice >= palette_.size()) {
+    throw std::out_of_range(std::string("IncrementalAnalyzer::") + caller +
+                            ": choice " + std::to_string(choice) +
+                            " outside the " +
+                            std::to_string(palette_.size()) + "-cell palette");
   }
-  const analysis::MklMatrices& mkl = cache_->of(cell);
-  const analysis::CarryState next =
-      analysis::advance_stage(mkl, weights_[i], carry_at(i));
-  Frame frame{mkl, next, {}};
-  if (track_pmf_) {
-    frame.pmf = analysis::next_error_pmf_state(
-        pmf_state_at(i), cell, profile_.p_a(i), profile_.p_b(i),
-        pmf_options_);
-  }
-  stack_.push_back(std::move(frame));
-  return stack_.back().carry;
 }
 
-const analysis::CarryState& IncrementalAnalyzer::push_stage(
-    const analysis::MklMatrices& mkl) {
+const analysis::CarryState& IncrementalAnalyzer::push(std::size_t choice) {
   const std::size_t i = depth();
   if (i >= width()) {
     throw std::logic_error(
-        "IncrementalAnalyzer::push_stage: chain already holds all " +
+        "IncrementalAnalyzer::push: chain already holds all " +
         std::to_string(width()) + " stages");
   }
+  check_choice(choice, "push");
+  Frame frame{choice, analysis::advance_stage(mkls_[choice], weights_[i],
+                                              carry_at(i)),
+              {}};
   if (track_pmf_) {
-    // The M/K/L matrices only encode carry and success behaviour; the
-    // PMF deltas additionally need the cell's sum column.
-    throw std::logic_error(
-        "IncrementalAnalyzer::push_stage: the matrices-only fast path "
-        "cannot advance the error PMF; push the AdderCell while PMF "
-        "tracking is enabled");
+    frame.pmf = analysis::next_error_pmf_state(
+        pmf_state_at(i), palette_[choice], profile_.p_a(i), profile_.p_b(i));
   }
-  const analysis::CarryState next =
-      analysis::advance_stage(mkl, weights_[i], carry_at(i));
-  stack_.push_back(Frame{mkl, next, {}});
+  stack_.push_back(std::move(frame));
   return stack_.back().carry;
 }
 
@@ -104,27 +82,16 @@ const analysis::CarryState& IncrementalAnalyzer::carry_at(
   return depth == 0 ? base_ : stack_[depth - 1].carry;
 }
 
-double IncrementalAnalyzer::final_success_with(
-    const analysis::MklMatrices& mkl) const {
+double IncrementalAnalyzer::final_success_with(std::size_t choice) const {
   const std::size_t n = width();
   if (depth() + 1 != n) {
     throw std::logic_error(
         "IncrementalAnalyzer::final_success_with: requires depth " +
         std::to_string(n - 1) + ", have " + std::to_string(depth()));
   }
-  return analysis::final_success(mkl, weights_[n - 1], carry_at(n - 1));
-}
-
-void IncrementalAnalyzer::enable_pmf_tracking(
-    const analysis::PmfOptions& options) {
-  if (depth() != 0) {
-    throw std::logic_error(
-        "IncrementalAnalyzer::enable_pmf_tracking: must be enabled at depth "
-        "0, have " + std::to_string(depth()));
-  }
-  track_pmf_ = true;
-  pmf_options_ = options;
-  pmf_base_ = analysis::make_error_pmf_state(profile_.p_cin());
+  check_choice(choice, "final_success_with");
+  return analysis::final_success(mkls_[choice], weights_[n - 1],
+                                 carry_at(n - 1));
 }
 
 const analysis::ErrorPmfState& IncrementalAnalyzer::pmf_state_at(
@@ -142,7 +109,7 @@ const analysis::ErrorPmfState& IncrementalAnalyzer::pmf_state_at(
 }
 
 analysis::ErrorPmf IncrementalAnalyzer::error_pmf() const {
-  return analysis::finalize_error_pmf(pmf_state_at(depth()), pmf_options_);
+  return analysis::finalize_error_pmf(pmf_state_at(depth()));
 }
 
 analysis::AnalysisResult IncrementalAnalyzer::finish(bool record_trace) const {
@@ -156,7 +123,7 @@ analysis::AnalysisResult IncrementalAnalyzer::finish(bool record_trace) const {
   // P(Succ) closes over the carry state *before* the last stage, exactly
   // as the batch analyzer scores it (Equation 12).
   result.p_success = prob::require_probability(
-      analysis::final_success(stack_[n - 1].mkl, weights_[n - 1],
+      analysis::final_success(mkls_[stack_[n - 1].choice], weights_[n - 1],
                               carry_at(n - 1)),
       "IncrementalAnalyzer P(Succ)");
   result.p_error = 1.0 - result.p_success;

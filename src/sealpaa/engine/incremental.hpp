@@ -5,10 +5,12 @@
 // stronger: thousands of candidate chains that share long prefixes, where
 // re-deriving the shared stages per chain turns an O(N) method into
 // O(N) *per candidate stage*.  `IncrementalAnalyzer` exposes the
-// recursion as an explicit state machine — `push_stage` advances one
-// stage, `pop`/`rewind` back out of a partial design, `finish` closes the
-// chain with Equation 12 — so a DFS over candidate assignments pays O(1)
-// per visited stage instead of O(N) per visited chain.
+// recursion as an explicit state machine over a fixed cell palette —
+// `push` advances one stage by palette index, `pop`/`rewind` back out of
+// a partial design, `finish` closes the chain with Equation 12 — so a
+// DFS over candidate assignments pays O(1) per visited stage instead of
+// O(N) per visited chain.  Each palette cell's M/K/L matrices are
+// derived once, at construction.
 //
 // Every arithmetic step is the exact advance_stage / final_success call
 // the batch analyzer makes, in the same order, so results are
@@ -16,50 +18,24 @@
 // tests/test_engine.cpp), not merely within tolerance.
 #pragma once
 
-#include <cstdint>
-#include <unordered_map>
+#include <cstddef>
+#include <span>
 #include <vector>
 
+#include "sealpaa/adders/cell.hpp"
 #include "sealpaa/analysis/error_pmf.hpp"
 #include "sealpaa/analysis/mkl.hpp"
 #include "sealpaa/analysis/recursive.hpp"
-#include "sealpaa/multibit/chain.hpp"
 #include "sealpaa/multibit/input_profile.hpp"
 
 namespace sealpaa::engine {
 
-/// Memoizes the M/K/L analysis matrices per distinct truth table, so a
-/// search touching the same cells millions of times derives each cell's
-/// matrices exactly once.  An 8-row cell packs into 16 bits (sum column
-/// low byte, carry column high byte), which is the cache key.
-class MklCache {
- public:
-  /// 16-bit truth-table fingerprint: bit r is row r's sum, bit 8+r is
-  /// row r's carry-out.  Cells with equal fingerprints are the same cell
-  /// for analysis purposes (names are irrelevant to the matrices).
-  [[nodiscard]] static std::uint16_t key_of(
-      const adders::AdderCell& cell) noexcept;
-
-  /// Returns the cell's matrices, deriving them on first use.  The
-  /// reference stays valid for the lifetime of the cache.
-  const analysis::MklMatrices& of(const adders::AdderCell& cell);
-
-  [[nodiscard]] std::size_t size() const noexcept { return table_.size(); }
-  /// from_cell derivations actually performed (== size()).
-  [[nodiscard]] std::uint64_t derivations() const noexcept {
-    return derivations_;
-  }
-
- private:
-  std::unordered_map<std::uint16_t, analysis::MklMatrices> table_;
-  std::uint64_t derivations_ = 0;
-};
-
-/// The recursion as a resumable stack machine over a fixed input profile.
+/// The recursion as a resumable stack machine over a fixed input profile
+/// and cell palette; a stage is a palette index.
 ///
-///   IncrementalAnalyzer inc(profile);
-///   inc.push_stage(lpaa6);          // stage 0
-///   inc.push_stage(lpaa1);          // stage 1
+///   IncrementalAnalyzer inc(profile, palette);
+///   inc.push(5);                    // stage 0 is palette[5]
+///   inc.push(0);                    // stage 1 is palette[0]
 ///   ...                             // until depth() == width()
 ///   auto result = inc.finish();     // == RecursiveAnalyzer::analyze
 ///   inc.rewind(1);                  // back to the 1-stage prefix
@@ -68,26 +44,27 @@ class MklCache {
 /// one per shard, branch-and-bound one per worker).
 class IncrementalAnalyzer {
  public:
-  /// `mkl_cache` may be shared across analyzers (single-threaded use);
-  /// when null an internal cache is used.
-  explicit IncrementalAnalyzer(multibit::InputProfile profile,
-                               MklCache* mkl_cache = nullptr);
+  /// Derives each palette cell's M/K/L matrices once.  With `track_pmf`
+  /// every push also advances the joint-carry error-PMF state, so a
+  /// search can score designs on MED/MSE instead of P(Error).  Throws
+  /// std::invalid_argument when `palette` is empty.
+  IncrementalAnalyzer(multibit::InputProfile profile,
+                      std::span<const adders::AdderCell> palette,
+                      bool track_pmf = false);
 
   [[nodiscard]] std::size_t width() const noexcept {
     return profile_.width();
   }
   /// Number of stages currently pushed.
   [[nodiscard]] std::size_t depth() const noexcept { return stack_.size(); }
-  [[nodiscard]] const multibit::InputProfile& profile() const noexcept {
-    return profile_;
-  }
 
-  /// Advances the carry state through one stage (Equations 10-11) and
-  /// returns the post-stage state.  Throws std::logic_error when the
-  /// chain is already full.
-  const analysis::CarryState& push_stage(const adders::AdderCell& cell);
-  /// Fast path when the caller already holds the cell's matrices.
-  const analysis::CarryState& push_stage(const analysis::MklMatrices& mkl);
+  /// Appends palette cell `choice` as the next stage: advances the carry
+  /// state (Equations 10-11), and the error-PMF state when tracking, and
+  /// returns the post-stage carry state.  Throws std::logic_error when the
+  /// chain is already full, std::out_of_range for a choice outside the
+  /// palette, and std::length_error when the tracked PMF cannot take
+  /// another stage (past 62); the stack is unchanged after any of them.
+  const analysis::CarryState& push(std::size_t choice);
 
   /// Removes the most recent stage.  Throws std::logic_error when empty.
   void pop();
@@ -103,12 +80,12 @@ class IncrementalAnalyzer {
     return carry_at(depth());
   }
 
-  /// P(Success) if `mkl` closed the chain as its final stage (Equation
-  /// 12), *without* pushing it.  Requires depth() == width() - 1.  Raw
-  /// dot product — no clamping — exactly like the batch analyzer's
-  /// scoring path.
-  [[nodiscard]] double final_success_with(
-      const analysis::MklMatrices& mkl) const;
+  /// P(Success) if palette cell `choice` closed the chain as its final
+  /// stage (Equation 12), *without* pushing it.  Requires depth() ==
+  /// width() - 1.  Raw dot product — no clamping — exactly like the batch
+  /// analyzer's scoring path.  Throws std::out_of_range for a choice
+  /// outside the palette.
+  [[nodiscard]] double final_success_with(std::size_t choice) const;
 
   /// Closes the chain: requires depth() == width().  Bit-identical to
   /// `RecursiveAnalyzer::analyze` on the same stage sequence, including
@@ -116,18 +93,8 @@ class IncrementalAnalyzer {
   [[nodiscard]] analysis::AnalysisResult finish(
       bool record_trace = false) const;
 
-  /// Enables joint-carry error-PMF tracking: every subsequent
-  /// push_stage(cell) also advances an analysis::ErrorPmfState, so the
-  /// DFS can score leaves on MED/MSE instead of P(Error).  Must be
-  /// called at depth 0 (std::logic_error otherwise).  While tracking,
-  /// the matrices-only push_stage(mkl) fast path throws — the M/K/L
-  /// matrices do not determine the cell's sum column, which the error
-  /// deltas need.
-  void enable_pmf_tracking(const analysis::PmfOptions& options = {});
-  [[nodiscard]] bool pmf_tracking() const noexcept { return track_pmf_; }
-
-  /// Joint-carry PMF state after the `depth` pushed stages.  Requires
-  /// tracking.
+  /// Joint-carry PMF state after the `depth` pushed stages.  Throws
+  /// std::logic_error unless constructed with `track_pmf`.
   [[nodiscard]] const analysis::ErrorPmfState& pmf_state_at(
       std::size_t depth) const;
   /// Finalized error PMF of the pushed prefix (carry-out difference
@@ -136,21 +103,22 @@ class IncrementalAnalyzer {
 
  private:
   struct Frame {
-    analysis::MklMatrices mkl;   // this stage's matrices
-    analysis::CarryState carry;  // state after this stage
+    std::size_t choice = 0;       // this stage's palette index
+    analysis::CarryState carry;   // state after this stage
     analysis::ErrorPmfState pmf;  // after this stage; tracking only
   };
 
+  void check_choice(std::size_t choice, const char* caller) const;
+
   multibit::InputProfile profile_;
+  std::vector<adders::AdderCell> palette_;
+  std::vector<analysis::MklMatrices> mkls_;  // one per palette cell
   /// Equation 10's operand factor per stage, built once from profile_.
   std::vector<analysis::OperandWeights> weights_;
   analysis::CarryState base_;  // Equation 5 initial state
-  std::vector<Frame> stack_;
-  MklCache owned_cache_;
-  MklCache* cache_;  // owned_cache_ or the shared one
   bool track_pmf_ = false;
-  analysis::PmfOptions pmf_options_;
   analysis::ErrorPmfState pmf_base_;  // depth-0 state; tracking only
+  std::vector<Frame> stack_;
 };
 
 }  // namespace sealpaa::engine

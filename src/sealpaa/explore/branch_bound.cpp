@@ -9,7 +9,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "sealpaa/analysis/mkl.hpp"
+#include "sealpaa/analysis/error_pmf.hpp"
 #include "sealpaa/engine/incremental.hpp"
 #include "sealpaa/explore/detail.hpp"
 #include "sealpaa/util/parallel.hpp"
@@ -39,16 +39,17 @@ std::uint64_t sat_mul(std::uint64_t a, std::uint64_t b) noexcept {
   return a > kSatMax / b ? kSatMax : a * b;
 }
 
-/// (score, historical index) incumbent order — "better score, or equal
-/// score and lower index", exactly the exhaustive DFS rule.  A total
-/// order, so folding candidates in any schedule yields the same winner.
-bool improves(bool found, double best_score, std::uint64_t best_index,
-              double score, std::uint64_t index, bool maximize) noexcept {
-  if (!found) return true;
-  if (score != best_score) {
-    return maximize ? score > best_score : score < best_score;
+/// Schema-v1 checkpoint fingerprint of a palette cell: bit r is row r's
+/// sum, bit 8+r is row r's carry-out.  Cells with equal fingerprints are
+/// the same cell to the search (names play no part).
+std::uint16_t fingerprint(const adders::AdderCell& cell) noexcept {
+  std::uint16_t key = 0;
+  const adders::AdderCell::Rows& rows = cell.rows();
+  for (std::size_t r = 0; r < adders::AdderCell::kRows; ++r) {
+    if (rows[r].sum) key |= static_cast<std::uint16_t>(1u << r);
+    if (rows[r].carry) key |= static_cast<std::uint16_t>(1u << (8 + r));
   }
-  return index < best_index;
+  return key;
 }
 
 /// Admissible lower bound on the final MED/MSE from a depth-`depth`
@@ -102,8 +103,6 @@ struct Ctx {
   std::vector<char> cell_usable;
   std::vector<double> power_of;
   std::vector<double> area_of;
-  /// Each candidate's M/K/L matrices: the err walk pushes these.
-  std::vector<analysis::MklMatrices> mkls;
   /// Saturating k^i for the historical (stage-0 least significant)
   /// design index; pow_k[i] for i in [0, n].
   std::vector<std::uint64_t> pow_k;
@@ -123,14 +122,12 @@ Ctx make_ctx(const multibit::InputProfile& profile,
   ctx.cell_usable.reserve(ctx.k);
   ctx.power_of.reserve(ctx.k);
   ctx.area_of.reserve(ctx.k);
-  ctx.mkls.reserve(ctx.k);
   for (const adders::AdderCell& cell : candidates) {
     const detail::CellCost cost = detail::cost_of(cell);
     const bool ok = detail::usable(cost, constraints);
     ctx.cell_usable.push_back(ok ? 1 : 0);
     ctx.power_of.push_back(ok && cost.power ? *cost.power : 0.0);
     ctx.area_of.push_back(ok && cost.area ? *cost.area : 0.0);
-    ctx.mkls.push_back(analysis::MklMatrices::from_cell(cell));
   }
   ctx.pow_k.resize(ctx.n + 1);
   ctx.leaves_below.resize(ctx.n + 1);
@@ -205,7 +202,7 @@ BnbCheckpoint build_checkpoint_locked(const Ctx& ctx, const Shared& shared) {
   ckpt.width = ctx.n;
   ckpt.palette.reserve(ctx.k);
   for (const adders::AdderCell& cell : ctx.candidates) {
-    ckpt.palette.push_back(engine::MklCache::key_of(cell));
+    ckpt.palette.push_back(fingerprint(cell));
   }
   ckpt.p_a = ctx.profile.all_p_a();
   ckpt.p_b = ctx.profile.all_p_b();
@@ -235,7 +232,7 @@ void validate_checkpoint(const Ctx& ctx, const BnbCheckpoint& ckpt) {
   if (ckpt.width != ctx.n) fail("width");
   if (ckpt.palette.size() != ctx.k) fail("palette size");
   for (std::size_t c = 0; c < ctx.k; ++c) {
-    if (ckpt.palette[c] != engine::MklCache::key_of(ctx.candidates[c])) {
+    if (ckpt.palette[c] != fingerprint(ctx.candidates[c])) {
       fail("palette cell");
     }
   }
@@ -273,9 +270,8 @@ class Worker {
   Worker(const Ctx& ctx, Shared& shared, const BnbOptions& options,
          std::size_t id)
       : ctx_(ctx), shared_(shared), options_(options), id_(id),
-        path_(ctx.profile) {
+        path_(ctx.profile, ctx.candidates, /*track_pmf=*/!ctx.maximize) {
     choices_.reserve(ctx.n);
-    if (!ctx.maximize) path_.enable_pmf_tracking();
   }
 
   void run() {
@@ -375,11 +371,7 @@ class Worker {
   /// search computes is one push, so a unit's stages_computed depends
   /// on the unit alone.
   void push(std::size_t c) {
-    if (ctx_.maximize) {
-      path_.push_stage(ctx_.mkls[c]);
-    } else {
-      path_.push_stage(ctx_.candidates[c]);  // the PMF needs the sum column
-    }
+    path_.push(c);
     ++unit_stats_.stages_computed;
   }
 
@@ -470,27 +462,21 @@ class Worker {
         continue;
       }
       ++unit_stats_.candidates_evaluated;
-      double score = 0.0;
-      if (ctx_.maximize) {
-        score = path_.final_success_with(ctx_.mkls[c]);
-      } else {
-        push(c);
-        score = detail::pmf_metric(path_.error_pmf(), ctx_.objective);
-        path_.pop();
-      }
+      const double score = detail::leaf_score(path_, c, ctx_.objective,
+                                              unit_stats_.stages_computed);
       consider(score, sat_add(prefix_index, sat_mul(c, ctx_.pow_k[d])), c);
     }
   }
 
   void consider(double score, std::uint64_t index, std::size_t last_choice) {
-    if (!improves(inc_found_, inc_score_, inc_index_, score, index,
-                  ctx_.maximize)) {
+    if (!detail::improves(inc_found_, inc_score_, inc_index_, score, index,
+                          ctx_.maximize)) {
       return;
     }
     std::lock_guard<std::mutex> lock(shared_.mutex);
     Incumbent& best = shared_.incumbent;
-    if (improves(best.found, best.score, best.index, score, index,
-                 ctx_.maximize)) {
+    if (detail::improves(best.found, best.score, best.index, score, index,
+                         ctx_.maximize)) {
       best.found = true;
       best.score = score;
       best.index = index;
@@ -547,32 +533,20 @@ void seed_incumbent(const Ctx& ctx, Shared& shared,
   std::vector<std::size_t> choices;
   choices.reserve(ctx.n);
   for (const adders::AdderCell& cell : seed.stages) {
-    const std::uint16_t key = engine::MklCache::key_of(cell);
-    std::size_t found = ctx.k;
-    for (std::size_t c = 0; c < ctx.k; ++c) {
-      if (engine::MklCache::key_of(ctx.candidates[c]) == key) {
-        found = c;
-        break;
-      }
-    }
-    if (found == ctx.k) {
+    const auto it = std::find(ctx.candidates.begin(), ctx.candidates.end(),
+                              cell);
+    if (it == ctx.candidates.end()) {
       throw std::logic_error(
           "BranchBoundOptimizer: beam seed cell not in the palette");
     }
-    choices.push_back(found);
+    choices.push_back(static_cast<std::size_t>(it - ctx.candidates.begin()));
   }
-  engine::IncrementalAnalyzer path(ctx.profile);
-  double score = 0.0;
-  if (ctx.maximize) {
-    for (std::size_t i = 0; i + 1 < ctx.n; ++i) {
-      path.push_stage(ctx.mkls[choices[i]]);
-    }
-    score = path.final_success_with(ctx.mkls[choices.back()]);
-  } else {
-    path.enable_pmf_tracking();
-    for (const std::size_t c : choices) path.push_stage(ctx.candidates[c]);
-    score = detail::pmf_metric(path.error_pmf(), ctx.objective);
-  }
+  engine::IncrementalAnalyzer path(ctx.profile, ctx.candidates,
+                                   /*track_pmf=*/!ctx.maximize);
+  for (std::size_t i = 0; i + 1 < ctx.n; ++i) path.push(choices[i]);
+  std::uint64_t stages = 0;  // the seed's pushes are not search work
+  const double score =
+      detail::leaf_score(path, choices.back(), ctx.objective, stages);
   std::uint64_t index = 0;
   for (std::size_t i = 0; i < ctx.n; ++i) {
     index = sat_add(index, sat_mul(choices[i], ctx.pow_k[i]));

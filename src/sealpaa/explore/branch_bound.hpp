@@ -39,9 +39,10 @@
 // unit order, which is what makes node counts reproducible and
 // checkpoints exact.
 //
-// Each worker keeps its DFS path on an engine::IncrementalAnalyzer: the
-// carry state (and for med/mse the error-PMF state) of every stage on
-// the path, pushed on the way down and popped on the way back.  A unit
+// Each worker keeps its DFS path on an engine::IncrementalAnalyzer over
+// the palette: the carry state (and for med/mse the error-PMF state) of
+// every stage on the path, each stage a palette index pushed on the way
+// down and popped on the way back.  A unit
 // rewinds to depth 0 and pushes its split-depth prefix, so everything a
 // unit computes is a function of the unit and the incumbent it starts
 // from; stages_computed counts the pushes.
@@ -77,8 +78,9 @@ struct BnbCheckpoint {
   std::string objective;
   std::size_t width = 0;
   /// 16-bit truth-table fingerprints of the candidate palette, in
-  /// palette order (engine::MklCache::key_of).  resume() refuses a
-  /// checkpoint whose palette does not match.
+  /// palette order: bit r is row r's sum, bit 8+r row r's carry-out
+  /// (AccuFA is 0xe896).  resume() refuses a checkpoint whose palette
+  /// does not match.
   std::vector<std::uint16_t> palette;
   /// The input profile the search ran under (validated on resume).
   std::vector<double> p_a;

@@ -3,20 +3,40 @@
 // change without notice; include only from explore/*.cpp.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <vector>
 
 #include "sealpaa/adders/cell.hpp"
-#include "sealpaa/analysis/error_pmf.hpp"
+#include "sealpaa/engine/incremental.hpp"
 #include "sealpaa/explore/hybrid.hpp"
 #include "sealpaa/multibit/input_profile.hpp"
 
 namespace sealpaa::explore::detail {
 
-/// Finalized-prefix metric for the PMF-ranked objectives (kMed / kMse).
-[[nodiscard]] double pmf_metric(const analysis::ErrorPmf& pmf,
-                                Objective objective);
+/// Score of the design that closes `path` (at depth width() - 1) with
+/// palette cell `c`: err closes the carry with Equation 12 without
+/// pushing `c`; med/mse push it, read the finalized PMF's metric and pop,
+/// adding that push to `stages`.
+[[nodiscard]] double leaf_score(engine::IncrementalAnalyzer& path,
+                                std::size_t c, Objective objective,
+                                std::uint64_t& stages);
+
+/// (score, historical index) order: "better score, or equal score and
+/// lower index", err maximizing and med/mse minimizing.  A total order,
+/// so folding candidates in any schedule yields the same winner.
+[[nodiscard]] inline bool improves(bool found, double best_score,
+                                   std::uint64_t best_index, double score,
+                                   std::uint64_t index,
+                                   bool maximize) noexcept {
+  if (!found) return true;
+  if (score != best_score) {
+    return maximize ? score > best_score : score < best_score;
+  }
+  return index < best_index;
+}
 
 struct CellCost {
   std::optional<double> power;

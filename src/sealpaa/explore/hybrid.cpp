@@ -16,14 +16,30 @@
 
 namespace sealpaa::explore {
 
-// Shared with branch_bound.cpp through explore/detail.hpp so every
-// optimizer finalizes designs and applies constraints through the exact
-// same code (bit-consistent scores and rejection decisions).
-namespace detail {
+namespace {
 
+/// Finalized-prefix metric for the PMF-ranked objectives (kMed / kMse).
 double pmf_metric(const analysis::ErrorPmf& pmf, Objective objective) {
   return objective == Objective::kMse ? pmf.mean_squared_error()
                                       : pmf.mean_error_distance();
+}
+
+}  // namespace
+
+// Shared with branch_bound.cpp through explore/detail.hpp so every
+// optimizer scores leaves, finalizes designs and applies constraints
+// through the exact same code (bit-consistent scores and rejection
+// decisions).
+namespace detail {
+
+double leaf_score(engine::IncrementalAnalyzer& path, std::size_t c,
+                  Objective objective, std::uint64_t& stages) {
+  if (objective == Objective::kErrorRate) return path.final_success_with(c);
+  path.push(c);  // the PMF metric needs the whole chain
+  ++stages;
+  const double metric = pmf_metric(path.error_pmf(), objective);
+  path.pop();
+  return metric;
 }
 
 CellCost cost_of(const adders::AdderCell& cell) {
@@ -99,7 +115,8 @@ namespace {
 using detail::CellCost;
 using detail::cost_of;
 using detail::finalize;
-using detail::pmf_metric;
+using detail::improves;
+using detail::leaf_score;
 using detail::require_candidates;
 using detail::usable;
 }  // namespace
@@ -138,20 +155,14 @@ HybridDesign HybridOptimizer::exhaustive(
   std::uint64_t total = 1;
   for (std::size_t i = 0; i < n; ++i) total *= k;
 
-  std::vector<CellCost> costs;
-  std::vector<analysis::MklMatrices> mkls;
   std::vector<bool> cell_usable;
   std::vector<double> power_of;  // 0.0 placeholder for unusable cells
   std::vector<double> area_of;
-  costs.reserve(candidates.size());
-  mkls.reserve(candidates.size());
   cell_usable.reserve(candidates.size());
   power_of.reserve(candidates.size());
   area_of.reserve(candidates.size());
   for (const adders::AdderCell& cell : candidates) {
     const CellCost cost = cost_of(cell);
-    costs.push_back(cost);
-    mkls.push_back(analysis::MklMatrices::from_cell(cell));
     const bool ok = usable(cost, constraints);
     cell_usable.push_back(ok);
     power_of.push_back(ok && cost.power ? *cost.power : 0.0);
@@ -159,6 +170,7 @@ HybridDesign HybridOptimizer::exhaustive(
   }
   const bool track_power = constraints.max_power_nw.has_value();
   const bool track_area = constraints.max_area_ge.has_value();
+  const bool maximize = objective == Objective::kErrorRate;
 
   // Historical design index (mixed radix k, stage 0 the least-significant
   // digit), kept as the explicit tie-break key so the reported winner is
@@ -173,156 +185,13 @@ HybridDesign HybridOptimizer::exhaustive(
     }
   }
 
-  // PMF-ranked objectives run the same odometer walk but push whole
-  // cells (the PMF advance needs the sum column, which the M/K/L
-  // matrices do not carry) and score each leaf by the finalized prefix
-  // PMF's metric.  The err objective keeps its historical matrices-only
-  // walk below, untouched — its results stay bit-identical.
-  if (objective != Objective::kErrorRate) {
-    struct BestMetric {
-      double metric = 0.0;
-      std::uint64_t index = 0;  // historical stage-0-fastest design index
-      bool found = false;
-      std::uint64_t evaluated = 0;
-      std::uint64_t rejected = 0;
-      std::uint64_t stages = 0;  // PMF stage advances performed
-    };
-    const std::uint64_t grain = std::max<std::uint64_t>(1, total / 64);
-    const BestMetric best = util::with_pool(threads, [&](util::ThreadPool&
-                                                             pool) {
-      return util::parallel_map_reduce(
-          pool, 0, total, grain, BestMetric{},
-          [&](std::uint64_t index_begin, std::uint64_t index_end) {
-            BestMetric shard;
-            std::vector<std::size_t> choice(n);
-            {
-              std::uint64_t rest = index_begin;
-              for (std::size_t i = n; i-- > 0;) {
-                choice[i] = static_cast<std::size_t>(rest % k);
-                rest /= k;
-              }
-            }
-            std::uint64_t orig_index = 0;
-            std::size_t unusable_stages = 0;
-            for (std::size_t i = 0; i < n; ++i) {
-              orig_index += static_cast<std::uint64_t>(choice[i]) * pow_k[i];
-              if (!cell_usable[choice[i]]) ++unusable_stages;
-            }
-            std::vector<double> power_pre(n + 1, 0.0);
-            std::vector<double> area_pre(n + 1, 0.0);
-            const auto rebuild_budgets = [&](std::size_t from) {
-              if (track_power) {
-                for (std::size_t i = from; i < n; ++i) {
-                  power_pre[i + 1] = power_pre[i] + power_of[choice[i]];
-                }
-              }
-              if (track_area) {
-                for (std::size_t i = from; i < n; ++i) {
-                  area_pre[i + 1] = area_pre[i] + area_of[choice[i]];
-                }
-              }
-            };
-            rebuild_budgets(0);
-
-            engine::IncrementalAnalyzer inc(profile);
-            inc.enable_pmf_tracking();
-            for (std::size_t i = 0; i + 1 < n; ++i) {
-              inc.push_stage(candidates[choice[i]]);
-              ++shard.stages;
-            }
-
-            for (std::uint64_t index = index_begin; index < index_end;
-                 ++index) {
-              bool reject = unusable_stages > 0;
-              if (!reject && track_power &&
-                  power_pre[n] > *constraints.max_power_nw) {
-                reject = true;
-              }
-              if (!reject && track_area &&
-                  area_pre[n] > *constraints.max_area_ge) {
-                reject = true;
-              }
-              if (reject) {
-                ++shard.rejected;
-              } else {
-                ++shard.evaluated;
-                inc.push_stage(candidates[choice[n - 1]]);
-                ++shard.stages;
-                const double metric = pmf_metric(inc.error_pmf(), objective);
-                inc.pop();
-                if (!shard.found || metric < shard.metric ||
-                    (metric == shard.metric && orig_index < shard.index)) {
-                  shard.metric = metric;
-                  shard.index = orig_index;
-                  shard.found = true;
-                }
-              }
-              if (index + 1 == index_end) break;
-
-              std::size_t pos = n;
-              for (;;) {
-                --pos;
-                if (!cell_usable[choice[pos]]) --unusable_stages;
-                if (choice[pos] + 1 < k) {
-                  ++choice[pos];
-                  orig_index += pow_k[pos];
-                  if (!cell_usable[choice[pos]]) ++unusable_stages;
-                  break;
-                }
-                choice[pos] = 0;
-                orig_index -= (k - 1) * pow_k[pos];
-                if (!cell_usable[choice[pos]]) ++unusable_stages;
-              }
-              rebuild_budgets(pos);
-              if (pos + 1 < n) {
-                inc.rewind(pos);
-                for (std::size_t i = pos; i + 1 < n; ++i) {
-                  inc.push_stage(candidates[choice[i]]);
-                  ++shard.stages;
-                }
-              }
-            }
-            return shard;
-          },
-          [](BestMetric& acc, BestMetric&& shard) {
-            acc.evaluated += shard.evaluated;
-            acc.rejected += shard.rejected;
-            acc.stages += shard.stages;
-            if (shard.found &&
-                (!acc.found || shard.metric < acc.metric ||
-                 (shard.metric == acc.metric && shard.index < acc.index))) {
-              acc.metric = shard.metric;
-              acc.index = shard.index;
-              acc.found = true;
-            }
-          });
-    });
-
-    if (!best.found) {
-      throw std::runtime_error(
-          "HybridOptimizer::exhaustive: no design satisfies the constraints");
-    }
-    std::vector<adders::AdderCell> stages;
-    stages.reserve(n);
-    std::uint64_t rest = best.index;
-    for (std::size_t i = 0; i < n; ++i) {
-      stages.push_back(candidates[static_cast<std::size_t>(rest % k)]);
-      rest /= k;
-    }
-    HybridDesign design = finalize(std::move(stages), profile, objective);
-    design.stats.candidates_evaluated = best.evaluated;
-    design.stats.candidates_rejected = best.rejected;
-    design.stats.stages_computed = best.stages;
-    return design;
-  }
-
-  struct BestDesign {
-    double p_success = -1.0;
+  struct Best {
+    double score = 0.0;  // P(Success) (err) or the PMF metric (med/mse)
     std::uint64_t index = 0;  // historical stage-0-fastest design index
     bool found = false;
-    std::uint64_t evaluated = 0;  // designs scored by the recursion
+    std::uint64_t evaluated = 0;  // designs scored
     std::uint64_t rejected = 0;   // designs pruned by the constraints
-    std::uint64_t stages = 0;     // advance_stage calls performed
+    std::uint64_t stages = 0;     // analyzer pushes performed
   };
 
   // The walk enumerates designs with stage n-1 as the *fastest* digit, so
@@ -330,12 +199,11 @@ HybridDesign HybridOptimizer::exhaustive(
   // stays pushed on the incremental analyzer — amortized O(1) stage
   // advances per design instead of O(N).
   const std::uint64_t grain = std::max<std::uint64_t>(1, total / 64);
-  const BestDesign best = util::with_pool(threads, [&](util::ThreadPool&
-                                                           pool) {
+  const Best best = util::with_pool(threads, [&](util::ThreadPool& pool) {
     return util::parallel_map_reduce(
-        pool, 0, total, grain, BestDesign{},
+        pool, 0, total, grain, Best{},
         [&](std::uint64_t index_begin, std::uint64_t index_end) {
-          BestDesign shard;
+          Best shard;
           std::vector<std::size_t> choice(n);
           {
             std::uint64_t rest = index_begin;
@@ -371,9 +239,10 @@ HybridDesign HybridOptimizer::exhaustive(
           };
           rebuild_budgets(0);
 
-          engine::IncrementalAnalyzer inc(profile);
+          engine::IncrementalAnalyzer inc(profile, candidates,
+                                          /*track_pmf=*/!maximize);
           for (std::size_t i = 0; i + 1 < n; ++i) {
-            inc.push_stage(mkls[choice[i]]);
+            inc.push(choice[i]);
             ++shard.stages;
           }
 
@@ -392,12 +261,11 @@ HybridDesign HybridOptimizer::exhaustive(
               ++shard.rejected;
             } else {
               ++shard.evaluated;
-              const double p_success =
-                  inc.final_success_with(mkls[choice[n - 1]]);
-              if (!shard.found || p_success > shard.p_success ||
-                  (p_success == shard.p_success &&
-                   orig_index < shard.index)) {
-                shard.p_success = p_success;
+              const double score =
+                  leaf_score(inc, choice[n - 1], objective, shard.stages);
+              if (improves(shard.found, shard.score, shard.index, score,
+                           orig_index, maximize)) {
+                shard.score = score;
                 shard.index = orig_index;
                 shard.found = true;
               }
@@ -424,22 +292,20 @@ HybridDesign HybridOptimizer::exhaustive(
             if (pos + 1 < n) {
               inc.rewind(pos);
               for (std::size_t i = pos; i + 1 < n; ++i) {
-                inc.push_stage(mkls[choice[i]]);
+                inc.push(choice[i]);
                 ++shard.stages;
               }
             }
           }
           return shard;
         },
-        [](BestDesign& acc, BestDesign&& shard) {
+        [maximize](Best& acc, Best&& shard) {
           acc.evaluated += shard.evaluated;
           acc.rejected += shard.rejected;
           acc.stages += shard.stages;
-          if (shard.found &&
-              (!acc.found || shard.p_success > acc.p_success ||
-               (shard.p_success == acc.p_success &&
-                shard.index < acc.index))) {
-            acc.p_success = shard.p_success;
+          if (shard.found && improves(acc.found, acc.score, acc.index,
+                                      shard.score, shard.index, maximize)) {
+            acc.score = shard.score;
             acc.index = shard.index;
             acc.found = true;
           }
@@ -457,8 +323,7 @@ HybridDesign HybridOptimizer::exhaustive(
     stages.push_back(candidates[static_cast<std::size_t>(rest % k)]);
     rest /= k;
   }
-  HybridDesign design = finalize(std::move(stages), profile,
-                                 Objective::kErrorRate);
+  HybridDesign design = finalize(std::move(stages), profile, objective);
   design.stats.candidates_evaluated = best.evaluated;
   design.stats.candidates_rejected = best.rejected;
   design.stats.stages_computed = best.stages;

@@ -117,10 +117,11 @@ class HybridOptimizer {
   /// ties are broken by the lowest design index in the historical
   /// stage-0-fastest enumeration order, so the winner is independent of
   /// both the thread count and the internal walk order.
-  /// With `objective` kMed/kMse each shard's DFS additionally tracks the
-  /// error-PMF state per pushed stage and scores leaves on the analytic
-  /// metric; exact metric ties still break to the lowest historical
-  /// design index.
+  /// Every objective runs the same walk over palette indices: err closes
+  /// each leaf with Equation 12 without pushing it; with kMed/kMse the
+  /// analyzer also tracks the error-PMF state, and each leaf is pushed,
+  /// scored on the analytic metric and popped.  Exact metric ties still
+  /// break to the lowest historical design index.
   [[nodiscard]] static HybridDesign exhaustive(
       const multibit::InputProfile& profile,
       std::span<const adders::AdderCell> candidates,

@@ -50,9 +50,7 @@ std::vector<DesignPoint> pareto_front(std::vector<DesignPoint> points,
 }
 
 std::vector<DesignPoint> homogeneous_sweep(
-    const multibit::InputProfile& profile, unsigned threads,
-    util::ShardTimings* timings) {
-  (void)threads;  // kept for API stability; the sweep runs serially
+    const multibit::InputProfile& profile, util::ShardTimings* timings) {
   const std::span<const adders::AdderCell> cells = adders::all_builtin_cells();
   const double n = static_cast<double>(profile.width());
   util::WallTimer timer;

@@ -42,11 +42,10 @@ struct ParetoStats {
 /// Evaluates every built-in cell as an N-bit homogeneous chain under
 /// `profile` and returns the design points (error from the recursive
 /// analyzer, power/area scaled from Table 2), one engine::evaluate call
-/// per cell in registry order.  `threads` is accepted for API stability
-/// and ignored.  When `timings` is non-null it receives the sweep's wall
-/// time as a single shard covering every candidate.
+/// per cell in registry order.  When `timings` is non-null it receives
+/// the sweep's wall time as a single shard covering every candidate.
 [[nodiscard]] std::vector<DesignPoint> homogeneous_sweep(
-    const multibit::InputProfile& profile, unsigned threads = 0,
+    const multibit::InputProfile& profile,
     util::ShardTimings* timings = nullptr);
 
 }  // namespace sealpaa::explore

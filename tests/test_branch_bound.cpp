@@ -3,6 +3,7 @@
 // kill/resume contract.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -250,6 +251,31 @@ TEST(BranchBound, ResumeRejectsMismatchedSearch) {
                                             builtin_lpaas(),
                                             suspended.checkpoint),
                std::invalid_argument);
+}
+
+// A checkpoint names its palette by 16-bit truth-table fingerprints
+// (bit r = row r's sum, bit 8+r = row r's carry).  The recorded schema-v1
+// values of the built-in cells are pinned, so a checkpoint written by an
+// earlier build still resumes.
+TEST(BranchBound, CheckpointPaletteFingerprintsArePinned) {
+  BnbOptions options;
+  options.threads = 1;
+  options.suspend_after_units = 1;
+  const auto cells = sealpaa::adders::all_builtin_cells();
+  const BnbResult suspended = BranchBoundOptimizer::optimize(
+      varied_profile(3), cells, {}, Objective::kErrorRate, options);
+  ASSERT_FALSE(suspended.complete);
+  // AccuFA, then LPAA1..LPAA7.
+  const std::vector<std::uint16_t> want{0xe896, 0xec82, 0xe817, 0xec13,
+                                        0xf08a, 0xf0cc, 0xaa96, 0xe8be};
+  EXPECT_EQ(suspended.checkpoint.palette, want);
+  const sealpaa::obs::Json json = sealpaa::obs::to_json(suspended.checkpoint);
+  const sealpaa::obs::Json* palette = json.find("palette");
+  ASSERT_NE(palette, nullptr);
+  ASSERT_EQ(palette->size(), want.size());
+  for (std::size_t c = 0; c < want.size(); ++c) {
+    EXPECT_EQ(palette->at(c).unsigned_integer(), want[c]) << cells[c].name();
+  }
 }
 
 // Satellite regression: the SearchStats JSON projection must emit every

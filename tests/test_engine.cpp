@@ -35,7 +35,6 @@ using sealpaa::analysis::ErrorPmf;
 using sealpaa::analysis::RecursiveAnalyzer;
 using sealpaa::engine::ChainEvaluator;
 using sealpaa::engine::IncrementalAnalyzer;
-using sealpaa::engine::MklCache;
 using sealpaa::multibit::AdderChain;
 using sealpaa::multibit::InputProfile;
 using sealpaa::util::KernelLevel;
@@ -84,8 +83,12 @@ void expect_bit_identical(const AnalysisResult& got,
 TEST(IncrementalAnalyzer, BitIdenticalToBatchAnalyzerOverRandomChains) {
   sealpaa::prob::SplitMix64 cell_rng(0xe9c1'7e57'0000'0001ULL);
   sealpaa::prob::Xoshiro256StarStar profile_rng(0xe9c1'7e57'0000'0002ULL);
-  for (int trial = 0; trial < 60; ++trial) {
-    const std::size_t width = 4 + static_cast<std::size_t>(trial % 13);
+  for (int trial = 0; trial < 62; ++trial) {
+    // Widths 4..16, then the rails: width 1 runs no advance_stage before
+    // Equation 12, and width 63.
+    const std::size_t width =
+        trial < 60 ? 4 + static_cast<std::size_t>(trial % 13)
+                   : (trial == 60 ? 1 : 63);
     std::vector<AdderCell> stages;
     for (std::size_t s = 0; s < width; ++s) {
       stages.push_back(
@@ -97,8 +100,9 @@ TEST(IncrementalAnalyzer, BitIdenticalToBatchAnalyzerOverRandomChains) {
     const AnalysisResult batch = RecursiveAnalyzer::analyze(
         chain, profile, {.record_trace = true});
 
-    IncrementalAnalyzer inc(profile);
-    for (const AdderCell& cell : stages) inc.push_stage(cell);
+    // The chain's own cells are the palette: stage s is palette index s.
+    IncrementalAnalyzer inc(profile, stages);
+    for (std::size_t s = 0; s < width; ++s) inc.push(s);
     const AnalysisResult result = inc.finish(/*record_trace=*/true);
 
     expect_bit_identical(result, batch,
@@ -129,7 +133,7 @@ TEST(IncrementalAnalyzer, RewindAndRepushStaysBitIdentical) {
     const InputProfile profile =
         InputProfile::random(width, profile_rng, 0.05, 0.95);
 
-    IncrementalAnalyzer inc(profile);
+    IncrementalAnalyzer inc(profile, palette);
     std::vector<AdderCell> on_stack;
     // Random walk: push when short, rewind to a random depth sometimes.
     while (on_stack.size() < width) {
@@ -139,9 +143,9 @@ TEST(IncrementalAnalyzer, RewindAndRepushStaysBitIdentical) {
         on_stack.erase(on_stack.begin() + static_cast<std::ptrdiff_t>(depth),
                        on_stack.end());
       }
-      const AdderCell& cell = palette[walk_rng.next() % palette.size()];
-      inc.push_stage(cell);
-      on_stack.push_back(cell);
+      const std::size_t c = walk_rng.next() % palette.size();
+      inc.push(c);
+      on_stack.push_back(palette[c]);
     }
     const AnalysisResult batch =
         RecursiveAnalyzer::analyze(AdderChain(on_stack), profile);
@@ -151,31 +155,47 @@ TEST(IncrementalAnalyzer, RewindAndRepushStaysBitIdentical) {
 
 TEST(IncrementalAnalyzer, ValidatesStackDiscipline) {
   const InputProfile profile = InputProfile::uniform(4, 0.5);
-  const AdderCell cell = sealpaa::adders::builtin_lpaas()[0];
-  IncrementalAnalyzer inc(profile);
+  const std::vector<AdderCell> palette{sealpaa::adders::builtin_lpaas()[0]};
+  EXPECT_THROW(IncrementalAnalyzer(profile, {}), std::invalid_argument);
+  IncrementalAnalyzer inc(profile, palette);
   EXPECT_THROW((void)inc.finish(), std::logic_error);   // not full
   EXPECT_THROW(inc.pop(), std::logic_error);            // empty
   EXPECT_THROW(inc.rewind(1), std::invalid_argument);   // beyond depth
-  for (int i = 0; i < 4; ++i) inc.push_stage(cell);
-  EXPECT_THROW(inc.push_stage(cell), std::logic_error);  // full
+  for (int i = 0; i < 4; ++i) inc.push(0);
+  EXPECT_THROW(inc.push(0), std::logic_error);  // full
   EXPECT_NO_THROW((void)inc.finish());
   inc.rewind(0);
   EXPECT_EQ(inc.depth(), 0u);
 }
 
-TEST(IncrementalAnalyzer, MklCacheDerivesEachDistinctCellOnce) {
-  MklCache cache;
-  const auto lpaas = sealpaa::adders::builtin_lpaas();
-  const InputProfile profile = InputProfile::uniform(8, 0.3);
-  IncrementalAnalyzer inc(profile, &cache);
-  for (int round = 0; round < 4; ++round) {
-    inc.rewind(0);
-    for (std::size_t s = 0; s < 8; ++s) {
-      inc.push_stage(lpaas[s % lpaas.size()]);
-    }
-  }
-  EXPECT_EQ(cache.size(), lpaas.size());
-  EXPECT_EQ(cache.derivations(), lpaas.size());  // never re-derived
+TEST(IncrementalAnalyzer, RejectedPushLeavesTheStackUnchanged) {
+  // A choice outside the palette.
+  const std::vector<AdderCell> lpaas(sealpaa::adders::builtin_lpaas().begin(),
+                                     sealpaa::adders::builtin_lpaas().end());
+  IncrementalAnalyzer inc(InputProfile::uniform(4, 0.3), lpaas);
+  inc.push(2);
+  inc.push(6);
+  const auto c0 = inc.carry().c0;
+  const auto c1 = inc.carry().c1;
+  EXPECT_THROW(inc.push(lpaas.size()), std::out_of_range);
+  EXPECT_EQ(inc.depth(), 2u);
+  EXPECT_EQ(inc.carry().c0, c0);
+  EXPECT_EQ(inc.carry().c1, c1);
+  inc.push(0);
+  EXPECT_THROW((void)inc.final_success_with(lpaas.size()), std::out_of_range);
+
+  // The width-63 rail: the tracked PMF cannot take a 63rd stage (its
+  // carry-out weight 2^63 would overflow the signed error).
+  const std::vector<AdderCell> exact{sealpaa::adders::accurate()};
+  IncrementalAnalyzer tracked(InputProfile::uniform(63, 0.5), exact,
+                              /*track_pmf=*/true);
+  for (int i = 0; i < 62; ++i) tracked.push(0);
+  EXPECT_THROW(tracked.push(0), std::length_error);
+  EXPECT_EQ(tracked.depth(), 62u);
+  const ErrorPmf pmf = tracked.error_pmf();
+  ASSERT_EQ(pmf.support_size(), 1u);
+  EXPECT_EQ(pmf.entries()[0].value, 0);
+  EXPECT_NEAR(pmf.entries()[0].probability, 1.0, 1e-12);
 }
 
 // ---------------------------------------------------------------------------
@@ -234,18 +254,17 @@ TEST(ChainEvaluator, FinalSuccessMatchesIncrementalScoringPath) {
   for (int c = 0; c < 5; ++c) palette.push_back(random_cell(cell_rng, c));
   const InputProfile profile =
       InputProfile::random(width, profile_rng, 0.05, 0.95);
-  MklCache mkls;
-  IncrementalAnalyzer inc(profile, &mkls);
+  IncrementalAnalyzer inc(profile, palette);
 
   std::vector<AdderCell> stages;
   for (std::size_t s = 0; s < width - 1; ++s) {
     stages.push_back(palette[s % palette.size()]);
-    inc.push_stage(stages.back());
+    inc.push(s % palette.size());
   }
   for (std::size_t c = 0; c < palette.size(); ++c) {
     std::vector<AdderCell> chain = stages;
     chain.push_back(palette[c]);
-    EXPECT_EQ(inc.final_success_with(mkls.of(palette[c])),
+    EXPECT_EQ(inc.final_success_with(c),
               RecursiveAnalyzer::analyze(AdderChain(chain), profile).p_success)
         << "last choice " << c;
   }

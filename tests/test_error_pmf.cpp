@@ -403,12 +403,18 @@ TEST(ErrorPmf, IncrementalTrackingMatchesBatchPropagation) {
   for (int trial = 0; trial < 20; ++trial) {
     const std::size_t width = 4 + static_cast<std::size_t>(trial % 9);
     const std::vector<AdderCell> stages = random_chain(cell_rng, width, trial);
+    // The palette: the chain's own cells (stage s is index s), then the
+    // two replacements pushed after the rewind below.
+    std::vector<AdderCell> palette = stages;
+    for (std::size_t s = width - 2; s < width; ++s) {
+      palette.push_back(
+          random_cell(cell_rng, trial * 100 + 50 + static_cast<int>(s)));
+    }
     const InputProfile profile =
         InputProfile::random(width, profile_rng, 0.05, 0.95);
 
-    IncrementalAnalyzer inc(profile);
-    inc.enable_pmf_tracking();
-    for (const AdderCell& cell : stages) inc.push_stage(cell);
+    IncrementalAnalyzer inc(profile, palette, /*track_pmf=*/true);
+    for (std::size_t s = 0; s < width; ++s) inc.push(s);
     const ErrorPmf batch =
         sealpaa::analysis::propagate_error_pmf(AdderChain(stages), profile);
     expect_same_entries(inc.error_pmf(), batch,
@@ -422,9 +428,8 @@ TEST(ErrorPmf, IncrementalTrackingMatchesBatchPropagation) {
                                     stages.begin() +
                                         static_cast<std::ptrdiff_t>(width - 2));
     for (std::size_t s = width - 2; s < width; ++s) {
-      replayed.push_back(
-          random_cell(cell_rng, trial * 100 + 50 + static_cast<int>(s)));
-      inc.push_stage(replayed.back());
+      replayed.push_back(palette[s + 2]);
+      inc.push(s + 2);
     }
     const ErrorPmf rebatch =
         sealpaa::analysis::propagate_error_pmf(AdderChain(replayed), profile);
@@ -435,16 +440,8 @@ TEST(ErrorPmf, IncrementalTrackingMatchesBatchPropagation) {
 
 TEST(ErrorPmf, IncrementalTrackingGuards) {
   const InputProfile profile = InputProfile::uniform(4, 0.5);
-  IncrementalAnalyzer inc(profile);
-  inc.enable_pmf_tracking();
-  // The matrices-only fast path cannot advance the PMF (no sum column).
-  sealpaa::engine::MklCache cache;
-  EXPECT_THROW((void)inc.push_stage(cache.of(sealpaa::adders::lpaa(1))),
-               std::logic_error);
-  inc.push_stage(sealpaa::adders::lpaa(1));
-  EXPECT_THROW(inc.enable_pmf_tracking(), std::logic_error);
-
-  IncrementalAnalyzer untracked(profile);
+  const std::vector<AdderCell> palette{sealpaa::adders::lpaa(1)};
+  IncrementalAnalyzer untracked(profile, palette);
   EXPECT_THROW((void)untracked.error_pmf(), std::logic_error);
 }
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -161,6 +163,76 @@ TEST(HybridExhaustive, AccurateCandidateYieldsZeroError) {
   const InputProfile profile = InputProfile::uniform(3, 0.5);
   const auto best = HybridOptimizer::exhaustive(profile, candidates);
   EXPECT_NEAR(best.p_error, 0.0, 1e-12);
+}
+
+TEST(HybridExhaustive, DesignsAndCountersPinnedAllObjectives) {
+  // Recorded values: every objective's winner, the bits of its reported
+  // score and the three counters, over an unconstrained seven-cell
+  // palette and a power-budgeted six-cell one, at one thread and on the
+  // shared pool.  err closes each leaf with Equation 12 without pushing
+  // it; med/mse push the leaf, so they count one stage more per design.
+  const InputProfile profile({0.1, 0.3, 0.5, 0.7, 0.8, 0.9},
+                             {0.2, 0.4, 0.5, 0.6, 0.7, 0.95}, 0.3);
+  const std::vector<AdderCell> seven(builtin_lpaas().begin(),
+                                     builtin_lpaas().end());
+  const std::vector<AdderCell> budgeted{lpaa(1), lpaa(2), lpaa(3),
+                                        lpaa(4), lpaa(5), accurate()};
+  struct Leg {
+    const std::vector<AdderCell>* palette;
+    std::optional<double> max_power_nw;
+    Objective objective;
+    std::vector<std::string> winner;
+    std::uint64_t score_bits;
+    std::uint64_t evaluated;
+    std::uint64_t rejected;
+    std::uint64_t stages;
+  };
+  const std::string l1 = "LPAA1";
+  const std::string l2 = "LPAA2";
+  const std::string l3 = "LPAA3";
+  const std::string l5 = "LPAA5";
+  const std::string l7 = "LPAA7";
+  const std::string fa = "AccuFA";
+  const std::vector<Leg> legs = {
+      {&seven, std::nullopt, Objective::kErrorRate,
+       {l7, l7, l7, l7, l1, l1}, 0x3fd9c950ab0e1738ULL, 117'649, 0, 19'917},
+      {&seven, std::nullopt, Objective::kMed,
+       {l1, l1, l1, l1, l1, l1}, 0x4010cfbee7162f2eULL, 117'649, 0, 137'566},
+      {&seven, std::nullopt, Objective::kMse,
+       {l1, l1, l3, l1, l1, l1}, 0x404afd1004fe971eULL, 117'649, 0, 137'566},
+      {&budgeted, 5600.0, Objective::kErrorRate,
+       {fa, fa, l2, l2, fa, l1}, 0x3fdc7f6909b6648eULL, 45'810, 846, 9'588},
+      {&budgeted, 5600.0, Objective::kMed,
+       {l5, l5, fa, fa, fa, fa}, 0x3fe851eb851eb852ULL, 45'810, 846, 55'398},
+      {&budgeted, 5600.0, Objective::kMse,
+       {l5, l5, fa, fa, fa, fa}, 0x3ff2e147ae147ae1ULL, 45'810, 846, 55'398},
+  };
+  for (const Leg& leg : legs) {
+    for (const unsigned threads : {1u, 0u}) {
+      const std::string context =
+          std::string(sealpaa::explore::objective_name(leg.objective)) +
+          (leg.max_power_nw ? " budgeted" : " unconstrained") +
+          " threads " + std::to_string(threads);
+      DesignConstraints constraints;
+      constraints.max_power_nw = leg.max_power_nw;
+      const auto design = HybridOptimizer::exhaustive(
+          profile, *leg.palette, constraints, 50'000'000, threads,
+          leg.objective);
+      std::vector<std::string> winner;
+      for (const AdderCell& stage : design.stages) {
+        winner.push_back(stage.name());
+      }
+      EXPECT_EQ(winner, leg.winner) << context;
+      double score = design.p_error;
+      if (leg.objective == Objective::kMed) score = design.med.value();
+      if (leg.objective == Objective::kMse) score = design.mse.value();
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(score), leg.score_bits)
+          << context;
+      EXPECT_EQ(design.stats.candidates_evaluated, leg.evaluated) << context;
+      EXPECT_EQ(design.stats.candidates_rejected, leg.rejected) << context;
+      EXPECT_EQ(design.stats.stages_computed, leg.stages) << context;
+    }
+  }
 }
 
 TEST(HybridBeam, WideBeamRecoversExhaustiveOptimum) {

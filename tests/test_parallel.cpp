@@ -14,7 +14,6 @@
 #include "sealpaa/adders/builtin.hpp"
 #include "sealpaa/baseline/weighted_exhaustive.hpp"
 #include "sealpaa/explore/hybrid.hpp"
-#include "sealpaa/explore/pareto.hpp"
 #include "sealpaa/multibit/input_profile.hpp"
 #include "sealpaa/prob/rng.hpp"
 #include "sealpaa/sim/exhaustive.hpp"
@@ -294,18 +293,6 @@ TEST(ParallelDeterminism, HybridExhaustiveSameWinnerAcrossThreadCounts) {
   }
   EXPECT_EQ(one.p_error, eight.p_error);
   EXPECT_EQ(one.p_success, eight.p_success);
-}
-
-TEST(ParallelDeterminism, HomogeneousSweepSameAcrossThreadCounts) {
-  const InputProfile profile = InputProfile::uniform(8, 0.2);
-  const auto one = sealpaa::explore::homogeneous_sweep(profile, 1);
-  const auto eight = sealpaa::explore::homogeneous_sweep(profile, 8);
-  ASSERT_EQ(one.size(), eight.size());
-  for (std::size_t i = 0; i < one.size(); ++i) {
-    EXPECT_EQ(one[i].name, eight[i].name);
-    EXPECT_EQ(one[i].p_error, eight[i].p_error);
-    EXPECT_EQ(one[i].power_nw, eight[i].power_nw);
-  }
 }
 
 TEST(ParallelDeterminism, MonteCarloSingleShardMatchesSerialRun) {

@@ -26,7 +26,7 @@
 // could not.
 //
 // Results land in BENCH_service_load.json (sealpaa.run-report schema)
-// next to the binary; scripts/check_bench_regression.py gates the
+// in the current directory; scripts/check_bench_regression.py gates the
 // committed reference's booleans (verified, batched, scaling_at_least_4x)
 // and its per-method latency percentiles (p99 regression > 2x fails).
 //
