@@ -4,24 +4,31 @@
 // expanding at least 10x fewer nodes, and a suspended + resumed run must
 // reproduce the uninterrupted search exactly.
 //
-// Three gated legs per run:
+// Four gated legs per run:
 //   optimum identity   bnb stages/scores == exhaustive (err at width 14
 //                      over a 3-cell palette, med/mse at width 10 under
 //                      a power budget);
 //   node ratio         exhaustive leaves scored vs bnb nodes touched
 //                      (expanded + leaf-scored), gated at >= 10x per
 //                      objective;
+//   uniform pin        err at width 16, uniform p = 0.5, LPAA1-7 (7^16
+//                      designs, beyond exhaustive reach) returns the
+//                      recorded optimum: 16 x LPAA1, P(Succ) bits
+//                      3fb1583100000000;
 //   determinism        the 8-thread run returns the 1-thread design and
 //                      a kill/resume cycle matches the uninterrupted
 //                      run's incumbent and nodes_expanded.
 // Wall-clock numbers (speedup_vs_exhaustive_*, thread_scaling_8t) are
-// reported for the regression gate; the scaling key is informational.
+// reported for the regression gate; the scaling key and the uniform
+// leg's nodes_expanded_err_uniform / bnb_seconds_err_uniform are
+// informational.
 //
 // Hand-rolled driver (not google-benchmark) so the run can emit the
 // versioned sealpaa.run-report JSON: results land in BENCH_bnb.json next
 // to the binary (--no-json suppresses, --json-report=FILE redirects).
 //
 // Flags: --reps=3  --quick
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <iostream>
@@ -34,11 +41,11 @@ namespace {
 
 using namespace sealpaa;
 
-/// Deterministic non-uniform profile.  A skewed profile matters here:
-/// uniform p = 0.5 creates huge score-tie plateaus that no admissible
-/// bound may prune (ties must be explored to keep the optimum exact),
-/// which would understate the pruning the search achieves on realistic
-/// operand statistics.
+/// Deterministic non-uniform profile (realistic operand statistics) for
+/// the legs checked against the exhaustive optimum.  Uniform p = 0.5 has
+/// its own leg: there many designs keep nearly the same carry mass
+/// c0 + c1 deep into the chain, and only the exact best-completion bound
+/// separates them (exact score ties are still explored).
 multibit::InputProfile bench_profile(std::size_t width) {
   std::vector<double> p_a;
   std::vector<double> p_b;
@@ -81,7 +88,9 @@ int main(int argc, char** argv) {
     // err: an all-approximate 3-cell palette keeps the exhaustive
     // reference tractable at width 14 (3^14 ~ 4.8M designs) while
     // spanning the paper's regimes (LPAA1 high-p, LPAA7 low-p, LPAA3
-    // in between).  The success-mass bound is palette-agnostic.
+    // in between).  The err bound is the best completion over this
+    // palette with budgets relaxed; a palette holding AccuFA would make
+    // it the carry mass c0 + c1 (AccuFA completes any prefix losslessly).
     //
     // med/mse: the residue bound only sees error mass that is NOT a
     // multiple of 2^d, so it cannot prune when the optimum's MED is
@@ -202,6 +211,46 @@ int main(int argc, char** argv) {
                   obs::Json(bnb.design.stats.bound_cutoffs));
     }
 
+    // Uniform leg: the dse-err shape, checked against its recorded
+    // optimum instead of an exhaustive run.
+    bool uniform_pinned = false;
+    {
+      const multibit::InputProfile profile =
+          multibit::InputProfile::uniform(16, 0.5);
+      explore::BnbOptions one_thread;
+      one_thread.threads = 1;
+      const explore::BnbResult bnb = explore::BranchBoundOptimizer::optimize(
+          profile, adders::builtin_lpaas(), {},
+          explore::Objective::kErrorRate, one_thread);
+      uniform_pinned = bnb.complete && bnb.design.stages.size() == 16 &&
+                       std::bit_cast<std::uint64_t>(bnb.design.p_success) ==
+                           0x3fb1583100000000ULL;
+      for (const adders::AdderCell& stage : bnb.design.stages) {
+        uniform_pinned = uniform_pinned && stage.name() == "LPAA1";
+      }
+      const double bnb_seconds = min_of_reps(reps, [&] {
+        const util::WallTimer timer;
+        volatile double guard =
+            explore::BranchBoundOptimizer::optimize(
+                profile, adders::builtin_lpaas(), {},
+                explore::Objective::kErrorRate, one_thread)
+                .design.p_success;
+        (void)guard;
+        return timer.elapsed_seconds();
+      });
+      std::cout << "  err uniform w16 (7 cells, p = 0.5):  bnb "
+                << util::duration(bnb_seconds) << " ("
+                << bnb.design.stats.nodes_expanded << " expanded, "
+                << bnb.design.stats.candidates_evaluated
+                << " scored)  recorded optimum: "
+                << (uniform_pinned ? "yes" : "NO") << "\n";
+      section.set("nodes_expanded_err_uniform",
+                  obs::Json(bnb.design.stats.nodes_expanded));
+      section.set("bound_cutoffs_err_uniform",
+                  obs::Json(bnb.design.stats.bound_cutoffs));
+      section.set("bnb_seconds_err_uniform", obs::Json(bnb_seconds));
+    }
+
     // Parallel-scaling leg: the widest err search at 1 vs 8 workers must
     // return the same design; the wall-clock ratio is informational
     // (CI machines may have 2 cores).
@@ -297,6 +346,10 @@ int main(int argc, char** argv) {
     if (!resume_identical) {
       std::cerr << "FAIL: resume did not reproduce the uninterrupted run\n";
     }
+    if (!uniform_pinned) {
+      std::cerr << "FAIL: uniform width-16 err search missed the recorded "
+                   "optimum\n";
+    }
 
     section.set("reps", obs::Json(static_cast<std::uint64_t>(
                             static_cast<std::size_t>(reps))));
@@ -306,12 +359,14 @@ int main(int argc, char** argv) {
     section.set("node_ratio_ok", obs::Json(ratio_ok));
     section.set("threads_identical", obs::Json(threads_identical));
     section.set("resume_identical", obs::Json(resume_identical));
+    section.set("err_uniform_pinned", obs::Json(uniform_pinned));
 
     if (const auto path = obs::report_path(args, "BENCH_bnb.json")) {
       report.write_file(*path);
       std::cout << "json report written to " << *path << "\n";
     }
-    return identical && ratio_ok && threads_identical && resume_identical
+    return identical && ratio_ok && threads_identical && resume_identical &&
+                   uniform_pinned
                ? 0
                : 1;
   } catch (const std::exception& e) {

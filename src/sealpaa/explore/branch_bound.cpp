@@ -10,6 +10,8 @@
 #include <utility>
 
 #include "sealpaa/analysis/error_pmf.hpp"
+#include "sealpaa/analysis/mkl.hpp"
+#include "sealpaa/analysis/recursive.hpp"
 #include "sealpaa/engine/incremental.hpp"
 #include "sealpaa/explore/detail.hpp"
 #include "sealpaa/util/parallel.hpp"
@@ -19,14 +21,20 @@ namespace sealpaa::explore {
 namespace {
 
 // Relative slack widening the admissible bounds before a cutoff: the
-// carry mass and the residual-error sum are monotone in exact
-// arithmetic, but each is a different floating-point summation than the
-// leaf score it bounds, so a mathematically-tied completion could land
-// epsilon past the computed bound.  Pruning only beyond the slack keeps
-// every tie explored, which is what makes the (score, min index)
-// incumbent bit-identical to the exhaustive DFS.
+// best-completion value and the residual-error sum bound the leaf score
+// in exact arithmetic, but each is a different floating-point summation
+// than the leaf score it bounds, so a mathematically-tied completion
+// could land epsilon past the computed bound.  Pruning only beyond the
+// slack keeps every tie explored, which is what makes the (score, min
+// index) incumbent bit-identical to the exhaustive DFS.
 constexpr double kErrBoundSlack = 1e-12;
 constexpr double kPmfBoundSlack = 1e-9;
+
+// Relative margin by which a frontier point must fall below the chord
+// of its neighbours before it is dropped.  The chord test's own rounding
+// is a few ulps, so every dropped point is below the chord in exact
+// arithmetic and the frontier's maximum never loses a completion.
+constexpr double kChordMargin = 1e-9;
 
 constexpr std::uint64_t kSatMax = std::numeric_limits<std::uint64_t>::max();
 
@@ -79,6 +87,102 @@ double residual_bound(const analysis::ErrorPmfState& state, std::size_t depth,
   return bound;
 }
 
+/// What one completion of stages d..n-1 keeps of the success mass: s0
+/// per unit of mass entering stage d at carry 0, s1 per unit at carry 1.
+/// P(Succ) is linear in the carry state (Equations 10-12), so a depth-d
+/// node at carry state c ends at c0 * s0 + c1 * s1.
+struct Completion {
+  double s0 = 0.0;
+  double s1 = 0.0;
+
+  [[nodiscard]] double from(const analysis::CarryState& carry) const noexcept {
+    return carry.c0 * s0 + carry.c1 * s1;
+  }
+};
+
+/// True when `q` lies below the chord from `p` to `r` (p.s0 > q.s0 >
+/// r.s0, p.s1 < q.s1 < r.s1) by more than kChordMargin: then for every
+/// carry state c >= 0, c.q <= max(c.p, c.r).
+bool below_chord(const Completion& p, const Completion& q,
+                 const Completion& r) noexcept {
+  return (q.s1 - p.s1) * (p.s0 - r.s0) * (1.0 + kChordMargin) <
+         (p.s0 - q.s0) * (r.s1 - p.s1);
+}
+
+/// Reduces `points` to the ones that maximize c0 * s0 + c1 * s1 for some
+/// carry state c >= 0 (the upper-right convex frontier), ordered by s0
+/// descending.  Dominated points and points below a chord go; the
+/// maximum over the result equals the maximum over `points` for every c.
+std::vector<Completion> upper_right_frontier(std::vector<Completion> points) {
+  std::sort(points.begin(), points.end(),
+            [](const Completion& x, const Completion& y) {
+              return x.s0 != y.s0 ? x.s0 > y.s0 : x.s1 > y.s1;
+            });
+  std::vector<Completion> frontier;
+  for (const Completion& r : points) {
+    if (!frontier.empty() && r.s1 <= frontier.back().s1) continue;
+    while (frontier.size() >= 2 &&
+           below_chord(frontier[frontier.size() - 2], frontier.back(), r)) {
+      frontier.pop_back();
+    }
+    frontier.push_back(r);
+  }
+  return frontier;
+}
+
+/// Frontier of every completion, over the usable cells, of stages d..n-1
+/// for each depth d (budgets relaxed).  The carry recursion run backward
+/// once: stage n-1 closes with Equation 12 from each unit carry state,
+/// and stage d maps a completion s of stages d+1..n-1 through cell c to
+/// (advance_stage(c, (1,0)).s, advance_stage(c, (0,1)).s).
+std::vector<std::vector<Completion>> completion_frontiers(
+    const multibit::InputProfile& profile,
+    std::span<const adders::AdderCell> candidates,
+    const std::vector<char>& cell_usable) {
+  const std::size_t n = profile.width();
+  std::vector<std::vector<Completion>> frontiers(n);
+  const std::vector<analysis::OperandWeights> weights =
+      analysis::operand_weights(profile);
+  std::vector<analysis::MklMatrices> mkls;
+  for (std::size_t c = 0; c < candidates.size(); ++c) {
+    if (cell_usable[c]) {
+      mkls.push_back(analysis::MklMatrices::from_cell(candidates[c]));
+    }
+  }
+  constexpr analysis::CarryState kFrom0{1.0, 0.0};
+  constexpr analysis::CarryState kFrom1{0.0, 1.0};
+  std::vector<Completion> points;
+  for (const analysis::MklMatrices& mkl : mkls) {
+    points.push_back({analysis::final_success(mkl, weights[n - 1], kFrom0),
+                      analysis::final_success(mkl, weights[n - 1], kFrom1)});
+  }
+  frontiers[n - 1] = upper_right_frontier(std::move(points));
+  for (std::size_t d = n - 1; d-- > 0;) {
+    points.clear();
+    for (const analysis::MklMatrices& mkl : mkls) {
+      const analysis::CarryState a =
+          analysis::advance_stage(mkl, weights[d], kFrom0);
+      const analysis::CarryState b =
+          analysis::advance_stage(mkl, weights[d], kFrom1);
+      for (const Completion& s : frontiers[d + 1]) {
+        points.push_back({s.from(a), s.from(b)});
+      }
+    }
+    frontiers[d] = upper_right_frontier(std::move(points));
+  }
+  return frontiers;
+}
+
+/// Admissible upper bound on P(Succ) below a depth-d node at carry state
+/// `carry`: the best completion in the depth-d frontier.  0 when no cell
+/// is usable (no completion exists).
+double best_completion(const std::vector<Completion>& frontier,
+                       const analysis::CarryState& carry) noexcept {
+  double best = 0.0;
+  for (const Completion& s : frontier) best = std::max(best, s.from(carry));
+  return best;
+}
+
 /// Immutable per-run context shared by every worker.
 struct Ctx {
   Ctx(const multibit::InputProfile& profile_in,
@@ -108,6 +212,9 @@ struct Ctx {
   std::vector<std::uint64_t> pow_k;
   /// Saturating k^(n - d): leaves below a depth-d node; [0, n].
   std::vector<std::uint64_t> leaves_below;
+  /// err only: frontier[d] bounds every completion of a depth-d node;
+  /// [0, n).
+  std::vector<std::vector<Completion>> frontier;
 };
 
 Ctx make_ctx(const multibit::InputProfile& profile,
@@ -150,6 +257,9 @@ Ctx make_ctx(const multibit::InputProfile& profile,
   }
   ctx.split_depth = depth;
   ctx.units = units;
+  if (ctx.maximize) {
+    ctx.frontier = completion_frontiers(profile, candidates, ctx.cell_usable);
+  }
   return ctx;
 }
 
@@ -394,7 +504,7 @@ class Worker {
     if (inc_found_) {
       const double bound =
           ctx_.maximize
-              ? path_.carry().success_mass()
+              ? best_completion(ctx_.frontier[d], path_.carry())
               : residual_bound(path_.pmf_state_at(d), d, ctx_.objective);
       if (prunable(bound)) {
         ++unit_stats_.bound_cutoffs;

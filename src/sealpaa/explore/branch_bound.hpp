@@ -4,11 +4,17 @@
 // The search tree assigns one candidate cell per stage, least
 // significant first.  Two admissible bounds drive the pruning:
 //
-//  * err (maximize P(Success)): the success-filtered carry mass
-//    c0 + c1 after a prefix is monotone non-increasing as stages are
-//    appended (error rows are discarded, never added back — see
-//    analysis::CarryState), so the prefix mass is an upper bound on the
-//    final success probability of every completion.
+//  * err (maximize P(Success)): P(Succ) is linear in the carry state
+//    (c0, c1) (Equations 10-12), so a completion of stages d..n-1 is a
+//    2-vector s (what it keeps of unit mass at carry 0 and at carry 1)
+//    and a depth-d node at carry state c ends at c0*s0 + c1*s1.  Before
+//    the search, the recursion runs backward once over the usable
+//    palette cells (budgets relaxed) and keeps, per depth, the
+//    upper-right convex frontier of those vectors — a handful of points.
+//    The bound max over the frontier of c0*s0 + c1*s1 is the best
+//    P(Succ) any completion can reach: exact in real arithmetic, never
+//    above the carry mass c0 + c1, and equal to it (up to rounding)
+//    when AccuFA is usable.
 //
 //  * med / mse (minimize E[|err|] / E[err^2]): after a depth-d prefix,
 //    every future contribution to the signed error — stage deltas

@@ -3,10 +3,13 @@
 // kill/resume contract.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sealpaa/adders/builtin.hpp"
@@ -14,9 +17,11 @@
 #include "sealpaa/explore/hybrid.hpp"
 #include "sealpaa/obs/checkpoint.hpp"
 #include "sealpaa/obs/serialize.hpp"
+#include "sealpaa/prob/rng.hpp"
 
 namespace {
 
+using sealpaa::adders::AdderCell;
 using sealpaa::adders::accurate;
 using sealpaa::adders::builtin_lpaas;
 using sealpaa::adders::lpaa;
@@ -78,9 +83,9 @@ TEST(BranchBound, MatchesExhaustiveOptimumAllObjectives) {
 TEST(BranchBound, PrunesWellOverTenfoldVsExhaustive) {
   // The admissible bound must actually prune: the quality mode's whole
   // point is reaching the same optimum on far fewer nodes.  Width 8
-  // gives the carry-mass bound room to bite below the fixed unit-split
-  // depth (at tiny widths every node sits at the split depth and the
-  // search legitimately degenerates to enumeration).
+  // gives the best-completion bound room to bite below the fixed
+  // unit-split depth (at tiny widths every node sits at the split depth
+  // and the search legitimately degenerates to enumeration).
   const InputProfile profile = varied_profile(8);
   const HybridDesign exact = HybridOptimizer::exhaustive(
       profile, builtin_lpaas(), {}, 50'000'000, 1);
@@ -91,6 +96,111 @@ TEST(BranchBound, PrunesWellOverTenfoldVsExhaustive) {
   EXPECT_LE(bnb.design.stats.nodes_expanded +
                 bnb.design.stats.candidates_evaluated,
             exact.stats.candidates_evaluated / 10);
+}
+
+/// `size` distinct cells, each AccuFA with 1-3 of its 16 output bits
+/// (8 sums, 8 carries) flipped.
+std::vector<AdderCell> flipped_palette(sealpaa::prob::SplitMix64& rng,
+                                       std::size_t size) {
+  std::vector<AdderCell> palette;
+  while (palette.size() < size) {
+    AdderCell::Rows rows = AdderCell::accurate_rows();
+    const std::uint64_t flips = 1 + rng.next() % 3;
+    std::uint32_t flipped = 0;
+    while (static_cast<std::uint64_t>(std::popcount(flipped)) < flips) {
+      flipped |= 1u << (rng.next() % 16);
+    }
+    for (std::size_t bit = 0; bit < 16; ++bit) {
+      if ((flipped >> bit & 1u) == 0) continue;
+      auto& row = rows[bit % 8];
+      if (bit < 8) {
+        row.sum = !row.sum;
+      } else {
+        row.carry = !row.carry;
+      }
+    }
+    std::string name = "F";
+    name += std::to_string(palette.size());
+    AdderCell cell(std::move(name), rows);
+    if (std::find(palette.begin(), palette.end(), cell) == palette.end()) {
+      palette.push_back(std::move(cell));
+    }
+  }
+  return palette;
+}
+
+// The best-completion bound is exact in real arithmetic, so it sits on
+// the incumbent wherever designs tie.  Random palettes over three
+// profile families: random per-bit p, uniform 0.5 (large tie plateaus)
+// and the rails, where every p and p_cin is 0 or 1 and most designs
+// score exactly 0 or 1.
+TEST(BranchBound, ErrMatchesExhaustiveOnRandomPalettesAndRails) {
+  sealpaa::prob::SplitMix64 rng(0xb0b'f407'1e75ULL);
+  const auto unit = [&rng] {
+    return static_cast<double>(rng.next() >> 11) * 0x1.0p-53;
+  };
+  const auto bit = [&rng] { return static_cast<double>(rng.next() & 1u); };
+  for (int problem = 0; problem < 200; ++problem) {
+    const std::size_t width = 3 + static_cast<std::size_t>(rng.next() % 5);
+    const std::vector<AdderCell> palette =
+        flipped_palette(rng, 2 + static_cast<std::size_t>(rng.next() % 5));
+    std::vector<double> p_a;
+    std::vector<double> p_b;
+    double p_cin = 0.5;
+    const int family = problem % 3;
+    for (std::size_t i = 0; i < width; ++i) {
+      p_a.push_back(family == 0 ? unit() : family == 1 ? 0.5 : bit());
+      p_b.push_back(family == 0 ? unit() : family == 1 ? 0.5 : bit());
+    }
+    if (family == 0) p_cin = unit();
+    if (family == 2) p_cin = bit();
+    const InputProfile profile(p_a, p_b, p_cin);
+    const HybridDesign exact =
+        HybridOptimizer::exhaustive(profile, palette, {}, 50'000'000, 1);
+    for (const unsigned threads : {1u, 4u}) {
+      SCOPED_TRACE("problem " + std::to_string(problem) + " width " +
+                   std::to_string(width) + " cells " +
+                   std::to_string(palette.size()) + " threads " +
+                   std::to_string(threads));
+      const BnbResult bnb = BranchBoundOptimizer::optimize(
+          profile, palette, {}, Objective::kErrorRate, threads_opt(threads));
+      ASSERT_TRUE(bnb.complete);
+      expect_same_design(bnb.design, exact);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(bnb.design.p_success),
+                std::bit_cast<std::uint64_t>(exact.p_success));
+    }
+  }
+}
+
+// Recorded counters of the err bound (best completion over the
+// backward frontier).  The dse-err shape: width 16, uniform 0.5, LPAA1-7
+// at one thread; the carry-mass bound it replaces expanded 2,450,801
+// nodes with 14,704,897 cutoffs, 252 leaves and 17,156,384 stages here.
+// On the smaller fixtures the new bound must not expand more nodes than
+// the carry-mass bound did (1,558 and 54).
+TEST(BranchBound, ErrFrontierCountersPinned) {
+  const BnbResult dse_err = BranchBoundOptimizer::optimize(
+      InputProfile::uniform(16, 0.5), builtin_lpaas(), {},
+      Objective::kErrorRate, threads_opt(1));
+  ASSERT_TRUE(dse_err.complete);
+  EXPECT_EQ(stage_names(dse_err.design),
+            std::vector<std::string>(16, "LPAA1"));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(dse_err.design.p_success),
+            0x3fb1583100000000ULL);
+  const SearchStats& stats = dse_err.design.stats;
+  EXPECT_EQ(stats.nodes_expanded, 26u);
+  EXPECT_EQ(stats.bound_cutoffs, 485u);
+  EXPECT_EQ(stats.candidates_evaluated, 14u);
+  EXPECT_EQ(stats.stages_computed, 1'197u);
+
+  const BnbResult eight = BranchBoundOptimizer::optimize(
+      varied_profile(8), builtin_lpaas(), {}, Objective::kErrorRate,
+      threads_opt(1));
+  EXPECT_LE(eight.design.stats.nodes_expanded, 1'558u);
+  const BnbResult five = BranchBoundOptimizer::optimize(
+      varied_profile(5), builtin_lpaas(), {}, Objective::kErrorRate,
+      threads_opt(1));
+  EXPECT_LE(five.design.stats.nodes_expanded, 54u);
 }
 
 TEST(BranchBound, HonorsPowerConstraintLikeExhaustive) {

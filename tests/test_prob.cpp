@@ -182,7 +182,7 @@ TEST(Wilson, DegenerateCases) {
 }
 
 TEST(Wilson, RejectsMoreSuccessesThanTrials) {
-  EXPECT_THROW(sealpaa::prob::wilson_interval(5, 4, 1.96),
+  EXPECT_THROW((void)sealpaa::prob::wilson_interval(5, 4, 1.96),
                std::invalid_argument);
 }
 

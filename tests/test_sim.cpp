@@ -572,7 +572,8 @@ TEST(BitSliced, Width63BoundaryMatchesScalar) {
     const BitSlicedKernel kernel(chain);
     ASSERT_EQ(kernel.width(), 63u);
 
-    sealpaa::prob::SplitMix64 rng(0x63'b17'ed6eULL + static_cast<std::uint64_t>(cell));
+    sealpaa::prob::SplitMix64 rng(std::uint64_t{0x63'b17'ed6e} +
+                                  static_cast<std::uint64_t>(cell));
     std::array<std::uint64_t, 64> a_lanes;
     std::array<std::uint64_t, 64> b_lanes;
     std::uint64_t cin_word = 0;

@@ -301,9 +301,11 @@ int cmd_bounds(const util::CliArgs& args, obs::RunReport& report) {
   const double p = args.get_double("p", 0.5);
   const double epsilon = args.get_double("epsilon", 0.1);
   const auto bits = static_cast<std::size_t>(args.get_uint("bits", 16));
-  const std::size_t width = analysis::max_cascadable_width(cell, p, epsilon);
-  const std::size_t lsbs =
-      analysis::max_approximate_lsbs(cell, bits, p, epsilon);
+  // Both bounds return a count >= 0.
+  const auto width = static_cast<std::size_t>(
+      analysis::max_cascadable_width(cell, p, epsilon));
+  const auto lsbs = static_cast<std::size_t>(
+      analysis::max_approximate_lsbs(cell, bits, p, epsilon));
   std::cout << "tolerance epsilon = " << util::fixed(epsilon, 4) << ", p = "
             << util::fixed(p, 3) << "\n";
   std::cout << "max cascadable width of " << cell.name() << ": " << width
