@@ -263,6 +263,34 @@ Ctx make_ctx(const multibit::InputProfile& profile,
   return ctx;
 }
 
+/// Admissible bound below the depth-`depth` node that `path` holds: the
+/// best completion (err) or the residue bound (med/mse).
+double node_bound(const Ctx& ctx, const engine::IncrementalAnalyzer& path,
+                  std::size_t depth) {
+  return ctx.maximize
+             ? best_completion(ctx.frontier[depth], path.carry())
+             : residual_bound(path.pmf_state_at(depth), depth, ctx.objective);
+}
+
+/// True when nothing below a node with bound `bound` can beat an
+/// incumbent scoring `incumbent`.  Strict, and widened by the bound's
+/// slack, so bound ties are always explored.
+bool cannot_beat(const Ctx& ctx, double bound, double incumbent) noexcept {
+  return ctx.maximize ? bound * (1.0 + kErrBoundSlack) < incumbent
+                      : bound * (1.0 - kPmfBoundSlack) > incumbent;
+}
+
+/// Historical index of a complete design (stage 0 the least significant
+/// digit), summed in stage order like the search's prefix index.
+std::uint64_t design_index(const Ctx& ctx,
+                           std::span<const std::uint8_t> design) {
+  std::uint64_t index = 0;
+  for (std::size_t i = 0; i < design.size(); ++i) {
+    index = sat_add(index, sat_mul(design[i], ctx.pow_k[i]));
+  }
+  return index;
+}
+
 /// Additive merge of per-unit accounting (nodes_pruned and
 /// candidates_rejected saturate).  The search probes no cache and runs
 /// no lanes, so cache_* and soa_* are never set.
@@ -491,22 +519,10 @@ class Worker {
     inc_index_ = shared_.incumbent.index;
   }
 
-  [[nodiscard]] bool prunable(double bound) const noexcept {
-    if (!inc_found_) return false;
-    if (ctx_.maximize) {
-      return bound * (1.0 + kErrBoundSlack) < inc_score_;
-    }
-    return bound * (1.0 - kPmfBoundSlack) > inc_score_;
-  }
-
   void dfs(std::uint64_t prefix_index, double power, double area) {
     const std::size_t d = choices_.size();
     if (inc_found_) {
-      const double bound =
-          ctx_.maximize
-              ? best_completion(ctx_.frontier[d], path_.carry())
-              : residual_bound(path_.pmf_state_at(d), d, ctx_.objective);
-      if (prunable(bound)) {
+      if (cannot_beat(ctx_, node_bound(ctx_, path_, d), inc_score_)) {
         ++unit_stats_.bound_cutoffs;
         unit_stats_.nodes_pruned =
             sat_add(unit_stats_.nodes_pruned, ctx_.leaves_below[d]);
@@ -626,45 +642,166 @@ class Worker {
   std::vector<std::size_t> choices_;
 };
 
-/// Seeds the incumbent with the beam winner, re-scored on a fresh
-/// analyzer through the same leaf-scoring calls the tree makes, so
-/// comparisons are bit-exact.
+/// True when `design` keeps within every budget, its costs summed in
+/// stage order like the search's running screen.
+bool fits_budgets(const Ctx& ctx, std::span<const std::uint8_t> design) {
+  double power = 0.0;
+  double area = 0.0;
+  for (const std::size_t c : design) {
+    if (ctx.track_power) {
+      power += ctx.power_of[c];
+      if (power > *ctx.constraints.max_power_nw) return false;
+    }
+    if (ctx.track_area) {
+      area += ctx.area_of[c];
+      if (area > *ctx.constraints.max_area_ge) return false;
+    }
+  }
+  return true;
+}
+
+/// The hybrid family the seed scores besides the beam winner: the
+/// designs X^a · Y^b · Z^m, stage 0 first, over the usable cells.  Z is
+/// the cell with the fewest error rows (the lowest index on ties: AccuFA
+/// when the palette has it).  Each (X, a) gives X^a · Z^(n-a) when that
+/// fits every budget, and otherwise, for each Y, the design with the
+/// most Z stages that fits.  Deduplicated and ordered most trailing Z
+/// stages first, then by design index, so the near-exact members, whose
+/// PMF supports stay small, set the incumbent before the wide ones are
+/// pushed.
+std::vector<std::vector<std::uint8_t>> hybrid_family(const Ctx& ctx) {
+  std::vector<std::size_t> cells;
+  for (std::size_t c = 0; c < ctx.k; ++c) {
+    if (ctx.cell_usable[c]) cells.push_back(c);
+  }
+  if (cells.empty()) return {};
+  std::size_t z = cells.front();
+  for (const std::size_t c : cells) {
+    if (ctx.candidates[c].error_case_count() <
+        ctx.candidates[z].error_case_count()) {
+      z = c;
+    }
+  }
+  const std::size_t n = ctx.n;
+  struct Member {
+    std::size_t trailing_z = 0;
+    std::uint64_t index = 0;
+    std::vector<std::uint8_t> design;
+  };
+  std::vector<Member> members;
+  std::vector<std::uint8_t> design(n);
+  // Builds design = X^a · Y^(n-a-m) · Z^m and keeps it when it fits.
+  const auto add_if_fits = [&](std::size_t x, std::size_t a, std::size_t y,
+                               std::size_t m) {
+    for (std::size_t i = 0; i < n; ++i) {
+      design[i] = static_cast<std::uint8_t>(i < a ? x : i + m < n ? y : z);
+    }
+    if (!fits_budgets(ctx, design)) return false;
+    Member member{0, design_index(ctx, design), design};
+    while (member.trailing_z < n && design[n - 1 - member.trailing_z] == z) {
+      ++member.trailing_z;
+    }
+    members.push_back(std::move(member));
+    return true;
+  };
+  for (const std::size_t x : cells) {
+    for (std::size_t a = 0; a <= n; ++a) {
+      if (add_if_fits(x, a, z, n - a)) continue;
+      for (const std::size_t y : cells) {
+        for (std::size_t m = n - a; m-- > 0;) {
+          if (add_if_fits(x, a, y, m)) break;
+        }
+      }
+    }
+  }
+  std::sort(members.begin(), members.end(),
+            [](const Member& p, const Member& q) {
+              if (p.trailing_z != q.trailing_z) {
+                return p.trailing_z > q.trailing_z;
+              }
+              if (p.index != q.index) return p.index < q.index;
+              return p.design < q.design;  // indices saturate past 2^64
+            });
+  std::vector<std::vector<std::uint8_t>> family;
+  for (Member& member : members) {
+    if (family.empty() || family.back() != member.design) {
+      family.push_back(std::move(member.design));
+    }
+  }
+  return family;
+}
+
+/// Scores `design` for the seed on `path` and keeps it in `best` when it
+/// improves.  The stages it shares with the design offered before stay
+/// pushed (`pushed` mirrors the path).  A design is abandoned as soon as
+/// a prefix's bound shows it cannot beat `best`, and skipped when its
+/// PMF outgrows the support guard.
+void offer(const Ctx& ctx, engine::IncrementalAnalyzer& path,
+           std::vector<std::uint8_t>& pushed,
+           std::span<const std::uint8_t> design, Incumbent& best) {
+  std::size_t depth = 0;
+  while (depth < pushed.size() && pushed[depth] == design[depth]) ++depth;
+  path.rewind(depth);
+  pushed.resize(depth);
+  try {
+    for (;; ++depth) {
+      if (best.found && depth > 0 &&
+          cannot_beat(ctx, node_bound(ctx, path, depth), best.score)) {
+        return;
+      }
+      if (depth + 1 == ctx.n) break;
+      path.push(design[depth]);
+      pushed.push_back(design[depth]);
+    }
+    std::uint64_t stages = 0;  // the seed's pushes are not search work
+    const double score =
+        detail::leaf_score(path, design.back(), ctx.objective, stages);
+    const std::uint64_t index = design_index(ctx, design);
+    if (detail::improves(best.found, best.score, best.index, score, index,
+                         ctx.maximize)) {
+      best.found = true;
+      best.score = score;
+      best.index = index;
+      best.choices.assign(design.begin(), design.end());
+    }
+  } catch (const std::length_error&) {
+    // The PMF support guard tripped: this design cannot seed.
+  }
+}
+
+/// Seeds the incumbent with the better of the beam winner and the best
+/// hybrid-family member under the (score, index) order.  Every candidate
+/// is a feasible design pushed from depth 0 and scored through the
+/// leaf-scoring calls the tree makes, so its score is bit-identical to
+/// the tree's; none is finalized.
 void seed_incumbent(const Ctx& ctx, Shared& shared,
                     const BnbOptions& options) {
   if (options.seed_beam_width == 0 || ctx.n == 0) return;
-  HybridDesign seed;
+  std::vector<std::size_t> beam;
   try {
-    seed = HybridOptimizer::beam(ctx.profile, ctx.candidates,
-                                 ctx.constraints, options.seed_beam_width,
-                                 ctx.objective);
+    SearchStats beam_stats;  // the seed is not search work
+    beam = detail::beam_choices(ctx.profile, ctx.candidates, ctx.constraints,
+                                options.seed_beam_width, ctx.objective,
+                                beam_stats);
   } catch (const std::runtime_error&) {
-    return;  // constraints eliminated every design; start unseeded
-  }
-  std::vector<std::size_t> choices;
-  choices.reserve(ctx.n);
-  for (const adders::AdderCell& cell : seed.stages) {
-    const auto it = std::find(ctx.candidates.begin(), ctx.candidates.end(),
-                              cell);
-    if (it == ctx.candidates.end()) {
-      throw std::logic_error(
-          "BranchBoundOptimizer: beam seed cell not in the palette");
-    }
-    choices.push_back(static_cast<std::size_t>(it - ctx.candidates.begin()));
+    // The constraints eliminated every beam design; the family may still
+    // hold one.
   }
   engine::IncrementalAnalyzer path(ctx.profile, ctx.candidates,
                                    /*track_pmf=*/!ctx.maximize);
-  for (std::size_t i = 0; i + 1 < ctx.n; ++i) path.push(choices[i]);
-  std::uint64_t stages = 0;  // the seed's pushes are not search work
-  const double score =
-      detail::leaf_score(path, choices.back(), ctx.objective, stages);
-  std::uint64_t index = 0;
-  for (std::size_t i = 0; i < ctx.n; ++i) {
-    index = sat_add(index, sat_mul(choices[i], ctx.pow_k[i]));
+  std::vector<std::uint8_t> pushed;
+  pushed.reserve(ctx.n);
+  if (!beam.empty()) {
+    std::vector<std::uint8_t> design;
+    design.reserve(ctx.n);
+    for (const std::size_t c : beam) {
+      design.push_back(static_cast<std::uint8_t>(c));
+    }
+    offer(ctx, path, pushed, design, shared.incumbent);
   }
-  shared.incumbent.found = true;
-  shared.incumbent.score = score;
-  shared.incumbent.index = index;
-  shared.incumbent.choices = std::move(choices);
+  for (const std::vector<std::uint8_t>& design : hybrid_family(ctx)) {
+    offer(ctx, path, pushed, design, shared.incumbent);
+  }
 }
 
 BnbResult run_search(const multibit::InputProfile& profile,

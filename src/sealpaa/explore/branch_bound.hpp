@@ -25,6 +25,21 @@
 //    over the four joint-carry segment PMFs is therefore a lower bound
 //    on the final metric.
 //
+// Before branching, the incumbent is seeded with the better of two
+// feasible designs: the winner of a beam search, and the best member of
+// a hybrid family X^a · Y^b · Z^m (stage 0 first) — the paper's split of
+// approximate low bits and accurate high bits.  Z is the usable cell
+// with the fewest error rows (AccuFA when the palette has it), X and Y
+// range over the usable cells, and m is the most Z stages that fit every
+// budget.  Both are pushed on an IncrementalAnalyzer from depth 0 and
+// scored by the leaf-scoring calls the tree makes, so the seed's score
+// is bit-identical to the tree's, and neither is finalized.  The family
+// is scored most trailing Z stages first and shares pushed prefixes; a
+// member is abandoned as soon as its prefix's bound cannot beat the
+// incumbent, and skipped when its PMF outgrows the support guard.  Once
+// the seed is the optimum the incumbent never changes, and the counters
+// no longer depend on the schedule.
+//
 // Pruning is *strict only*: a subtree is cut when its bound — widened by
 // a small relative slack absorbing floating-point non-monotonicity —
 // cannot beat the incumbent, and bound ties are always explored.  The
@@ -115,10 +130,11 @@ struct BnbOptions {
   /// identical for every value; only node/stage counters and wall time
   /// vary beyond 1 thread.
   unsigned threads = 0;
-  /// Width of the beam search whose winner seeds the incumbent (a good
-  /// initial incumbent is what makes the bound prune from node one).
-  /// 0 disables seeding — the search then starts pruning only after its
-  /// first scored leaf.
+  /// Width of the beam search whose winner, with the hybrid family,
+  /// seeds the incumbent (a good initial incumbent is what makes the
+  /// bound prune from node one).  0 disables all seeding, the family
+  /// included — the search then starts pruning only after its first
+  /// scored leaf.
   std::size_t seed_beam_width = 64;
   /// Invoke `checkpoint_sink` after every this-many completed units
   /// (0 = only when suspending).  The sink runs under the scheduler
@@ -166,8 +182,8 @@ class BranchBoundOptimizer {
   /// checkpoint lists as not completed, starting from its incumbent and
   /// stats.  Throws std::invalid_argument when the checkpoint does not
   /// match (objective, width, palette fingerprints, profile,
-  /// constraints).  The beam seed is skipped — the checkpoint incumbent
-  /// already dominates it.
+  /// constraints).  Seeding is skipped — the checkpoint incumbent
+  /// already dominates the seed.
   [[nodiscard]] static BnbResult resume(
       const multibit::InputProfile& profile,
       std::span<const adders::AdderCell> candidates,

@@ -63,4 +63,13 @@ struct CellCost {
 /// Throws std::invalid_argument when the candidate palette is empty.
 void require_candidates(std::span<const adders::AdderCell> candidates);
 
+/// The search behind HybridOptimizer::beam: its winner as palette
+/// indices, stage 0 first, not finalized.  Adds its work to `stats`.
+/// Throws what beam() throws, before it finalizes.
+[[nodiscard]] std::vector<std::size_t> beam_choices(
+    const multibit::InputProfile& profile,
+    std::span<const adders::AdderCell> candidates,
+    const DesignConstraints& constraints, std::size_t beam_width,
+    Objective objective, SearchStats& stats);
+
 }  // namespace sealpaa::explore::detail

@@ -330,18 +330,19 @@ HybridDesign HybridOptimizer::exhaustive(
   return design;
 }
 
-HybridDesign HybridOptimizer::beam(const multibit::InputProfile& profile,
-                                   std::span<const adders::AdderCell> candidates,
-                                   const DesignConstraints& constraints,
-                                   std::size_t beam_width,
-                                   Objective objective) {
+namespace detail {
+
+std::vector<std::size_t> beam_choices(
+    const multibit::InputProfile& profile,
+    std::span<const adders::AdderCell> candidates,
+    const DesignConstraints& constraints, std::size_t beam_width,
+    Objective objective, SearchStats& stats) {
   require_candidates(candidates);
   if (beam_width == 0) {
     throw std::invalid_argument("HybridOptimizer::beam: beam width 0");
   }
   const std::size_t n = profile.width();
   const bool by_pmf = objective != Objective::kErrorRate;
-  SearchStats stats;
 
   std::vector<CellCost> costs;
   std::vector<analysis::MklMatrices> mkls;
@@ -485,9 +486,22 @@ HybridDesign HybridOptimizer::beam(const multibit::InputProfile& profile,
     throw std::runtime_error(
         "HybridOptimizer::beam: no design satisfies the constraints");
   }
+  return best_choice;
+}
+
+}  // namespace detail
+
+HybridDesign HybridOptimizer::beam(const multibit::InputProfile& profile,
+                                   std::span<const adders::AdderCell> candidates,
+                                   const DesignConstraints& constraints,
+                                   std::size_t beam_width,
+                                   Objective objective) {
+  SearchStats stats;
+  const std::vector<std::size_t> choices = detail::beam_choices(
+      profile, candidates, constraints, beam_width, objective, stats);
   std::vector<adders::AdderCell> stages;
-  stages.reserve(n);
-  for (std::size_t c : best_choice) stages.push_back(candidates[c]);
+  stages.reserve(choices.size());
+  for (const std::size_t c : choices) stages.push_back(candidates[c]);
   HybridDesign design = finalize(std::move(stages), profile, objective);
   design.stats = stats;
   return design;

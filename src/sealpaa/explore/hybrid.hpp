@@ -134,7 +134,7 @@ class HybridOptimizer {
   /// optimum (same winner, bit-identical score, typically well over 10x
   /// fewer nodes) and demoting beam()/greedy() to fast preview modes.
   /// Convenience forwarder over explore::BranchBoundOptimizer::optimize
-  /// with default options (beam-seeded incumbent, no checkpointing);
+  /// with default options (seeded incumbent, no checkpointing);
   /// use the optimizer directly for checkpoint/resume and suspension.
   /// Defined in branch_bound.cpp.
   [[nodiscard]] static HybridDesign branch_bound(

@@ -1,6 +1,7 @@
 #include "sealpaa/rtl/synth.hpp"
 
 #include <array>
+#include <string>
 
 #include "sealpaa/adders/builtin.hpp"
 
@@ -101,6 +102,19 @@ CellNets instantiate_cell(Netlist& netlist, const adders::AdderCell& cell,
 
 }  // namespace detail
 
+namespace {
+
+/// Port name `prefix` followed by bit index `i` ("a3").  Built by
+/// appending: gcc 12 reports a false -Wrestrict on "literal" +
+/// std::string&&.
+std::string bit_port(const char* prefix, std::size_t i) {
+  std::string name(prefix);
+  name += std::to_string(i);
+  return name;
+}
+
+}  // namespace
+
 Netlist synthesize_cell(const adders::AdderCell& cell) {
   Netlist netlist;
   const int a = netlist.add_input("a");
@@ -117,10 +131,10 @@ Netlist synthesize_chain(const multibit::AdderChain& chain) {
   std::vector<int> a_nets;
   std::vector<int> b_nets;
   for (std::size_t i = 0; i < chain.width(); ++i) {
-    a_nets.push_back(netlist.add_input("a" + std::to_string(i)));
+    a_nets.push_back(netlist.add_input(bit_port("a", i)));
   }
   for (std::size_t i = 0; i < chain.width(); ++i) {
-    b_nets.push_back(netlist.add_input("b" + std::to_string(i)));
+    b_nets.push_back(netlist.add_input(bit_port("b", i)));
   }
   int carry = netlist.add_input("cin");
   std::vector<int> sum_nets;
@@ -143,10 +157,10 @@ Netlist synthesize_gear(const gear::GearConfig& config) {
   std::vector<int> a_nets;
   std::vector<int> b_nets;
   for (std::size_t i = 0; i < n; ++i) {
-    a_nets.push_back(netlist.add_input("a" + std::to_string(i)));
+    a_nets.push_back(netlist.add_input(bit_port("a", i)));
   }
   for (std::size_t i = 0; i < n; ++i) {
-    b_nets.push_back(netlist.add_input("b" + std::to_string(i)));
+    b_nets.push_back(netlist.add_input(bit_port("b", i)));
   }
 
   std::vector<int> sum_nets(n, -1);

@@ -184,7 +184,11 @@ inline void transpose64_core(std::uint64_t* m,
     const __m512i col = _mm512_permutex2var_epi8(
         o[h][h2][0], (c & 1) != 0 ? l3_1 : l3_0, o[h][h2][1]);
     const __m512i bits = _mm512_gf2p8affine_epi64_epi8(identity, col, 0);
-    _mm512_storeu_si512(m + 8 * c, _mm512_permutexvar_epi8(fin, bits));
+    // The maskz form with every lane selected: gcc 12's unmasked
+    // intrinsic passes _mm512_undefined_epi32() through and warns about
+    // it (GCC bug 105593).
+    _mm512_storeu_si512(
+        m + 8 * c, _mm512_maskz_permutexvar_epi8(~__mmask64{0}, fin, bits));
   }
 }
 
@@ -317,7 +321,9 @@ void run_packed_group_zmm_impl(const detail::StageTruth* truths,
     const __m512i success = tern_table(truths[i].success, a, b, carry);
     const __m512i next_carry = tern_table(truths[i].carry, a, b, carry);
 
-    _mm512_store_si512(fm8[i], _mm512_andnot_si512(success, ok));
+    // ~success & ok, in the all-lanes maskz form (see transpose64_core).
+    _mm512_store_si512(fm8[i], _mm512_maskz_andnot_epi64(
+                                   static_cast<__mmask8>(0xFF), success, ok));
     ok = _mm512_and_si512(ok, success);
 
     const __m512i exact_sum =

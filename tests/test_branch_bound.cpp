@@ -5,14 +5,17 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "sealpaa/adders/builtin.hpp"
+#include "sealpaa/adders/characteristics.hpp"
 #include "sealpaa/explore/branch_bound.hpp"
 #include "sealpaa/explore/hybrid.hpp"
 #include "sealpaa/obs/checkpoint.hpp"
@@ -56,6 +59,12 @@ std::vector<std::string> stage_names(const HybridDesign& design) {
   std::vector<std::string> names;
   for (const auto& stage : design.stages) names.emplace_back(stage.name());
   return names;
+}
+
+/// Bit pattern of an optional metric (nullopt stays nullopt).
+std::optional<std::uint64_t> bits(const std::optional<double>& metric) {
+  if (!metric) return std::nullopt;
+  return std::bit_cast<std::uint64_t>(*metric);
 }
 
 void expect_same_design(const HybridDesign& a, const HybridDesign& b) {
@@ -172,6 +181,150 @@ TEST(BranchBound, ErrMatchesExhaustiveOnRandomPalettesAndRails) {
   }
 }
 
+// The seed's hybrid family under budgets: random 2-6-cell subsets of
+// LPAA1-5 + AccuFA in random order (AccuFA in three of four), random
+// power budgets between the cheapest and the dearest full design, some
+// area budgets, and the three profile families of the err test above.
+// Seeded at 1 and 4 threads and unseeded, the search returns exhaustive()'s
+// design with the same med and mse bits.
+TEST(BranchBound, MomentMatchesExhaustiveUnderBudgets) {
+  sealpaa::prob::SplitMix64 rng(0x5eed'fa31'1e5ULL);
+  const auto unit = [&rng] {
+    return static_cast<double>(rng.next() >> 11) * 0x1.0p-53;
+  };
+  const auto bit = [&rng] { return static_cast<double>(rng.next() & 1u); };
+  std::vector<AdderCell> cells;
+  for (int i = 1; i <= 5; ++i) cells.push_back(lpaa(i));
+  cells.push_back(accurate());
+  for (int problem = 0; problem < 48; ++problem) {
+    const Objective objective =
+        problem % 2 == 0 ? Objective::kMed : Objective::kMse;
+    // Random order: Fisher-Yates over the six cells, keep the first few.
+    std::vector<AdderCell> shuffled = cells;
+    for (std::size_t i = shuffled.size(); i > 1; --i) {
+      std::swap(shuffled[i - 1], shuffled[rng.next() % i]);
+    }
+    const std::size_t size = 2 + static_cast<std::size_t>(rng.next() % 5);
+    std::vector<AdderCell> palette(shuffled.begin(),
+                                   shuffled.begin() +
+                                       static_cast<std::ptrdiff_t>(size));
+    if (problem % 4 != 3 &&
+        std::find(palette.begin(), palette.end(), accurate()) ==
+            palette.end()) {
+      palette.back() = accurate();
+    }
+    std::size_t width = 3 + static_cast<std::size_t>(rng.next() % 5);
+    while (std::pow(static_cast<double>(size), static_cast<double>(width)) >
+           20'000.0) {
+      --width;  // keeps each exhaustive reference cheap
+    }
+
+    std::vector<double> p_a;
+    std::vector<double> p_b;
+    double p_cin = 0.5;
+    const int family = (problem / 2) % 3;
+    for (std::size_t i = 0; i < width; ++i) {
+      p_a.push_back(family == 0 ? unit() : family == 1 ? 0.5 : bit());
+      p_b.push_back(family == 0 ? unit() : family == 1 ? 0.5 : bit());
+    }
+    if (family == 0) p_cin = unit();
+    if (family == 2) p_cin = bit();
+    const InputProfile profile(p_a, p_b, p_cin);
+
+    // The cheapest and dearest full designs, summed stage by stage like
+    // the search's screen, so the cheapest one always fits.
+    const bool by_area = problem % 5 == 4;
+    double cheapest = 0.0;
+    double dearest = 0.0;
+    const auto cost = [by_area](const AdderCell& cell) {
+      const auto* row = sealpaa::adders::find_characteristics(cell);
+      return by_area ? *row->area_ge : *row->power_nw;
+    };
+    double low = cost(palette.front());
+    double high = low;
+    for (const AdderCell& cell : palette) {
+      low = std::min(low, cost(cell));
+      high = std::max(high, cost(cell));
+    }
+    for (std::size_t i = 0; i < width; ++i) {
+      cheapest += low;
+      dearest += high;
+    }
+    DesignConstraints constraints;
+    const double budget = cheapest + unit() * (dearest - cheapest);
+    if (by_area) {
+      constraints.max_area_ge = budget;
+    } else {
+      constraints.max_power_nw = budget;
+    }
+
+    const HybridDesign exact = HybridOptimizer::exhaustive(
+        profile, palette, constraints, 50'000'000, 1, objective);
+    BnbOptions unseeded = threads_opt(1);
+    unseeded.seed_beam_width = 0;
+    for (const BnbOptions& options :
+         {threads_opt(1), threads_opt(4), unseeded}) {
+      SCOPED_TRACE("problem " + std::to_string(problem) + " width " +
+                   std::to_string(width) + " cells " +
+                   std::to_string(palette.size()) + " threads " +
+                   std::to_string(options.threads) + " seed width " +
+                   std::to_string(options.seed_beam_width));
+      const BnbResult bnb = BranchBoundOptimizer::optimize(
+          profile, palette, constraints, objective, options);
+      ASSERT_TRUE(bnb.complete);
+      EXPECT_EQ(stage_names(bnb.design), stage_names(exact));
+      EXPECT_EQ(bits(bnb.design.med), bits(exact.med));
+      EXPECT_EQ(bits(bnb.design.mse), bits(exact.mse));
+    }
+  }
+}
+
+/// The dse-moment shape: width 14, uniform 0.5, LPAA1-5 + AccuFA under
+/// 13,000 nW.
+struct MomentShape {
+  InputProfile profile = InputProfile::uniform(14, 0.5);
+  std::vector<AdderCell> palette = {lpaa(1), lpaa(2), lpaa(3),
+                                    lpaa(4), lpaa(5), accurate()};
+  DesignConstraints constraints = [] {
+    DesignConstraints budget;
+    budget.max_power_nw = 13'000.0;
+    return budget;
+  }();
+};
+
+// Recorded counters of the moment search seeded from the hybrid family
+// on the dse-moment shape.  The family holds the optimum, LPAA5 x 4 |
+// LPAA2 | AccuFA x 9 (MED 6.0), so the incumbent never changes and every
+// unit's work is a function of the unit alone: the counters are the same
+// at any thread count.  Seeded from the beam alone (MED 3,144.15) the
+// search expanded 61,125 nodes with 282,184 cutoffs, 7,446 leaves and
+// 351,187 stages; the MSE search 40,246 nodes.
+TEST(BranchBound, MomentSeedCountersPinned) {
+  const MomentShape shape;
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    const BnbResult med = BranchBoundOptimizer::optimize(
+        shape.profile, shape.palette, shape.constraints, Objective::kMed,
+        threads_opt(threads));
+    ASSERT_TRUE(med.complete);
+    std::vector<std::string> want(4, "LPAA5");
+    want.emplace_back("LPAA2");
+    want.insert(want.end(), 9, "AccuFA");
+    EXPECT_EQ(stage_names(med.design), want);
+    EXPECT_EQ(bits(med.design.med), 0x4018000000000000ULL);
+    const SearchStats& stats = med.design.stats;
+    EXPECT_EQ(stats.nodes_expanded, 20'457u);
+    EXPECT_EQ(stats.bound_cutoffs, 97'165u);
+    EXPECT_EQ(stats.candidates_evaluated, 180u);
+    EXPECT_EQ(stats.stages_computed, 118'234u);
+  }
+  const BnbResult mse = BranchBoundOptimizer::optimize(
+      shape.profile, shape.palette, shape.constraints, Objective::kMse,
+      threads_opt(1));
+  ASSERT_TRUE(mse.complete);
+  EXPECT_EQ(mse.design.stats.nodes_expanded, 11'805u);
+}
+
 // Recorded counters of the err bound (best completion over the
 // backward frontier).  The dse-err shape: width 16, uniform 0.5, LPAA1-7
 // at one thread; the carry-mass bound it replaces expanded 2,450,801
@@ -251,18 +404,31 @@ TEST(BranchBound, DesignIdenticalAcrossThreadCounts) {
 }
 
 TEST(BranchBound, UnseededSearchFindsTheSameOptimum) {
-  const InputProfile profile = varied_profile(5);
-  const BnbResult seeded = BranchBoundOptimizer::optimize(
-      profile, builtin_lpaas(), {}, Objective::kErrorRate, threads_opt(1));
   BnbOptions unseeded_options;
   unseeded_options.threads = 1;
   unseeded_options.seed_beam_width = 0;
-  const BnbResult unseeded = BranchBoundOptimizer::optimize(
-      profile, builtin_lpaas(), {}, Objective::kErrorRate, unseeded_options);
-  expect_same_design(seeded.design, unseeded.design);
-  // Seeding can only help: the seeded run never expands more nodes.
-  EXPECT_LE(seeded.design.stats.nodes_expanded,
-            unseeded.design.stats.nodes_expanded);
+  const auto check = [&](const InputProfile& profile,
+                         const std::vector<AdderCell>& palette,
+                         const DesignConstraints& constraints,
+                         Objective objective) {
+    const BnbResult seeded = BranchBoundOptimizer::optimize(
+        profile, palette, constraints, objective, threads_opt(1));
+    const BnbResult unseeded = BranchBoundOptimizer::optimize(
+        profile, palette, constraints, objective, unseeded_options);
+    expect_same_design(seeded.design, unseeded.design);
+    // Seeding can only help: the seeded run never expands more nodes.
+    EXPECT_LE(seeded.design.stats.nodes_expanded,
+              unseeded.design.stats.nodes_expanded);
+  };
+  check(varied_profile(5),
+        std::vector<AdderCell>(builtin_lpaas().begin(), builtin_lpaas().end()),
+        {}, Objective::kErrorRate);
+  // Budgeted med: the seed comes from the hybrid family, not the beam.
+  const MomentShape shape;
+  DesignConstraints budget;
+  budget.max_power_nw = 7'000.0;
+  check(InputProfile::uniform(8, 0.5), shape.palette, budget,
+        Objective::kMed);
 }
 
 // The headline fixture: suspend ("kill") the search mid-run, persist the

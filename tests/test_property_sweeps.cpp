@@ -230,9 +230,16 @@ INSTANTIATE_TEST_SUITE_P(
                                          std::size_t{8}),
                        ::testing::Values(0.2, 0.5, 0.8)),
     [](const auto& param_info) {
-      return "w" + std::to_string(std::get<0>(param_info.param)) + "_l" +
-             std::to_string(std::get<1>(param_info.param)) + "_p" +
-             std::to_string(static_cast<int>(std::get<2>(param_info.param) * 100));
+      // Appended piece by piece: gcc 12 reports a false -Wrestrict on
+      // "literal" + std::string&&.
+      std::string name = "w";
+      name += std::to_string(std::get<0>(param_info.param));
+      name += "_l";
+      name += std::to_string(std::get<1>(param_info.param));
+      name += "_p";
+      name += std::to_string(
+          static_cast<int>(std::get<2>(param_info.param) * 100));
+      return name;
     });
 
 // ---------------------------------------------------------------------

@@ -2,6 +2,8 @@
 // specific folding rules, idempotence.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "sealpaa/adders/builtin.hpp"
 #include "sealpaa/gear/gear.hpp"
 #include "sealpaa/multibit/chain.hpp"
@@ -19,6 +21,14 @@ using sealpaa::rtl::Netlist;
 using sealpaa::rtl::optimize;
 using sealpaa::rtl::synthesize_cell;
 using sealpaa::rtl::synthesize_chain;
+
+/// "i3"-style port name.  Built by appending: gcc 12 reports a false
+/// -Wrestrict on "literal" + std::string&&.
+std::string indexed(const char* prefix, int i) {
+  std::string name(prefix);
+  name += std::to_string(i);
+  return name;
+}
 
 void expect_equivalent(const Netlist& a, const Netlist& b,
                        std::uint64_t seed) {
@@ -127,7 +137,7 @@ TEST(Optimize, RandomNetlistFuzz) {
     Netlist netlist;
     std::vector<int> nets;
     for (int i = 0; i < 4; ++i) {
-      nets.push_back(netlist.add_input("i" + std::to_string(i)));
+      nets.push_back(netlist.add_input(indexed("i", i)));
     }
     nets.push_back(netlist.add_const(false));
     nets.push_back(netlist.add_const(true));
@@ -155,8 +165,8 @@ TEST(Optimize, RandomNetlistFuzz) {
       }
     }
     for (int o = 0; o < 3; ++o) {
-      netlist.set_output("o" + std::to_string(o), nets[nets.size() - 1 -
-                                                       static_cast<std::size_t>(o)]);
+      netlist.set_output(indexed("o", o),
+                         nets[nets.size() - 1 - static_cast<std::size_t>(o)]);
     }
     const Netlist opt = optimize(netlist);
     expect_equivalent(netlist, opt,
