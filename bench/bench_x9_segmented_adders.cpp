@@ -51,21 +51,23 @@ int main() {
                    std::to_string(config.critical_path_bits())});
   }
 
-  // Segmented: LOA with l approximate low bits.
+  // Segmented: LOA with l approximate low bits, the chain
+  // OR^l · AccuFA^(16-l) (the profile's carry-in is 0, as LOA has none).
   for (std::size_t l : {4u, 8u, 12u}) {
-    const auto analysis =
-        multibit::analyze_loa(multibit::LoaAdder(bits, l), profile);
+    const auto joint = analysis::JointCarryAnalyzer::analyze(
+        multibit::loa_chain(bits, l), profile);
     table.add_row({"LOA(16, l=" + std::to_string(l) + ")", "segmented",
-                   util::prob6(analysis.p_error),
+                   util::prob6(1.0 - joint.p_value_correct),
                    std::to_string(bits - l) + " + OR"});
   }
 
   std::cout << table;
   std::cout << "\nAll three families reduce to exact O(N) dynamic programs "
                "in this library: M/K/L recursion for cell-level, the "
-               "joint-carry window DP for GeAr/ACA/ETAII, and the "
-               "segmented DP for LOA.  GeAr buys far lower P(E) per unit "
-               "of critical-path reduction; LOA buys area/power instead "
-               "(its OR part has no carry logic at all).\n";
+               "joint-carry window DP for GeAr/ACA/ETAII, and for LOA, the "
+               "cell chain OR^l | AccuFA above, the joint-carry chain DP "
+               "the LPAA rows use.  GeAr buys far lower P(E) per unit of "
+               "critical-path reduction; LOA buys area/power instead (its "
+               "OR part has no carry logic at all).\n";
   return 0;
 }

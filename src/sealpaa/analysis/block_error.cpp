@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "sealpaa/analysis/mkl.hpp"
 #include "sealpaa/prob/kahan.hpp"
 
 namespace sealpaa::analysis {
@@ -101,16 +102,15 @@ double exact_error_rate(const multibit::BlockChainSpec& spec,
     }
 
     // Advance every carry chain through bit j.
-    const double pa = profile.p_a(static_cast<std::size_t>(j));
-    const double pb = profile.p_b(static_cast<std::size_t>(j));
-    const double ab[4] = {(1.0 - pa) * (1.0 - pb), (1.0 - pa) * pb,
-                          pa * (1.0 - pb), pa * pb};
+    const OperandWeights ab =
+        operand_weights(profile.p_a(static_cast<std::size_t>(j)),
+                        profile.p_b(static_cast<std::size_t>(j)));
     std::vector<double> next(state.size(), 0.0);
     for (std::size_t s = 0; s < state.size(); ++s) {
       if (state[s] == 0.0) continue;
-      for (int abi = 0; abi < 4; ++abi) {
-        const bool a = (abi & 2) != 0;
-        const bool b = (abi & 1) != 0;
+      for (std::size_t abi = 0; abi < 4; ++abi) {
+        const bool a = (abi & 2U) != 0;
+        const bool b = (abi & 1U) != 0;
         std::size_t s2 = 0;
         if (majority(a, b, (s & 1U) != 0)) s2 |= 1U;
         for (std::size_t w = 0; w < active.size(); ++w) {
@@ -166,17 +166,16 @@ ErrorPmf exact_pmf(const multibit::BlockChainSpec& spec,
       producer_bit = 1 + static_cast<std::size_t>(it - active.begin());
     }
 
-    const double pa = profile.p_a(static_cast<std::size_t>(j));
-    const double pb = profile.p_b(static_cast<std::size_t>(j));
-    const double ab[4] = {(1.0 - pa) * (1.0 - pb), (1.0 - pa) * pb,
-                          pa * (1.0 - pb), pa * pb};
+    const OperandWeights ab =
+        operand_weights(profile.p_a(static_cast<std::size_t>(j)),
+                        profile.p_b(static_cast<std::size_t>(j)));
     std::vector<std::vector<ErrorPmf::Term>> terms(state.size());
     for (std::size_t s = 0; s < state.size(); ++s) {
       if (state[s].empty()) continue;
       const bool c_exact = (s & 1U) != 0;
-      for (int abi = 0; abi < 4; ++abi) {
-        const bool a = (abi & 2) != 0;
-        const bool b = (abi & 1) != 0;
+      for (std::size_t abi = 0; abi < 4; ++abi) {
+        const bool a = (abi & 2U) != 0;
+        const bool b = (abi & 1U) != 0;
         std::int64_t delta = 0;
         if (producer_bit != 0) {
           const bool c_window = ((s >> producer_bit) & 1U) != 0;

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "sealpaa/analysis/mkl.hpp"
 #include "sealpaa/prob/kahan.hpp"
 
 namespace sealpaa::baseline {
@@ -31,19 +32,17 @@ double joint_failure_probability(const multibit::AdderChain& chain,
   for (std::size_t i = 0; i < n; ++i) {
     const adders::AdderCell& cell = chain.stage(i);
     const bool must_fail = ((subset >> i) & 1ULL) != 0;
-    const double pa = profile.p_a(i);
-    const double pb = profile.p_b(i);
-    const double ab[4] = {(1.0 - pa) * (1.0 - pb), (1.0 - pa) * pb,
-                          pa * (1.0 - pb), pa * pb};
+    const analysis::OperandWeights ab =
+        analysis::operand_weights(profile.p_a(i), profile.p_b(i));
     if (counter != nullptr) counter->count_mul(4);
     double next0 = 0.0;
     double next1 = 0.0;
     for (int c = 0; c < 2; ++c) {
       const double mass = c != 0 ? mass1 : mass0;
       if (mass == 0.0) continue;
-      for (int abi = 0; abi < 4; ++abi) {
-        const bool a = (abi & 2) != 0;
-        const bool b = (abi & 1) != 0;
+      for (std::size_t abi = 0; abi < 4; ++abi) {
+        const bool a = (abi & 2U) != 0;
+        const bool b = (abi & 1U) != 0;
         const std::size_t row =
             adders::AdderCell::row_index(a, b, c != 0);
         if (must_fail && cell.row_is_success(row)) continue;

@@ -6,6 +6,7 @@
 #include <limits>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -312,6 +313,35 @@ struct Incumbent {
   std::vector<std::size_t> choices;
 };
 
+/// True when a candidate scoring `score` at historical index `index`
+/// ties the incumbent and both indices have saturated, so the indices
+/// cannot tell which design comes first.
+bool saturated_tie(bool found, double best_score, std::uint64_t best_index,
+                   double score, std::uint64_t index) noexcept {
+  return found && score == best_score && index == kSatMax &&
+         best_index == kSatMax;
+}
+
+/// detail::improves against `best` for the design `prefix` · `last`,
+/// exact past 2^64 designs: a saturated tie goes to the design whose
+/// choices, read from stage n-1 down, come first — the order the true
+/// index gives.
+template <typename Choice>
+bool improves(const Incumbent& best, double score, std::uint64_t index,
+              std::span<const Choice> prefix, std::size_t last,
+              bool maximize) {
+  if (!saturated_tie(best.found, best.score, best.index, score, index)) {
+    return detail::improves(best.found, best.score, best.index, score, index,
+                            maximize);
+  }
+  if (last != best.choices.back()) return last < best.choices.back();
+  for (std::size_t i = prefix.size(); i-- > 0;) {
+    const auto c = static_cast<std::size_t>(prefix[i]);
+    if (c != best.choices[i]) return c < best.choices[i];
+  }
+  return false;
+}
+
 /// Contiguous range of unit indices owned by one worker.
 struct UnitRange {
   std::uint64_t next = 0;
@@ -595,14 +625,16 @@ class Worker {
   }
 
   void consider(double score, std::uint64_t index, std::size_t last_choice) {
-    if (!detail::improves(inc_found_, inc_score_, inc_index_, score, index,
+    // A saturated tie is settled by the choices, under the lock.
+    if (!saturated_tie(inc_found_, inc_score_, inc_index_, score, index) &&
+        !detail::improves(inc_found_, inc_score_, inc_index_, score, index,
                           ctx_.maximize)) {
       return;
     }
     std::lock_guard<std::mutex> lock(shared_.mutex);
     Incumbent& best = shared_.incumbent;
-    if (detail::improves(best.found, best.score, best.index, score, index,
-                         ctx_.maximize)) {
+    if (improves(best, score, index, std::span<const std::size_t>(choices_),
+                 last_choice, ctx_.maximize)) {
       best.found = true;
       best.score = score;
       best.index = index;
@@ -757,8 +789,8 @@ void offer(const Ctx& ctx, engine::IncrementalAnalyzer& path,
     const double score =
         detail::leaf_score(path, design.back(), ctx.objective, stages);
     const std::uint64_t index = design_index(ctx, design);
-    if (detail::improves(best.found, best.score, best.index, score, index,
-                         ctx.maximize)) {
+    if (improves(best, score, index, design.first(ctx.n - 1), design.back(),
+                 ctx.maximize)) {
       best.found = true;
       best.score = score;
       best.index = index;

@@ -48,8 +48,9 @@
 // uses, a total order whose fold is order-independent, so the final
 // design is identical to exhaustive() and independent of the thread
 // count and of the work-stealing schedule.  (The index saturates for
-// spaces beyond 2^64 designs; within the exhaustively checkable regime
-// it is always exact.)
+// spaces beyond 2^64 designs; there a score tie at the saturated index
+// is broken by the choices read from stage n-1 down, which order the
+// designs as the true index does.)
 //
 // Work is split at a shallow fixed depth into k^D prefix units (D the
 // smallest depth with at least 64 units — a function of the space only,

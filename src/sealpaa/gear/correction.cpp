@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "sealpaa/analysis/mkl.hpp"
+
 namespace sealpaa::gear {
 
 namespace {
@@ -63,13 +65,14 @@ std::vector<double> correction_cycle_distribution(
   // DP over (exact carry, active window carries) x failure count.  A
   // block's window only needs tracking from its start to its first
   // result bit (the failure event is decided there), so at most
-  // ceil(P/R) + 1 windows are live at once.
+  // ceil(P/R) + 1 windows are live at once.  Only failure counts up to
+  // the number of blocks decided so far are held: each decision adds one.
   struct Layer {
     std::vector<int> active;     // block indices, in opening order
     std::vector<std::vector<double>> mass;  // [failures][state bits]
   };
   Layer layer;
-  layer.mass.assign(static_cast<std::size_t>(k), std::vector<double>(2, 0.0));
+  layer.mass.assign(1, std::vector<double>(2, 0.0));
   layer.mass[0][0] = 1.0;  // c_exact = 0 (cin = 0), zero failures
 
   const auto state_bits = [&]() {
@@ -97,7 +100,7 @@ std::vector<double> correction_cycle_distribution(
       }
       const std::size_t bit_pos = 1 + w;
       std::vector<std::vector<double>> next_mass(
-          layer.mass.size(),
+          layer.mass.size() + 1,
           std::vector<double>(layer.mass[0].size() / 2, 0.0));
       for (std::size_t f = 0; f < layer.mass.size(); ++f) {
         for (std::size_t s = 0; s < layer.mass[f].size(); ++s) {
@@ -108,10 +111,8 @@ std::vector<double> correction_cycle_distribution(
           const std::size_t low = s & ((1ULL << bit_pos) - 1ULL);
           const std::size_t high = (s >> (bit_pos + 1)) << bit_pos;
           const std::size_t reduced = high | low;
-          // At most k-1 blocks can fail, so f+1 stays within the k-entry
-          // distribution; .at() guards the invariant.
           const std::size_t f2 = f + (c_exact != c_window ? 1 : 0);
-          next_mass.at(f2)[reduced] += m;
+          next_mass[f2][reduced] += m;
         }
       }
       layer.mass = std::move(next_mass);
@@ -120,17 +121,16 @@ std::vector<double> correction_cycle_distribution(
     }
 
     // Advance every carry chain through bit j.
-    const double pa = profile.p_a(static_cast<std::size_t>(j));
-    const double pb = profile.p_b(static_cast<std::size_t>(j));
-    const double ab[4] = {(1.0 - pa) * (1.0 - pb), (1.0 - pa) * pb,
-                          pa * (1.0 - pb), pa * pb};
+    const analysis::OperandWeights ab =
+        analysis::operand_weights(profile.p_a(static_cast<std::size_t>(j)),
+                                  profile.p_b(static_cast<std::size_t>(j)));
     for (auto& states : layer.mass) {
       std::vector<double> next(states.size(), 0.0);
       for (std::size_t s = 0; s < states.size(); ++s) {
         if (states[s] == 0.0) continue;
-        for (int abi = 0; abi < 4; ++abi) {
-          const int a_bit = (abi >> 1) & 1;
-          const int b_bit = abi & 1;
+        for (std::size_t abi = 0; abi < 4; ++abi) {
+          const int a_bit = static_cast<int>((abi >> 1) & 1U);
+          const int b_bit = static_cast<int>(abi & 1U);
           std::size_t s2 = 0;
           const int c_exact = static_cast<int>(s & 1U);
           if (a_bit + b_bit + c_exact >= 2) s2 |= 1U;

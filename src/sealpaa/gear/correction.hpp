@@ -52,9 +52,11 @@ class GearCorrector {
 
 /// Analytical distribution of the number of failing blocks (= recovery
 /// cycles) for a GeAr adder under per-bit input probabilities: entry c
-/// is P(exactly c blocks fail), c = 0..k-1.  Computed by the same
-/// joint-carry dynamic program as GearAnalyzer, extended with a failure
-/// counter — still O(N), no inclusion-exclusion.
+/// is P(exactly c blocks fail), c = 0..k-1 (carry-in fixed to 0;
+/// profile.p_cin() is ignored).  A joint-carry dynamic program over
+/// (exact carry, live window carries) with a failure counter — O(N), no
+/// inclusion-exclusion.  Entry 0 is GearAnalyzer::analyze's success
+/// probability.
 [[nodiscard]] std::vector<double> correction_cycle_distribution(
     const GearConfig& config, const multibit::InputProfile& profile);
 

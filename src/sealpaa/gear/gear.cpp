@@ -6,6 +6,8 @@
 #include <vector>
 
 #include "sealpaa/adders/builtin.hpp"
+#include "sealpaa/analysis/mkl.hpp"
+#include "sealpaa/gear/correction.hpp"
 
 namespace sealpaa::gear {
 
@@ -156,113 +158,12 @@ GearAnalysis GearAnalyzer::analyze(const GearConfig& config,
     analysis.p_error_independent_approx = 1.0 - p_all_ok;
   }
 
-  // ---- Exact joint DP over (exact carry, active window carries) ----
-  // States are kept only for input paths whose checked result bits have
-  // all been correct so far (the paper's "discard error terms" idea);
-  // the lost mass is exactly the error probability.
-  {
-    std::vector<int> active;  // block indices with a tracked window carry
-    std::vector<double> state(2, 0.0);
-    state[0] = 1.0;  // c_exact = 0, no active windows (cin = 0)
-
-    const auto state_bits = [&]() {
-      return 1 + static_cast<int>(active.size());
-    };
-
-    for (int j = 0; j < n; ++j) {
-      // Open windows starting at j (block 0 shares the exact carry chain
-      // and is never tracked).
-      for (int block = 1; block < k; ++block) {
-        if (config.window_start(block) == j) {
-          // New carry bit appended as the most significant state bit,
-          // initialised to 0: masses keep their low-bit encoding.
-          active.push_back(block);
-          state.resize(1ULL << state_bits(), 0.0);
-        }
-      }
-
-      // Result-bit check at entry of j: the producing block's window
-      // carry must equal the exact carry (sum bits match iff carries
-      // match, both cells being exact adders).  Failing paths drop out.
-      const int producer = producing_block(config, j);
-      if (producer >= 1) {
-        const auto it = std::find(active.begin(), active.end(), producer);
-        const std::size_t bit_pos =
-            1 + static_cast<std::size_t>(it - active.begin());
-        for (std::size_t s = 0; s < state.size(); ++s) {
-          const bool c_exact = (s & 1U) != 0;
-          const bool c_window = ((s >> bit_pos) & 1U) != 0;
-          if (c_exact != c_window) state[s] = 0.0;
-        }
-      }
-
-      // Advance every carry chain through bit j.
-      const double pa = profile.p_a(static_cast<std::size_t>(j));
-      const double pb = profile.p_b(static_cast<std::size_t>(j));
-      const double ab[4] = {(1.0 - pa) * (1.0 - pb), (1.0 - pa) * pb,
-                            pa * (1.0 - pb), pa * pb};
-      std::vector<double> next(state.size(), 0.0);
-      for (std::size_t s = 0; s < state.size(); ++s) {
-        if (state[s] == 0.0) continue;
-        for (int abi = 0; abi < 4; ++abi) {
-          const bool a = (abi & 2) != 0;
-          const bool b = (abi & 1) != 0;
-          std::size_t s2 = 0;
-          const bool c_exact = (s & 1U) != 0;
-          if (majority(a, b, c_exact)) s2 |= 1U;
-          for (std::size_t w = 0; w < active.size(); ++w) {
-            const bool cw = ((s >> (1 + w)) & 1U) != 0;
-            if (majority(a, b, cw)) s2 |= 1ULL << (1 + w);
-          }
-          next[s2] += state[s] * ab[abi];
-        }
-      }
-      state = std::move(next);
-
-      // Retire windows whose last result bit was j (keep the final block
-      // so its carry-out can be checked at the end).
-      for (std::size_t w = 0; w < active.size();) {
-        const int block = active[w];
-        const int last_bit = config.window_start(block) + config.l() - 1;
-        if (last_bit == j && block != k - 1) {
-          // Marginalise bit (1 + w) out of the state vector.
-          std::vector<double> reduced(state.size() / 2, 0.0);
-          for (std::size_t s = 0; s < state.size(); ++s) {
-            const std::size_t low = s & ((1ULL << (1 + w)) - 1ULL);
-            const std::size_t high = (s >> (2 + w)) << (1 + w);
-            reduced[high | low] += state[s];
-          }
-          state = std::move(reduced);
-          active.erase(active.begin() + static_cast<std::ptrdiff_t>(w));
-        } else {
-          ++w;
-        }
-      }
-    }
-
-    // After the sweep only the final block remains tracked (its window
-    // ends at bit N-1); its carry is the GeAr carry-out.
-    std::size_t final_carry_bit = 0;
-    if (!active.empty()) {
-      const auto it = std::find(active.begin(), active.end(), k - 1);
-      final_carry_bit = 1 + static_cast<std::size_t>(it - active.begin());
-    }
-    double ok_mass = 0.0;
-    double ok_mass_with_carry = 0.0;
-    for (std::size_t s = 0; s < state.size(); ++s) {
-      ok_mass += state[s];
-      bool carry_matches = true;
-      if (final_carry_bit != 0) {
-        const bool c_exact = (s & 1U) != 0;
-        const bool c_window = ((s >> final_carry_bit) & 1U) != 0;
-        carry_matches = (c_window == c_exact);
-      }
-      if (carry_matches) ok_mass_with_carry += state[s];
-    }
-    analysis.p_error_sum_only = 1.0 - ok_mass;
-    analysis.p_error_exact_dp = 1.0 - ok_mass_with_carry;
-  }
-
+  // GeAr errs exactly when some block fails: a block whose window carry
+  // matches the exact carry at its first result bit keeps matching to
+  // the end of its window, carry-out included.
+  analysis.p_error_sum_only =
+      1.0 - correction_cycle_distribution(config, profile)[0];
+  analysis.p_error_exact_dp = analysis.p_error_sum_only;
   return analysis;
 }
 
@@ -275,7 +176,6 @@ GearAnalysis GearAnalyzer::analyze_with_cell(
   }
   const int n = config.n();
   const int k = config.blocks();
-  GearAnalysis analysis;
 
   // Generalized joint DP: every live window carries a cell-driven carry
   // (block 0 included — with an approximate cell its chain deviates from
@@ -302,17 +202,16 @@ GearAnalysis GearAnalyzer::analyze_with_cell(
     const std::size_t producer_bit =
         1 + static_cast<std::size_t>(it - active.begin());
 
-    const double pa = profile.p_a(static_cast<std::size_t>(j));
-    const double pb = profile.p_b(static_cast<std::size_t>(j));
-    const double ab[4] = {(1.0 - pa) * (1.0 - pb), (1.0 - pa) * pb,
-                          pa * (1.0 - pb), pa * pb};
+    const analysis::OperandWeights ab =
+        analysis::operand_weights(profile.p_a(static_cast<std::size_t>(j)),
+                                  profile.p_b(static_cast<std::size_t>(j)));
     std::vector<double> next(state.size(), 0.0);
     for (std::size_t s = 0; s < state.size(); ++s) {
       if (state[s] == 0.0) continue;
       const bool c_exact = (s & 1U) != 0;
-      for (int abi = 0; abi < 4; ++abi) {
-        const bool a = (abi & 2) != 0;
-        const bool b = (abi & 1) != 0;
+      for (std::size_t abi = 0; abi < 4; ++abi) {
+        const bool a = (abi & 2U) != 0;
+        const bool b = (abi & 1U) != 0;
         // Result-bit check at position j.
         const bool cw = ((s >> producer_bit) & 1U) != 0;
         const adders::BitPair cell_out = cell.output(a, b, cw);
@@ -365,9 +264,10 @@ GearAnalysis GearAnalyzer::analyze_with_cell(
     }
     if (carry_matches) ok_mass_with_carry += state[s];
   }
-  analysis.p_error_sum_only = 1.0 - ok_mass;
-  analysis.p_error_exact_dp = 1.0 - ok_mass_with_carry;
-  return analysis;
+  GearAnalysis result;
+  result.p_error_sum_only = 1.0 - ok_mass;
+  result.p_error_exact_dp = 1.0 - ok_mass_with_carry;
+  return result;
 }
 
 sim::ErrorMetrics GearAnalyzer::exhaustive_with_cell(
@@ -394,23 +294,7 @@ sim::ErrorMetrics GearAnalyzer::exhaustive_with_cell(
 
 sim::ErrorMetrics GearAnalyzer::exhaustive(const GearConfig& config,
                                            std::size_t max_width) {
-  const std::size_t n = static_cast<std::size_t>(config.n());
-  if (n > max_width) {
-    throw std::invalid_argument(
-        "GearAnalyzer::exhaustive: width exceeds the sweep guard");
-  }
-  GearAdder adder{config};
-  sim::ErrorMetrics metrics;
-  const std::uint64_t limit = 1ULL << n;
-  for (std::uint64_t a = 0; a < limit; ++a) {
-    for (std::uint64_t b = 0; b < limit; ++b) {
-      const multibit::AddResult approx = adder.evaluate(a, b);
-      const multibit::AddResult exact = multibit::exact_add(a, b, false, n);
-      metrics.add(approx.value(n), exact.value(n),
-                  approx.value(n) == exact.value(n));
-    }
-  }
-  return metrics;
+  return exhaustive_with_cell(config, adders::accurate(), max_width);
 }
 
 }  // namespace sealpaa::gear

@@ -9,11 +9,14 @@
 //
 // The paper claims (§1.1) that its recursive style of analysis also
 // covers such LLAAs without inclusion-exclusion.  `GearAnalyzer`
-// demonstrates that: an O(N) dynamic program over the joint (exact
-// carry, active window carries) state computes the exact error
-// probability; a closed-form per-block model with an independence
-// approximation (the GeAr paper's own estimate) is provided for
-// comparison, and Monte Carlo/exhaustive simulation for validation.
+// demonstrates that with two O(N) dynamic programs over the joint (exact
+// carry, live window carries) state: the failure-count DP of
+// correction.hpp, whose zero-failure mass is the exact success
+// probability of the accurate-cell GeAr, and the cell-driven DP of
+// `analyze_with_cell` for sub-adders built from any cell.  A closed-form
+// per-block model with an independence approximation (the GeAr paper's
+// own estimate) is provided for comparison, and exhaustive simulation
+// for validation.
 #pragma once
 
 #include <cstdint>
@@ -106,8 +109,8 @@ class GearAdder {
 
 /// Exact and approximate analytical error probabilities for GeAr.
 struct GearAnalysis {
-  /// Exact P(GeAr output != exact sum), final carry-out included,
-  /// from the joint-carry dynamic program (no inclusion-exclusion).
+  /// Exact P(GeAr output != exact sum), final carry-out included, from
+  /// a joint-carry dynamic program (no inclusion-exclusion).
   double p_error_exact_dp = 0.0;
   /// Same but ignoring the final carry-out.
   double p_error_sum_only = 0.0;
@@ -120,14 +123,19 @@ struct GearAnalysis {
 class GearAnalyzer {
  public:
   /// Analyzes GeAr under per-bit input probabilities (carry-in is fixed
-  /// to 0 by the topology; profile.p_cin() is ignored).  O(N) states.
+  /// to 0 by the topology; profile.p_cin() is ignored).  The exact rates
+  /// are 1 - correction_cycle_distribution(config, profile)[0]: with
+  /// exact sub-adders a block whose window carry matches the exact carry
+  /// at its first result bit stays correct through its carry-out, so
+  /// both rates are that one number.  The per-block failures and the
+  /// independence approximation are closed forms.
   [[nodiscard]] static GearAnalysis analyze(
       const GearConfig& config, const multibit::InputProfile& profile);
 
   /// Exact value-level error probability of a GeAr whose sub-adders are
   /// built from an arbitrary (possibly approximate) cell: the DP tracks
   /// every live window's cell-driven carry against the exact carry and
-  /// checks the cell's sum bit at each result position.  Reduces to
+  /// checks the cell's sum bit at each result position.  Agrees with
   /// `analyze` for the accurate cell.  The per-block closed forms do not
   /// apply to approximate cells, so `block_failure` /
   /// `p_error_independent_approx` are left empty/zero.
@@ -136,7 +144,8 @@ class GearAnalyzer {
       const multibit::InputProfile& profile);
 
   /// Exhaustive validation sweep over all 2^(2N) input pairs (uniform
-  /// inputs); guarded at `max_width` bits.
+  /// inputs); guarded at `max_width` bits.  exhaustive_with_cell with
+  /// the accurate cell.
   [[nodiscard]] static sim::ErrorMetrics exhaustive(
       const GearConfig& config, std::size_t max_width = 13);
 

@@ -1,144 +1,24 @@
 #include "sealpaa/multibit/loa.hpp"
 
-#include <array>
+#include <algorithm>
 #include <stdexcept>
+#include <vector>
+
+#include "sealpaa/adders/builtin.hpp"
 
 namespace sealpaa::multibit {
 
-LoaAdder::LoaAdder(std::size_t width, std::size_t approx_lsbs)
-    : width_(width), approx_lsbs_(approx_lsbs) {
-  if (width < 1 || width > 63) {
-    throw std::invalid_argument("LoaAdder: width must be in [1, 63]");
+AdderChain loa_chain(std::size_t width, std::size_t approx_lsbs) {
+  if (width < 1 || width > 63 || approx_lsbs > width) {
+    throw std::invalid_argument(
+        "loa_chain: require 1 <= width <= 63 and approx_lsbs <= width");
   }
-  if (approx_lsbs > width) {
-    throw std::invalid_argument("LoaAdder: approx_lsbs must be <= width");
-  }
-}
-
-AddResult LoaAdder::evaluate(std::uint64_t a, std::uint64_t b) const noexcept {
-  a = mask_width(a, width_);
-  b = mask_width(b, width_);
-  AddResult result;
-
-  const std::uint64_t low_mask =
-      approx_lsbs_ == 0 ? 0ULL : ((1ULL << approx_lsbs_) - 1ULL);
-  result.sum_bits = (a | b) & low_mask;
-
-  const bool predicted_carry =
-      approx_lsbs_ > 0 &&
-      ((a >> (approx_lsbs_ - 1)) & 1ULL) != 0 &&
-      ((b >> (approx_lsbs_ - 1)) & 1ULL) != 0;
-
-  if (approx_lsbs_ == width_) {
-    result.carry_out = predicted_carry;
-    return result;
-  }
-
-  const std::uint64_t upper_a = a >> approx_lsbs_;
-  const std::uint64_t upper_b = b >> approx_lsbs_;
-  const std::size_t upper_width = width_ - approx_lsbs_;
-  const AddResult upper =
-      exact_add(upper_a, upper_b, predicted_carry, upper_width);
-  result.sum_bits |= upper.sum_bits << approx_lsbs_;
-  result.carry_out = upper.carry_out;
-  return result;
-}
-
-LoaAnalysis analyze_loa(const LoaAdder& adder, const InputProfile& profile) {
-  if (profile.width() != adder.width()) {
-    throw std::invalid_argument("analyze_loa: profile width must match");
-  }
-  const std::size_t n = adder.width();
-  const std::size_t l = adder.approx_lsbs();
-
-  const auto ab_weights = [&](std::size_t i) {
-    const double pa = profile.p_a(i);
-    const double pb = profile.p_b(i);
-    return std::array<double, 4>{(1 - pa) * (1 - pb), (1 - pa) * pb,
-                                 pa * (1 - pb), pa * pb};
-  };
-
-  // ---- Lower phase: state (exact carry << 1 | still-equal). ----
-  std::array<double, 4> lower{};
-  lower[(0U << 1) | 1U] = 1.0;  // exact carry 0, all bits equal so far
-
-  // ---- Upper phase: state (ce << 2 | c_loa << 1 | eq). ----
-  std::array<double, 8> upper{};
-
-  for (std::size_t i = 0; i < l; ++i) {
-    const std::array<double, 4> ab = ab_weights(i);
-    std::array<double, 4> next_lower{};
-    for (std::size_t s = 0; s < 4; ++s) {
-      if (lower[s] == 0.0) continue;
-      const bool ce = (s & 2U) != 0;
-      const bool eq = (s & 1U) != 0;
-      for (std::size_t abi = 0; abi < 4; ++abi) {
-        const bool a = (abi & 2U) != 0;
-        const bool b = (abi & 1U) != 0;
-        const bool loa_sum = a || b;
-        const bool exact_sum = a != b ? !ce : ce;
-        const bool eq2 = eq && (loa_sum == exact_sum);
-        const bool ce2 = (static_cast<int>(a) + static_cast<int>(b) +
-                          static_cast<int>(ce)) >= 2;
-        const double w = lower[s] * ab[abi];
-        if (i + 1 == l) {
-          // Boundary: the predicted carry is a AND b of this bit.
-          const bool c_loa = a && b;
-          upper[(static_cast<std::size_t>(ce2) << 2) |
-                (static_cast<std::size_t>(c_loa) << 1) |
-                static_cast<std::size_t>(eq2)] += w;
-        } else {
-          next_lower[(static_cast<std::size_t>(ce2) << 1) |
-                     static_cast<std::size_t>(eq2)] += w;
-        }
-      }
-    }
-    if (i + 1 != l) lower = next_lower;
-  }
-  if (l == 0) {
-    // Fully exact: both carries start at 0 and the adder is exact.
-    upper[(0U << 2) | (0U << 1) | 1U] = 1.0;
-  }
-
-  for (std::size_t i = l; i < n; ++i) {
-    const std::array<double, 4> ab = ab_weights(i);
-    std::array<double, 8> next{};
-    for (std::size_t s = 0; s < 8; ++s) {
-      if (upper[s] == 0.0) continue;
-      const bool ce = (s & 4U) != 0;
-      const bool cl = (s & 2U) != 0;
-      // Sum bits at this position are equal iff the carries agree (both
-      // halves use exact cells above the boundary).
-      const bool eq = ((s & 1U) != 0) && (ce == cl);
-      for (std::size_t abi = 0; abi < 4; ++abi) {
-        const bool a = (abi & 2U) != 0;
-        const bool b = (abi & 1U) != 0;
-        const bool ce2 = (static_cast<int>(a) + static_cast<int>(b) +
-                          static_cast<int>(ce)) >= 2;
-        const bool cl2 = (static_cast<int>(a) + static_cast<int>(b) +
-                          static_cast<int>(cl)) >= 2;
-        next[(static_cast<std::size_t>(ce2) << 2) |
-             (static_cast<std::size_t>(cl2) << 1) |
-             static_cast<std::size_t>(eq)] += upper[s] * ab[abi];
-      }
-    }
-    upper = next;
-  }
-
-  LoaAnalysis analysis;
-  double ok_sum_only = 0.0;
-  double ok_with_carry = 0.0;
-  for (std::size_t s = 0; s < 8; ++s) {
-    const bool ce = (s & 4U) != 0;
-    const bool cl = (s & 2U) != 0;
-    const bool eq = (s & 1U) != 0;
-    if (!eq) continue;
-    ok_sum_only += upper[s];
-    if (ce == cl) ok_with_carry += upper[s];
-  }
-  analysis.p_error_sum_only = 1.0 - ok_sum_only;
-  analysis.p_error = 1.0 - ok_with_carry;
-  return analysis;
+  static const adders::AdderCell lower_or = adders::AdderCell::from_columns(
+      "OR", "00111111", "00000011",
+      "Lower-part OR cell of LOA: Sum = A OR B, Cout = A AND B");
+  std::vector<adders::AdderCell> stages(width, adders::accurate());
+  std::fill_n(stages.begin(), approx_lsbs, lower_or);
+  return AdderChain(std::move(stages));
 }
 
 }  // namespace sealpaa::multibit

@@ -4,53 +4,27 @@
 //
 // The l least-significant sum bits are computed as a_i OR b_i with no
 // carry chain at all; the upper N-l bits use an exact adder whose
-// carry-in is a_{l-1} AND b_{l-1} (a one-gate carry prediction).  This
-// is a *topology-level* approximation rather than a cell-level one, so
-// it exercises the library's analysis machinery on a structure the
-// paper's per-cell M/K/L method does not directly cover — the exact
-// error probability falls out of the same joint-carry DP style in O(N).
+// carry-in is a_{l-1} AND b_{l-1} (a one-gate carry prediction).  That
+// is the hybrid chain OR^l · AccuFA^(N-l) of an OR cell (sum a|b, carry
+// a&b, its carry-in ignored) under accurate full adders, so LOA needs
+// no model of its own: AdderChain::evaluate(a, b, false) is the adder,
+// analysis::JointCarryAnalyzer under a profile with p_cin = 0 (the
+// design has no carry-in) gives its exact value-level error rate in
+// O(N), and the other chain engines (error PMF, simulators) apply as
+// they are.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 
 #include "sealpaa/multibit/chain.hpp"
-#include "sealpaa/multibit/input_profile.hpp"
 
 namespace sealpaa::multibit {
 
-/// Functional LOA model.
-class LoaAdder {
- public:
-  /// `width` total bits, `approx_lsbs` OR-approximated low bits
-  /// (0 <= approx_lsbs <= width; 0 means fully exact).
-  LoaAdder(std::size_t width, std::size_t approx_lsbs);
-
-  /// Evaluates a + b (no external carry-in, as in the original design).
-  [[nodiscard]] AddResult evaluate(std::uint64_t a,
-                                   std::uint64_t b) const noexcept;
-
-  [[nodiscard]] std::size_t width() const noexcept { return width_; }
-  [[nodiscard]] std::size_t approx_lsbs() const noexcept {
-    return approx_lsbs_;
-  }
-
- private:
-  std::size_t width_;
-  std::size_t approx_lsbs_;
-};
-
-/// Exact value-level analysis of an LOA under per-bit probabilities.
-struct LoaAnalysis {
-  /// P(LOA output != exact sum), final carry-out included.
-  double p_error = 0.0;
-  /// P(some sum bit differs), carry-out ignored.
-  double p_error_sum_only = 0.0;
-};
-
-/// O(N) dynamic program over (exact carry, predicted carry, still-equal)
-/// — no simulation, any input profile (carry-in fixed to 0 by the
-/// topology; profile.p_cin() is ignored).
-[[nodiscard]] LoaAnalysis analyze_loa(const LoaAdder& adder,
-                                      const InputProfile& profile);
+/// LOA with `approx_lsbs` OR-approximated low bits out of `width`
+/// (0 means fully exact) as the chain OR^approx_lsbs · AccuFA^(rest),
+/// stage 0 first.  The OR cell is not a built-in cell, so it never joins
+/// a search palette.  Throws std::invalid_argument unless
+/// 1 <= width <= 63 and approx_lsbs <= width.
+[[nodiscard]] AdderChain loa_chain(std::size_t width, std::size_t approx_lsbs);
 
 }  // namespace sealpaa::multibit

@@ -529,6 +529,72 @@ TEST(BranchBound, ResumeRejectsMismatchedSearch) {
                std::invalid_argument);
 }
 
+// Past 2^64 designs the historical index saturates at 2^64 - 1, so two
+// designs with equal scores tie on it too.  64 cells at width 11 give
+// 64^11 = 2^66 designs: cells 0-61 are LPAA1 with some of its success
+// rows made erroneous (worse wherever they sit), cell 62 is LPAA1 and
+// cell 63 an identical copy, so every LPAA1/copy mix scores the same.
+// The tie must go to the design whose true index is lowest, all-LPAA1,
+// even when a checkpoint hands the search its twin LPAA1^10 · copy as
+// the incumbent.
+TEST(BranchBound, SaturatedIndexTieGoesToLowestTrueIndex) {
+  const AdderCell& base = lpaa(1);
+  std::vector<std::size_t> success_rows;
+  for (std::size_t r = 0; r < AdderCell::kRows; ++r) {
+    if (base.row_is_success(r)) success_rows.push_back(r);
+  }
+  ASSERT_EQ(success_rows.size(), 6u);
+  std::vector<AdderCell> palette;
+  for (unsigned mask = 1; palette.size() < 62; ++mask) {
+    AdderCell::Rows rows = base.rows();
+    for (std::size_t i = 0; i < success_rows.size(); ++i) {
+      if (((mask >> i) & 1U) != 0) {
+        rows[success_rows[i]].sum = !rows[success_rows[i]].sum;
+      }
+    }
+    palette.emplace_back("worse" + std::to_string(mask), rows);
+  }
+  palette.push_back(base);
+  palette.emplace_back("LPAA1 copy", base.rows());
+  const std::size_t width = 11;
+  const InputProfile profile = InputProfile::uniform(width, 0.5);
+  const std::vector<std::string> all_lpaa1(width, "LPAA1");
+
+  BnbOptions suspend_options;
+  suspend_options.threads = 1;
+  suspend_options.suspend_after_units = 1;
+  const BnbResult suspended = BranchBoundOptimizer::optimize(
+      profile, palette, {}, Objective::kErrorRate, suspend_options);
+  ASSERT_FALSE(suspended.complete);
+  BnbCheckpoint twin = suspended.checkpoint;
+  ASSERT_TRUE(twin.incumbent_found);
+  ASSERT_EQ(twin.incumbent_index, UINT64_MAX);
+  // The seed is an LPAA1/copy mix, so its score is the twin's score; the
+  // seed's own tie-break already picks all-LPAA1 from the mixes the beam
+  // and the hybrid family offer.
+  for (const std::size_t c : twin.incumbent_choices) {
+    ASSERT_TRUE(c == 62 || c == 63) << c;
+  }
+  EXPECT_EQ(twin.incumbent_choices, std::vector<std::size_t>(width, 62));
+  twin.incumbent_choices.assign(width, 62);
+  twin.incumbent_choices.back() = 63;
+  twin.completed_units.clear();
+  twin.stats = SearchStats{};
+
+  for (const unsigned threads : {1u, 4u}) {
+    const BnbResult resumed = BranchBoundOptimizer::resume(
+        profile, palette, twin, {}, Objective::kErrorRate,
+        threads_opt(threads));
+    ASSERT_TRUE(resumed.complete);
+    EXPECT_EQ(stage_names(resumed.design), all_lpaa1)
+        << "resume, " << threads << " threads";
+    const BnbResult fresh = BranchBoundOptimizer::optimize(
+        profile, palette, {}, Objective::kErrorRate, threads_opt(threads));
+    EXPECT_EQ(stage_names(fresh.design), all_lpaa1)
+        << "optimize, " << threads << " threads";
+  }
+}
+
 // A checkpoint names its palette by 16-bit truth-table fingerprints
 // (bit r = row r's sum, bit 8+r = row r's carry).  The recorded schema-v1
 // values of the built-in cells are pinned, so a checkpoint written by an

@@ -5,18 +5,27 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <optional>
+#include <stdexcept>
 
+#include "sealpaa/adders/builtin.hpp"
+#include "sealpaa/analysis/block_error.hpp"
 #include "sealpaa/gear/correction.hpp"
+#include "sealpaa/multibit/blocks.hpp"
 #include "sealpaa/multibit/input_profile.hpp"
 
 namespace {
 
+using sealpaa::adders::accurate;
+using sealpaa::analysis::BlockAnalysisOptions;
+using sealpaa::analysis::BlockErrorModel;
 using sealpaa::gear::correction_cycle_distribution;
 using sealpaa::gear::expected_recovery_cycles;
 using sealpaa::gear::GearAdder;
 using sealpaa::gear::GearAnalyzer;
 using sealpaa::gear::GearConfig;
 using sealpaa::gear::GearCorrector;
+using sealpaa::multibit::BlockChainSpec;
 using sealpaa::multibit::exact_add;
 using sealpaa::multibit::InputProfile;
 
@@ -145,17 +154,41 @@ TEST(CycleDistribution, SumsToOne) {
 }
 
 TEST(CycleDistribution, ZeroFailuresMatchesGearSuccessProbability) {
-  // P(0 failing blocks) must equal GearAnalyzer's sum-only success.
+  // P(0 failing blocks) is GearAnalyzer::analyze's success probability,
+  // so it is checked against the DPs analyze does not run: the
+  // cell-driven DP with accurate sub-adders, and the block model with
+  // carry-in 0 wherever BlockChainSpec accepts the geometry.  Width 63
+  // and the 16 overlapping windows of ACA(32, 16) exceed its rails (62
+  // bits, 12 windows).
+  std::size_t block_model_checked = 0;
   for (const GearConfig& config :
-       {GearConfig(8, 2, 2), GearConfig(12, 3, 3), GearConfig(16, 4, 4)}) {
-    const auto profile = InputProfile::uniform(
-        static_cast<std::size_t>(config.n()), 0.5);
+       {GearConfig(8, 2, 2), GearConfig(12, 3, 3), GearConfig(16, 4, 4),
+        GearConfig(63, 4, 4), GearConfig(63, 1, 12), GearConfig::aca(32, 16)}) {
+    const auto profile = InputProfile::uniform_with_cin(
+        static_cast<std::size_t>(config.n()), 0.5, 0.0);
     const auto distribution =
         correction_cycle_distribution(config, profile);
-    const auto analysis = GearAnalyzer::analyze(config, profile);
-    EXPECT_NEAR(distribution[0], 1.0 - analysis.p_error_sum_only, 1e-12)
+    const auto by_cell =
+        GearAnalyzer::analyze_with_cell(config, accurate(), profile);
+    EXPECT_NEAR(distribution[0], 1.0 - by_cell.p_error_sum_only, 1e-12)
         << config.describe();
+    EXPECT_NEAR(distribution[0], 1.0 - by_cell.p_error_exact_dp, 1e-12)
+        << config.describe();
+    std::optional<BlockChainSpec> spec;
+    try {
+      spec = config.to_blocks();
+    } catch (const std::invalid_argument&) {
+      continue;
+    }
+    BlockAnalysisOptions options;
+    options.compute_pmf = false;
+    EXPECT_NEAR(distribution[0],
+                1.0 - BlockErrorModel::analyze(*spec, profile, options).p_error,
+                1e-12)
+        << config.describe();
+    ++block_model_checked;
   }
+  EXPECT_EQ(block_model_checked, 3u);
 }
 
 TEST(ExpectedCycles, MatchesSumOfBlockFailureProbabilities) {

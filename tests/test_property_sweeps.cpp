@@ -205,20 +205,20 @@ class LoaSweep : public ::testing::TestWithParam<
 TEST_P(LoaSweep, AnalysisMatchesEnumeration) {
   const auto [width, approx_lsbs, p] = GetParam();
   if (approx_lsbs > width) GTEST_SKIP();
-  const sealpaa::multibit::LoaAdder adder(width, approx_lsbs);
+  const AdderChain adder = sealpaa::multibit::loa_chain(width, approx_lsbs);
   const InputProfile profile = InputProfile::uniform_with_cin(width, p, 0.0);
   double p_error = 0.0;
   const std::uint64_t limit = 1ULL << width;
   for (std::uint64_t a = 0; a < limit; ++a) {
     for (std::uint64_t b = 0; b < limit; ++b) {
-      if (adder.evaluate(a, b).value(width) !=
+      if (adder.evaluate(a, b, false).value(width) !=
           sealpaa::multibit::exact_add(a, b, false, width).value(width)) {
         p_error += profile.assignment_probability(a, b, false);
       }
     }
   }
-  const auto analysis = sealpaa::multibit::analyze_loa(adder, profile);
-  EXPECT_NEAR(analysis.p_error, p_error, 1e-12);
+  const auto joint = JointCarryAnalyzer::analyze(adder, profile);
+  EXPECT_NEAR(1.0 - joint.p_value_correct, p_error, 1e-12);
 }
 
 INSTANTIATE_TEST_SUITE_P(

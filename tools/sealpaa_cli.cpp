@@ -478,8 +478,10 @@ int cmd_gear(const util::CliArgs& args, obs::RunReport& report) {
   const auto analysis = gear::GearAnalyzer::analyze(config, profile);
   const double recovery = gear::expected_recovery_cycles(config, profile);
   timer.stop();
+  // GearAnalyzer ignores profile.p_cin(): GeAr's sub-adders all start
+  // from carry-in 0.
   std::cout << config.describe() << "  p = " << util::fixed(p_input, 3)
-            << "\n";
+            << "  p_cin = 0 (fixed by the topology)\n";
   std::cout << "P(Error) exact        = "
             << util::prob6(analysis.p_error_exact_dp) << "\n";
   std::cout << "P(Error) indep approx = "
@@ -488,6 +490,7 @@ int cmd_gear(const util::CliArgs& args, obs::RunReport& report) {
   obs::Json& section = report.section("gear");
   section.set("config", obs::Json(config.describe()));
   section.set("p_input", obs::Json(p_input));
+  section.set("p_cin", obs::Json(0.0));
   section.set("p_error_exact", obs::Json(analysis.p_error_exact_dp));
   section.set("p_error_independent_approx",
               obs::Json(analysis.p_error_independent_approx));
@@ -504,6 +507,8 @@ int cmd_blocks(const util::CliArgs& args, obs::RunReport& report) {
   obs::Json& section = report.section("blocks");
   section.set("bits", obs::Json(static_cast<std::uint64_t>(bits)));
   section.set("p", obs::Json(p));
+  // Block 0's carry-in, shared with the exact reference.
+  section.set("p_cin", obs::Json(profile.p_cin()));
 
   if (args.get_bool("search", false)) {
     explore::BlockSearchOptions options;
@@ -522,6 +527,7 @@ int cmd_blocks(const util::CliArgs& args, obs::RunReport& report) {
               << explore::objective_name(options.objective)
               << ", max sub-adder " << options.max_sub_adder_width
               << " bits, " << (exhaustive ? "exhaustive" : "beam")
+              << ", p_cin = " << util::fixed(profile.p_cin(), 3)
               << "): " << spec.describe() << "\n"
               << "P(Error) = " << util::prob6(design.p_error) << "\n"
               << "MED = " << util::fixed(design.med, 6) << "\n"
@@ -563,7 +569,8 @@ int cmd_blocks(const util::CliArgs& args, obs::RunReport& report) {
   timer.stop();
   report.counters().add("blocks/work_items", result.work_items);
 
-  std::cout << spec.describe() << "  p=" << util::fixed(p, 3) << "\n";
+  std::cout << spec.describe() << "  p=" << util::fixed(p, 3)
+            << "  p_cin=" << util::fixed(profile.p_cin(), 3) << "\n";
   std::cout << "P(Error) exact        = " << util::prob6(result.p_error)
             << "\n";
   std::cout << "P(Error) indep approx = "
