@@ -27,8 +27,7 @@ int main() {
         static_cast<std::size_t>(config.n()), 0.5);
     const auto distribution =
         gear::correction_cycle_distribution(config, profile);
-    const double expected =
-        gear::expected_recovery_cycles(config, profile);
+    const double expected = gear::expected_recovery_cycles(distribution);
     double tail = 0.0;
     for (std::size_t c = 3; c < distribution.size(); ++c) {
       tail += distribution[c];

@@ -19,34 +19,19 @@ constexpr bool majority(bool a, bool b, bool c) noexcept {
          2;
 }
 
-/// Closed-form per-block mismatch marginals: block i's prediction is
-/// wrong iff the true carry into its window start is 1 and every window
-/// bit propagates (a XOR b) — the carry depends only on lower bits, so
-/// each product is an exact marginal.
+/// Closed-form per-block mismatch marginals (window_mismatch of every
+/// predicted block) and the independence approximation over them.
 void fill_marginals(const multibit::BlockChainSpec& spec,
                     const multibit::InputProfile& profile,
                     BlockAnalysis& analysis) {
-  const int n = spec.n();
-  std::vector<double> p_carry_at(static_cast<std::size_t>(n) + 1, 0.0);
-  double carry_one = profile.p_cin();
-  for (int j = 0; j < n; ++j) {
-    p_carry_at[static_cast<std::size_t>(j)] = carry_one;
-    const double pa = profile.p_a(static_cast<std::size_t>(j));
-    const double pb = profile.p_b(static_cast<std::size_t>(j));
-    carry_one = pa * pb + (pa * (1.0 - pb) + pb * (1.0 - pa)) * carry_one;
-  }
-  p_carry_at[static_cast<std::size_t>(n)] = carry_one;
-
+  const std::vector<double> carry_at =
+      exact_carry_probabilities(profile, profile.p_cin());
   analysis.block_mismatch.assign(
       static_cast<std::size_t>(spec.block_count()), 0.0);
   double p_all_ok = 1.0;
   for (int i = 1; i < spec.block_count(); ++i) {
-    double mismatch = p_carry_at[static_cast<std::size_t>(spec.window_start(i))];
-    for (int j = spec.window_start(i); j < spec.result_start(i); ++j) {
-      const double pa = profile.p_a(static_cast<std::size_t>(j));
-      const double pb = profile.p_b(static_cast<std::size_t>(j));
-      mismatch *= pa * (1.0 - pb) + pb * (1.0 - pa);
-    }
+    const double mismatch = window_mismatch(
+        profile, carry_at, spec.window_start(i), spec.result_start(i));
     analysis.block_mismatch[static_cast<std::size_t>(i)] = mismatch;
     p_all_ok *= 1.0 - mismatch;
   }
@@ -254,6 +239,34 @@ ErrorPmf exact_pmf(const multibit::BlockChainSpec& spec,
 }
 
 }  // namespace
+
+std::vector<double> exact_carry_probabilities(
+    const multibit::InputProfile& profile, double p_cin) {
+  const std::size_t n = profile.width();
+  std::vector<double> carry_at(n + 1, 0.0);
+  double carry_one = p_cin;
+  for (std::size_t j = 0; j < n; ++j) {
+    carry_at[j] = carry_one;
+    const double pa = profile.p_a(j);
+    const double pb = profile.p_b(j);
+    // P(carry' = 1) = P(generate) + P(propagate) * P(carry = 1)
+    carry_one = pa * pb + (pa * (1.0 - pb) + pb * (1.0 - pa)) * carry_one;
+  }
+  carry_at[n] = carry_one;
+  return carry_at;
+}
+
+double window_mismatch(const multibit::InputProfile& profile,
+                       const std::vector<double>& carry_at, int window_start,
+                       int result_start) {
+  double mismatch = carry_at[static_cast<std::size_t>(window_start)];
+  for (int j = window_start; j < result_start; ++j) {
+    const double pa = profile.p_a(static_cast<std::size_t>(j));
+    const double pb = profile.p_b(static_cast<std::size_t>(j));
+    mismatch *= pa * (1.0 - pb) + pb * (1.0 - pa);
+  }
+  return mismatch;
+}
 
 BlockAnalysis BlockErrorModel::analyze(const multibit::BlockChainSpec& spec,
                                        const multibit::InputProfile& profile,

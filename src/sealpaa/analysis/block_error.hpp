@@ -59,6 +59,21 @@ struct BlockAnalysis {
   ErrorPmf pmf;
 };
 
+/// P(exact carry into bit j = 1) for j = 0..n under `profile`, from a
+/// carry-in that is 1 with probability `p_cin` (GeAr fixes it to 0;
+/// BlockErrorModel passes profile.p_cin()).  Entry n is the carry-out.
+[[nodiscard]] std::vector<double> exact_carry_probabilities(
+    const multibit::InputProfile& profile, double p_cin);
+
+/// Closed-form mismatch of a prediction window over bits
+/// [window_start, result_start): the exact carry into window_start is 1
+/// (`carry_at` from exact_carry_probabilities) and every window bit
+/// propagates (a XOR b).  Exact, because that carry depends only on
+/// lower bits.
+[[nodiscard]] double window_mismatch(const multibit::InputProfile& profile,
+                                     const std::vector<double>& carry_at,
+                                     int window_start, int result_start);
+
 class BlockErrorModel {
  public:
   /// Analyzes `spec` under `profile` (profile width must equal

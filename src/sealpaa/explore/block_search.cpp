@@ -22,34 +22,6 @@ bool blocks_less(const std::vector<multibit::SubBlock>& a,
       });
 }
 
-/// Exact carry distribution P(carry into bit j = 1) under the profile.
-std::vector<double> carry_distribution(const multibit::InputProfile& profile) {
-  const std::size_t n = profile.width();
-  std::vector<double> p_carry_at(n + 1, 0.0);
-  double carry_one = profile.p_cin();
-  for (std::size_t j = 0; j < n; ++j) {
-    p_carry_at[j] = carry_one;
-    const double pa = profile.p_a(j);
-    const double pb = profile.p_b(j);
-    carry_one = pa * pb + (pa * (1.0 - pb) + pb * (1.0 - pa)) * carry_one;
-  }
-  p_carry_at[n] = carry_one;
-  return p_carry_at;
-}
-
-/// Closed-form mismatch marginal of a block whose result starts at `s`
-/// with a `p`-bit prediction window (exact; depends only on bits < s).
-double block_mismatch(const multibit::InputProfile& profile,
-                      const std::vector<double>& p_carry_at, int s, int p) {
-  double mismatch = p_carry_at[static_cast<std::size_t>(s - p)];
-  for (int j = s - p; j < s; ++j) {
-    const double pa = profile.p_a(static_cast<std::size_t>(j));
-    const double pb = profile.p_b(static_cast<std::size_t>(j));
-    mismatch *= pa * (1.0 - pb) + pb * (1.0 - pa);
-  }
-  return mismatch;
-}
-
 /// Exact objective value of a complete partition; returns false (design
 /// rejected) when the spec violates a structural rail such as the
 /// live-window cap.
@@ -191,7 +163,8 @@ BlockDesign BlockOptimizer::beam(const multibit::InputProfile& profile,
   validate(profile, options, "BlockOptimizer::beam");
   const int n = static_cast<int>(profile.width());
   const int l_max = options.max_sub_adder_width;
-  const std::vector<double> p_carry_at = carry_distribution(profile);
+  const std::vector<double> carry_at =
+      analysis::exact_carry_probabilities(profile, profile.p_cin());
 
   struct Partial {
     std::vector<multibit::SubBlock> blocks;
@@ -223,8 +196,9 @@ BlockDesign BlockOptimizer::beam(const multibit::InputProfile& profile,
           next.blocks.push_back({r, p});
           next.p_all_ok = partial.p_all_ok;
           if (s > 0) {
+            // The block's result starts at s behind a p-bit window.
             next.p_all_ok *=
-                1.0 - block_mismatch(profile, p_carry_at, s, p);
+                1.0 - analysis::window_mismatch(profile, carry_at, s - p, s);
           }
           frontier[static_cast<std::size_t>(s + r)].push_back(
               std::move(next));

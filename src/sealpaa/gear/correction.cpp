@@ -152,10 +152,7 @@ std::vector<double> correction_cycle_distribution(
   return distribution;
 }
 
-double expected_recovery_cycles(const GearConfig& config,
-                                const multibit::InputProfile& profile) {
-  const std::vector<double> distribution =
-      correction_cycle_distribution(config, profile);
+double expected_recovery_cycles(const std::vector<double>& distribution) {
   double expectation = 0.0;
   for (std::size_t c = 0; c < distribution.size(); ++c) {
     expectation += static_cast<double>(c) * distribution[c];

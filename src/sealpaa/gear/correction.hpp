@@ -60,8 +60,10 @@ class GearCorrector {
 [[nodiscard]] std::vector<double> correction_cycle_distribution(
     const GearConfig& config, const multibit::InputProfile& profile);
 
-/// Expected number of recovery cycles E[#failing blocks].
+/// Expected number of recovery cycles E[#failing blocks], the mean of a
+/// distribution correction_cycle_distribution returned (also kept in
+/// GearAnalysis::cycle_distribution).
 [[nodiscard]] double expected_recovery_cycles(
-    const GearConfig& config, const multibit::InputProfile& profile);
+    const std::vector<double>& distribution);
 
 }  // namespace sealpaa::gear

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "sealpaa/adders/builtin.hpp"
+#include "sealpaa/analysis/block_error.hpp"
 #include "sealpaa/analysis/mkl.hpp"
 #include "sealpaa/gear/correction.hpp"
 
@@ -122,49 +123,31 @@ GearAnalysis GearAnalyzer::analyze(const GearConfig& config,
     throw std::invalid_argument(
         "GearAnalyzer: profile width must equal the GeAr operand width");
   }
-  const int n = config.n();
-  const int k = config.blocks();
-  GearAnalysis analysis;
+  GearAnalysis result;
 
   // ---- Exact per-block failure probabilities (independence model) ----
-  // Block i >= 1 fails iff the exact carry into its window start is 1 and
-  // all P overlap bits propagate (a XOR b).  The carry depends only on
-  // lower bits, so the product below is exact per block.
-  {
-    double carry_one = 0.0;  // exact carry distribution, cin = 0
-    std::vector<double> p_carry_at(static_cast<std::size_t>(n) + 1, 0.0);
-    for (int j = 0; j < n; ++j) {
-      p_carry_at[static_cast<std::size_t>(j)] = carry_one;
-      const double pa = profile.p_a(static_cast<std::size_t>(j));
-      const double pb = profile.p_b(static_cast<std::size_t>(j));
-      // P(carry' = 1) = P(generate) + P(propagate) * P(carry = 1)
-      carry_one = pa * pb + (pa * (1.0 - pb) + pb * (1.0 - pa)) * carry_one;
-    }
-    p_carry_at[static_cast<std::size_t>(n)] = carry_one;
-    for (int block = 1; block < k; ++block) {
-      const int start = config.window_start(block);
-      double failure = p_carry_at[static_cast<std::size_t>(start)];
-      // The overlap is P for aligned blocks and R+P minus the remaining
-      // result width for a clamped final window.
-      for (int j = start; j < config.result_start(block); ++j) {
-        const double pa = profile.p_a(static_cast<std::size_t>(j));
-        const double pb = profile.p_b(static_cast<std::size_t>(j));
-        failure *= pa * (1.0 - pb) + pb * (1.0 - pa);
-      }
-      analysis.block_failure.push_back(failure);
-    }
-    double p_all_ok = 1.0;
-    for (double f : analysis.block_failure) p_all_ok *= 1.0 - f;
-    analysis.p_error_independent_approx = 1.0 - p_all_ok;
+  // Block i >= 1 fails iff its window mispredicts the exact carry
+  // (carry-in 0); the overlap is P for aligned blocks and R+P minus the
+  // remaining result width for a clamped final window.
+  const std::vector<double> carry_at =
+      analysis::exact_carry_probabilities(profile, 0.0);
+  double p_all_ok = 1.0;
+  for (int block = 1; block < config.blocks(); ++block) {
+    const double failure =
+        analysis::window_mismatch(profile, carry_at, config.window_start(block),
+                                  config.result_start(block));
+    result.block_failure.push_back(failure);
+    p_all_ok *= 1.0 - failure;
   }
+  result.p_error_independent_approx = 1.0 - p_all_ok;
 
   // GeAr errs exactly when some block fails: a block whose window carry
   // matches the exact carry at its first result bit keeps matching to
   // the end of its window, carry-out included.
-  analysis.p_error_sum_only =
-      1.0 - correction_cycle_distribution(config, profile)[0];
-  analysis.p_error_exact_dp = analysis.p_error_sum_only;
-  return analysis;
+  result.cycle_distribution = correction_cycle_distribution(config, profile);
+  result.p_error_sum_only = 1.0 - result.cycle_distribution[0];
+  result.p_error_exact_dp = result.p_error_sum_only;
+  return result;
 }
 
 GearAnalysis GearAnalyzer::analyze_with_cell(

@@ -118,6 +118,10 @@ struct GearAnalysis {
   double p_error_independent_approx = 0.0;
   /// Exact per-block failure probabilities P(B_i), i = 1..k-1.
   std::vector<double> block_failure;
+  /// correction_cycle_distribution(config, profile), which the exact
+  /// rates are read from: entry c is P(exactly c blocks fail).  Pass it
+  /// to expected_recovery_cycles.  Empty from analyze_with_cell.
+  std::vector<double> cycle_distribution;
 };
 
 class GearAnalyzer {
@@ -127,8 +131,9 @@ class GearAnalyzer {
   /// are 1 - correction_cycle_distribution(config, profile)[0]: with
   /// exact sub-adders a block whose window carry matches the exact carry
   /// at its first result bit stays correct through its carry-out, so
-  /// both rates are that one number.  The per-block failures and the
-  /// independence approximation are closed forms.
+  /// both rates are that one number, and the distribution is kept.  The
+  /// per-block failures (analysis::window_mismatch) and the independence
+  /// approximation are closed forms.
   [[nodiscard]] static GearAnalysis analyze(
       const GearConfig& config, const multibit::InputProfile& profile);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <deque>
-#include <numeric>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -22,6 +21,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Most requests one worker takes from its queue as one batch.
+constexpr std::size_t kBatchMax = 256;
+
 [[nodiscard]] std::vector<adders::AdderCell> builtin_palette() {
   const std::span<const adders::AdderCell> cells = adders::all_builtin_cells();
   return {cells.begin(), cells.end()};
@@ -38,8 +40,6 @@ struct MethodStats {
 /// without ever touching the worker's live EvaluatorPool.
 struct ShardStats {
   std::uint64_t batches = 0;
-  std::uint64_t cut_through_batches = 0;  // drained queue, window skipped
-  std::uint64_t coalesced_batches = 0;    // backlogged, window held open
   obs::Histogram batch_sizes;
   std::map<std::string, MethodStats> methods;
   std::uint64_t pool_live = 0;
@@ -52,8 +52,6 @@ struct ShardStats {
   /// sum over shards of every counter and histogram.
   void merge(const ShardStats& other) {
     batches += other.batches;
-    cut_through_batches += other.cut_through_batches;
-    coalesced_batches += other.coalesced_batches;
     batch_sizes.merge(other.batch_sizes);
     for (const auto& [name, stats] : other.methods) {
       MethodStats& merged = methods[name];
@@ -74,6 +72,15 @@ struct ShardStats {
   out.set("count", obs::Json(stats.batches));
   out.set("size", stats.batch_sizes.to_json());
   return out;
+}
+
+/// Batch-kind keys the repository benchmark still reads: a worker runs
+/// each batch as soon as it takes it, so every batch is cut through and
+/// none coalesced.  No counter stands behind them; they go when the
+/// benchmark's `cut_through_frac` does.
+void set_batch_kinds(obs::Json& out, const ShardStats& stats) {
+  out.set("cut_through_batches", obs::Json(stats.batches));
+  out.set("coalesced_batches", obs::Json(std::uint64_t{0}));
 }
 
 [[nodiscard]] obs::Json methods_to_json(
@@ -109,9 +116,9 @@ struct Dispatcher::ParsedItem {
   std::vector<std::size_t> choices;
 };
 
-/// One dispatch worker's world: its queue, its adaptive-window state and
-/// its own EvaluatorPool.  The pool is touched only by the owning worker,
-/// so evaluator state needs no locking.
+/// One dispatch worker's world: its queue and its own EvaluatorPool.  The
+/// pool is touched only by the owning worker, so evaluator state needs no
+/// locking.
 struct Dispatcher::Shard {
   Shard(unsigned index_, std::vector<adders::AdderCell> palette,
         const engine::EvaluatorPoolOptions& pool_options)
@@ -119,14 +126,10 @@ struct Dispatcher::Shard {
 
   const unsigned index;
 
-  std::mutex mutex;  // guards queue / draining / backlog / high_water
+  std::mutex mutex;  // guards queue / draining / high_water
   std::condition_variable cv;
   std::deque<ParsedItem> queue;
   bool draining = false;
-  /// Did the previous take leave requests behind?  Set under load,
-  /// cleared when the queue drains — the adaptive window only opens
-  /// while this is true.
-  bool backlog = false;
   std::uint64_t high_water = 0;
 
   engine::EvaluatorPool pool;
@@ -189,7 +192,6 @@ void Dispatcher::start(ResponseSink sink) {
     {
       std::lock_guard<std::mutex> lock(shard->mutex);
       shard->draining = false;
-      shard->backlog = false;
     }
     shard->worker =
         std::thread([this, shard = shard.get()] { worker_loop(*shard); });
@@ -293,29 +295,17 @@ void Dispatcher::worker_loop(Shard& shard) {
       return !shard.queue.empty() || shard.draining;
     });
     if (shard.queue.empty()) return;  // draining and nothing left to do
-    // Adaptive window: only a backlogged shard (the previous take left
-    // work behind) holds the window open for stragglers; an idle shard
-    // cuts through immediately so a lone request never pays the window.
-    bool waited = false;
-    if (shard.backlog && !shard.draining &&
-        options_.batch_window.count() > 0 &&
-        shard.queue.size() < options_.batch_max) {
-      waited = true;
-      const auto deadline = Clock::now() + options_.batch_window;
-      while (shard.queue.size() < options_.batch_max && !shard.draining &&
-             shard.cv.wait_until(lock, deadline) != std::cv_status::timeout) {
-      }
-    }
-    const std::size_t take = std::min(shard.queue.size(), options_.batch_max);
+    // Take what queued while the previous batch ran, never waiting for
+    // more: a lone request runs at once.
+    const std::size_t take = std::min(shard.queue.size(), kBatchMax);
     std::vector<ParsedItem> batch;
     batch.reserve(take);
     for (std::size_t i = 0; i < take; ++i) {
       batch.push_back(std::move(shard.queue.front()));
       shard.queue.pop_front();
     }
-    shard.backlog = !shard.queue.empty();
     lock.unlock();
-    process_batch(shard, std::move(batch), waited);
+    process_batch(shard, std::move(batch));
     {
       std::lock_guard<std::mutex> guard(lifecycle_mutex_);
       inflight_.fetch_sub(take, std::memory_order_acq_rel);
@@ -325,8 +315,7 @@ void Dispatcher::worker_loop(Shard& shard) {
   }
 }
 
-void Dispatcher::process_batch(Shard& shard, std::vector<ParsedItem> items,
-                               bool waited) {
+void Dispatcher::process_batch(Shard& shard, std::vector<ParsedItem> items) {
   struct Slot {
     obs::Json response;
     bool error = false;
@@ -426,7 +415,6 @@ void Dispatcher::process_batch(Shard& shard, std::vector<ParsedItem> items,
     ShardStats& stats = shard.stats;
     stats.batches += 1;
     stats.batch_sizes.record(items.size());
-    (waited ? stats.coalesced_batches : stats.cut_through_batches) += 1;
     for (std::size_t i = 0; i < items.size(); ++i) {
       MethodStats& method = stats.methods[std::string(
           engine::method_name(items[i].request.method))];
@@ -441,23 +429,13 @@ void Dispatcher::process_batch(Shard& shard, std::vector<ParsedItem> items,
     stats.pmf = shard.pool.aggregate_pmf_stats();
   }
 
-  // Emit in (connection, sequence) order within the batch — one shard's
-  // responses to one connection always leave FIFO; only responses from
-  // different shards interleave on the wire.
-  std::vector<std::size_t> order(items.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(),
-            [&items](std::size_t a, std::size_t b) {
-              const PendingRequest& pa = items[a].pending;
-              const PendingRequest& pb = items[b].pending;
-              return pa.connection != pb.connection
-                         ? pa.connection < pb.connection
-                         : pa.sequence < pb.sequence;
-            });
-  for (const std::size_t index : order) {
-    sink_(OutgoingResponse{items[index].pending.connection,
-                          items[index].pending.sequence,
-                          serialize_frame(slots[index].response)});
+  // Emit in queue order.  Each connection submits its requests in
+  // sequence order, so one shard's responses to one connection leave
+  // FIFO; only responses from different shards interleave on the wire.
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    sink_(OutgoingResponse{items[i].pending.connection,
+                          items[i].pending.sequence,
+                          serialize_frame(slots[i].response)});
   }
 }
 
@@ -495,8 +473,7 @@ obs::Json Dispatcher::stats_json() const {
     obs::Json entry = obs::Json::object();
     entry.set("index", obs::Json(static_cast<std::uint64_t>(shard->index)));
     entry.set("batches", batches_to_json(snapshot));
-    entry.set("cut_through_batches", obs::Json(snapshot.cut_through_batches));
-    entry.set("coalesced_batches", obs::Json(snapshot.coalesced_batches));
+    set_batch_kinds(entry, snapshot);
     entry.set("queue_high_water", obs::Json(high_water));
     entry.set("evaluators", evaluators_to_json(snapshot));
     entry.set("methods", methods_to_json(snapshot.methods));
@@ -517,13 +494,8 @@ obs::Json Dispatcher::stats_json() const {
   obs::Json dispatch = obs::Json::object();
   dispatch.set("workers",
                obs::Json(static_cast<std::uint64_t>(shards_.size())));
-  dispatch.set("batch_window_us",
-               obs::Json(static_cast<std::uint64_t>(
-                   options_.batch_window.count())));
-  dispatch.set("batch_max",
-               obs::Json(static_cast<std::uint64_t>(options_.batch_max)));
-  dispatch.set("cut_through_batches", obs::Json(totals.cut_through_batches));
-  dispatch.set("coalesced_batches", obs::Json(totals.coalesced_batches));
+  dispatch.set("batch_max", obs::Json(static_cast<std::uint64_t>(kBatchMax)));
+  set_batch_kinds(dispatch, totals);
   dispatch.set("queue_high_water", obs::Json(queue_high_water));
   out.set("dispatch", std::move(dispatch));
 

@@ -12,18 +12,19 @@
 // Control requests (ping / stats) are answered inline by submit() — they
 // never queue behind evaluations.
 //
-// Each worker batches adaptively: when its previous drain left work
-// behind (the shard is backlogged) it holds the window open up to
-// `batch_window` so a pipelined burst coalesces into one batch; when the
-// queue drained (idle traffic) the window shrinks to zero and a lone
-// request cuts straight through.  A batch runs its requests one at a
-// time: recursive and analytic-pmf requests on their profile's pooled
-// ChainEvaluator (acquired once per batch), every other method through
-// engine::evaluate, each timed on its own.  Responses are emitted
-// through the sink as each shard batch completes, so responses to one
-// connection complete out of order across shards — clients match them
-// by request id.  Within one shard (hence one profile) per-connection
-// order is still FIFO.
+// Each worker waits for work, takes everything queued on its shard (at
+// most 256 requests) as one batch, runs it and emits the responses in
+// queue order.  A lone request runs at once; a pipelined burst that
+// queued while the previous batch ran is taken whole, so its requests
+// share one pooled evaluator per profile.  A batch runs its requests one
+// at a time: recursive and analytic-pmf requests on their profile's
+// pooled ChainEvaluator (acquired once per batch), every other method
+// through engine::evaluate, each timed on its own.  Responses are
+// emitted through the sink as each shard batch completes, so responses
+// to one connection complete out of order across shards — clients match
+// them by request id.  Within one shard (hence one profile) a
+// connection's responses leave in the order its requests were
+// submitted.
 //
 // Robustness contract: a batch never throws.  Malformed frames, limit
 // violations, expired deadlines and engine rejections all become
@@ -55,11 +56,6 @@ struct DispatcherOptions {
   engine::EvaluatorPoolOptions pool{};
   /// Dispatch workers; each owns one shard queue + one EvaluatorPool.
   unsigned dispatch_threads = 1;
-  /// How long a backlogged shard holds its window open for stragglers.
-  /// An idle shard always cuts through immediately (window of zero).
-  std::chrono::microseconds batch_window{500};
-  /// Requests per shard batch beyond which the window closes early.
-  std::size_t batch_max = 256;
 };
 
 /// One framed request as the transport saw it, tagged with its origin so
@@ -98,10 +94,11 @@ class Dispatcher {
   /// Parses `request` and either answers it immediately through the
   /// sink (parse errors, ping, stats) or enqueues it on its profile's
   /// shard.  Thread-safe against the workers; call from one submitting
-  /// thread at a time (the server's IO thread).  Well-formed evaluation
-  /// requests may be submitted before start() — they queue and run once
-  /// the workers spawn — but anything answered through the sink
-  /// requires start() first.
+  /// thread at a time (the server's IO thread), each connection's
+  /// requests in sequence order — a shard answers in submission order.
+  /// Well-formed evaluation requests may be submitted before start() —
+  /// they queue and run once the workers spawn — but anything answered
+  /// through the sink requires start() first.
   void submit(PendingRequest request);
 
   /// Blocks until every submitted request has been answered.
@@ -111,12 +108,12 @@ class Dispatcher {
   /// afterwards.  Called by the destructor.
   void stop();
 
-  /// Lifetime service statistics: request/batch counters, adaptive-
-  /// window accounting, evaluator-pool and PMF-cache accounting and
-  /// per-method latency histograms — aggregated across shards, plus a
-  /// per-shard breakdown under "shards".  The payload of a
-  /// {"method": "stats"} response.  Thread-safe (reads the per-shard
-  /// snapshots workers publish after each batch).
+  /// Lifetime service statistics: request/batch counters, evaluator-
+  /// pool and PMF-cache accounting and per-method latency histograms —
+  /// aggregated across shards, plus a per-shard breakdown under
+  /// "shards".  The payload of a {"method": "stats"} response.
+  /// Thread-safe (reads the per-shard snapshots workers publish after
+  /// each batch).
   [[nodiscard]] obs::Json stats_json() const;
 
   [[nodiscard]] const WireLimits& limits() const noexcept {
@@ -143,8 +140,7 @@ class Dispatcher {
 
   [[nodiscard]] Admission admit(PendingRequest pending, ParsedItem* item);
   void route(ParsedItem item);
-  void process_batch(Shard& shard, std::vector<ParsedItem> items,
-                     bool waited);
+  void process_batch(Shard& shard, std::vector<ParsedItem> items);
   void worker_loop(Shard& shard);
   [[nodiscard]] obs::Json control_response(const Request& request) const;
 

@@ -3,15 +3,18 @@
 // The IO thread (serve()) runs a poll() loop over the TCP listener — or
 // stdin/stdout in pipe mode — reading bytes, splitting frames and
 // flushing response bytes.  Each frame is handed straight to the
-// sharded Dispatcher, whose dispatch workers (`DispatcherOptions::
-// dispatch_threads`) parse-route it to its profile's shard, batch
-// adaptively and evaluate; finished responses come back through the
-// dispatcher's sink and a wake pipe.  The IO thread never evaluates
-// anything, so a slow analysis cannot stall accepts or reads.
+// sharded Dispatcher, which parses it and routes it to its profile's
+// shard; the shard's dispatch worker (`DispatcherOptions::
+// dispatch_threads`) takes everything queued as one batch and evaluates
+// it, and finished responses come back through the dispatcher's sink
+// and a wake pipe.  The IO thread never evaluates anything, so a slow
+// analysis cannot stall accepts or reads.
 //
 // Responses complete out of order per connection across shards (clients
 // match them by request id); within one (connection, profile) pair they
-// stay FIFO.
+// stay FIFO, because the IO thread numbers and submits each
+// connection's frames in arrival order and a shard answers in
+// submission order.
 //
 // Robustness behaviors, all exercised by tests/test_service.cpp and the
 // CI smoke job:

@@ -9,7 +9,9 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <random>
+#include <stdexcept>
 #include <vector>
 
 #include "sealpaa/adders/builtin.hpp"
@@ -323,6 +325,58 @@ TEST(BlockErrorModel, IndependenceApproxUpperBoundsNothingButIsClose) {
   EXPECT_NEAR(analytic.p_error_independent_approx, analytic.p_error, 0.05);
   ASSERT_EQ(analytic.block_mismatch.size(), 3u);
   EXPECT_EQ(analytic.block_mismatch[0], 0.0);  // block 0 sees the real cin
+}
+
+TEST(BlockErrorModel, MismatchMarginalsAreGearBlockFailureBits) {
+  // Under carry-in 0, GeAr's per-block failures and the block model's
+  // mismatch marginals are one closed form: every GearConfig of width
+  // <= 16 that BlockChainSpec accepts gives the same bits, under a
+  // uniform and a random profile.
+  std::mt19937_64 rng(0x6ea2'b10cULL);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  sealpaa::analysis::BlockAnalysisOptions options;
+  options.compute_pmf = false;
+  std::size_t checked = 0;
+  for (int n = 1; n <= 16; ++n) {
+    const auto width = static_cast<std::size_t>(n);
+    std::vector<double> pa(width), pb(width);
+    for (std::size_t j = 0; j < width; ++j) {
+      pa[j] = unit(rng);
+      pb[j] = unit(rng);
+    }
+    const InputProfile profiles[] = {
+        InputProfile::uniform_with_cin(width, 0.3, 0.0),
+        InputProfile(pa, pb, 0.0)};
+    for (int r = 1; r <= n; ++r) {
+      for (int p = 0; r + p <= n; ++p) {
+        const sealpaa::gear::GearConfig config(n, r, p);
+        std::optional<BlockChainSpec> spec;
+        try {
+          spec = config.to_blocks();
+        } catch (const std::invalid_argument&) {
+          continue;  // more live windows than the block model's rail
+        }
+        for (const InputProfile& profile : profiles) {
+          const sealpaa::gear::GearAnalysis gear =
+              sealpaa::gear::GearAnalyzer::analyze(config, profile);
+          const BlockAnalysis block =
+              BlockErrorModel::analyze(*spec, profile, options);
+          ASSERT_EQ(block.block_mismatch.size(),
+                    gear.block_failure.size() + 1)
+              << config.describe();
+          for (std::size_t i = 1; i < block.block_mismatch.size(); ++i) {
+            EXPECT_EQ(gear.block_failure[i - 1], block.block_mismatch[i])
+                << config.describe() << " block " << i;
+          }
+          EXPECT_EQ(gear.p_error_independent_approx,
+                    block.p_error_independent_approx)
+              << config.describe();
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 1500u);
 }
 
 // ---------------------------------------------------------------------

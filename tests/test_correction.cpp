@@ -199,13 +199,16 @@ TEST(ExpectedCycles, MatchesSumOfBlockFailureProbabilities) {
   const auto analysis = GearAnalyzer::analyze(config, profile);
   double expected = 0.0;
   for (double f : analysis.block_failure) expected += f;
-  EXPECT_NEAR(expected_recovery_cycles(config, profile), expected, 1e-12);
+  EXPECT_NEAR(expected_recovery_cycles(analysis.cycle_distribution), expected,
+              1e-12);
 }
 
 TEST(ExpectedCycles, DecreasesWithOverlap) {
   const auto profile = InputProfile::uniform(8, 0.5);
-  const double p0 = expected_recovery_cycles(GearConfig(8, 2, 0), profile);
-  const double p2 = expected_recovery_cycles(GearConfig(8, 2, 2), profile);
+  const double p0 = expected_recovery_cycles(
+      correction_cycle_distribution(GearConfig(8, 2, 0), profile));
+  const double p2 = expected_recovery_cycles(
+      correction_cycle_distribution(GearConfig(8, 2, 2), profile));
   EXPECT_GT(p0, p2);
 }
 

@@ -528,10 +528,9 @@ TEST(Dispatcher, WorkerCountDoesNotChangeResponseBytes) {
   ASSERT_EQ(one.size(), frames.size());
 }
 
-TEST(Dispatcher, IdleShardCutsThroughTheWindow) {
+TEST(Dispatcher, LoneRequestIsAnsweredAtOnce) {
   DispatcherOptions options;
   options.dispatch_threads = 1;
-  options.batch_window = std::chrono::microseconds(2'000'000);
   Dispatcher dispatcher(options);
   std::mutex mutex;
   std::vector<std::string> responses;
@@ -544,11 +543,12 @@ TEST(Dispatcher, IdleShardCutsThroughTheWindow) {
       1, 0, R"({"id":1,"method":"recursive","width":8,"chain":"LPAA3"})"));
   dispatcher.drain();
   const auto elapsed = std::chrono::steady_clock::now() - begin;
-  // An idle shard must answer immediately, not after the 2 s window.
+  // A worker never waits for more work before it runs what it took.
   EXPECT_LT(elapsed, std::chrono::seconds(1));
   dispatcher.stop();
   ASSERT_EQ(responses.size(), 1u);
   const Json stats = dispatcher.stats_json();
+  EXPECT_EQ(stats.find("batches")->find("count")->unsigned_integer(), 1u);
   EXPECT_EQ(stats.find("dispatch")
                 ->find("cut_through_batches")
                 ->unsigned_integer(),
@@ -558,17 +558,13 @@ TEST(Dispatcher, IdleShardCutsThroughTheWindow) {
       0u);
 }
 
-TEST(Dispatcher, BackloggedShardHoldsTheWindowOpen) {
+TEST(Dispatcher, TakeIsCappedAt256Requests) {
   DispatcherOptions options;
   options.dispatch_threads = 1;
-  options.batch_max = 8;
-  options.batch_window = std::chrono::microseconds(1000);
   Dispatcher dispatcher(options);
-  // Queue the whole burst before the workers spawn: the first take hits
-  // batch_max and leaves a backlog, so the remainder batch must hold
-  // the adaptive window open — deterministically, with no race against
-  // a worker fast enough to keep the queue drained.
-  for (std::uint64_t i = 0; i < 12; ++i) {
+  // Queue the whole burst before the worker spawns, so its first take
+  // sees all 300 requests: it takes 256, and the next take the 44 left.
+  for (std::uint64_t i = 0; i < 300; ++i) {
     dispatcher.submit(pending(
         1, i,
         R"({"id":)" + std::to_string(i) +
@@ -582,17 +578,57 @@ TEST(Dispatcher, BackloggedShardHoldsTheWindowOpen) {
   });
   dispatcher.drain();
   dispatcher.stop();
-  EXPECT_EQ(answered, 12u);
+  EXPECT_EQ(answered, 300u);
   const Json stats = dispatcher.stats_json();
-  const std::uint64_t batches =
-      stats.find("batches")->find("count")->unsigned_integer();
-  const std::uint64_t coalesced =
-      stats.find("dispatch")->find("coalesced_batches")->unsigned_integer();
-  EXPECT_GE(batches, 2u);
-  EXPECT_EQ(stats.find("batches")->find("size")->find("max")
+  const Json& batches = *stats.find("batches");
+  EXPECT_EQ(batches.find("count")->unsigned_integer(), 2u);
+  EXPECT_EQ(batches.find("size")->find("max")->unsigned_integer(), 256u);
+  EXPECT_EQ(batches.find("size")->find("sum")->unsigned_integer(), 300u);
+  EXPECT_EQ(stats.find("dispatch")
+                ->find("cut_through_batches")
                 ->unsigned_integer(),
-            8u);
-  EXPECT_GE(coalesced, 1u);
+            2u);
+  EXPECT_EQ(
+      stats.find("dispatch")->find("coalesced_batches")->unsigned_integer(),
+      0u);
+}
+
+TEST(Dispatcher, EachConnectionIsAnsweredInSequenceOrder) {
+  // Two connections' requests interleaved on one profile, queued before
+  // the worker spawns so they run as one batch: the sink must hand each
+  // connection its responses in the order of its sequence numbers.
+  DispatcherOptions options;
+  options.dispatch_threads = 1;
+  Dispatcher dispatcher(options);
+  const char* cells[] = {"LPAA1", "LPAA3", "LPAA5", "LPAA6"};
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    for (const std::uint64_t connection : {7u, 3u}) {
+      const std::string method = i % 2 == 0 ? "recursive" : "analytic-pmf";
+      dispatcher.submit(pending(
+          connection, i,
+          R"({"id":)" + std::to_string(i) + R"(,"method":")" + method +
+              R"(","width":8,"chain":")" + cells[(i + connection) % 4] +
+              "\"}"));
+    }
+  }
+  Collector collector;
+  dispatcher.start(collector.sink());
+  dispatcher.drain();
+  dispatcher.stop();
+  EXPECT_EQ(dispatcher.stats_json()
+                .find("batches")
+                ->find("count")
+                ->unsigned_integer(),
+            1u);
+  ASSERT_EQ(collector.responses.size(), 16u);
+  std::map<std::uint64_t, std::vector<std::uint64_t>> sequences;
+  for (const OutgoingResponse& response : collector.responses) {
+    EXPECT_NE(response.frame.find(R"("ok":true)"), std::string::npos);
+    sequences[response.connection].push_back(response.sequence);
+  }
+  const std::vector<std::uint64_t> in_order = {0, 1, 2, 3, 4, 5, 6, 7};
+  EXPECT_EQ(sequences[3], in_order);
+  EXPECT_EQ(sequences[7], in_order);
 }
 
 /// The node at the dotted `path` below `node`, or nullptr.
@@ -778,7 +814,6 @@ TEST(Dispatcher, EvaluatorEvictedMidBatchKeepsItsCounts) {
   ServerOptions options;
   options.port = 0;  // ephemeral
   options.dispatcher.dispatch_threads = 2;
-  options.dispatcher.batch_window = std::chrono::microseconds(200);
   return options;
 }
 

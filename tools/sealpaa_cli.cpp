@@ -476,7 +476,8 @@ int cmd_gear(const util::CliArgs& args, obs::RunReport& report) {
       static_cast<std::size_t>(config.n()), p_input);
   obs::ScopedTimer timer(report.counters(), "gear");
   const auto analysis = gear::GearAnalyzer::analyze(config, profile);
-  const double recovery = gear::expected_recovery_cycles(config, profile);
+  const double recovery =
+      gear::expected_recovery_cycles(analysis.cycle_distribution);
   timer.stop();
   // GearAnalyzer ignores profile.p_cin(): GeAr's sub-adders all start
   // from carry-in 0.

@@ -576,7 +576,7 @@ int main(int argc, char** argv) {
     }
     if (!batched) {
       std::cerr << "FAIL: batch size p50 " << batch_size_p50
-                << " — adaptive batching never engaged under load\n";
+                << " — batches never formed under load\n";
     }
     if (!scaling_at_least_4x && !quick) {
       std::cerr << "FAIL: 4-worker scaling " << util::fixed(speedup, 2)

@@ -4,13 +4,14 @@
 // see docs/API.md) over a TCP listener or, with --pipe, over
 // stdin/stdout.  Evaluations run on N dispatch workers
 // (--dispatch-threads), each owning the shard of (width, p) profiles
-// that hashes to it, with adaptive cross-request batching so a
-// design-sweep client's chains share one pooled evaluator per batch.
+// that hashes to it.  A worker takes everything queued on its shard (up
+// to 256 requests) as one batch, so a design-sweep client's pipelined
+// chains share one pooled evaluator per batch.
 // Responses complete out of order per connection across shards --
 // clients match them by request id.
 //
 //   sealpaad --port=0                 # ephemeral port, printed on stdout
-//   sealpaad --port=7413 --dispatch-threads=4 --window-us=500
+//   sealpaad --port=7413 --dispatch-threads=4
 //   echo '{"method":"ping"}' | sealpaad --pipe
 //
 // SIGTERM and SIGINT drain gracefully: the daemon stops accepting,
@@ -36,9 +37,8 @@ int usage(const char* program) {
   std::fprintf(
       stderr,
       "usage: %s [--port=N] [--bind=ADDR] [--pipe]\n"
-      "          [--dispatch-threads=N] [--window-us=N] [--batch-max=N]\n"
-      "          [--max-connections=N] [--max-frame-bytes=N]\n"
-      "          [--max-width=N] [--timeout-ms=N]\n"
+      "          [--dispatch-threads=N] [--max-connections=N]\n"
+      "          [--max-frame-bytes=N] [--max-width=N] [--timeout-ms=N]\n"
       "\n"
       "Batch analysis daemon: newline-delimited JSON requests, schema\n"
       "sealpaa.service v1 (docs/API.md).  --port=0 binds an ephemeral\n"
@@ -53,8 +53,8 @@ int main(int argc, char** argv) {
   const sealpaa::util::CliArgs args(argc, argv);
   try {
     args.expect_flags({"port", "bind", "pipe", "dispatch-threads",
-                       "window-us", "batch-max", "max-connections",
-                       "max-frame-bytes", "max-width", "timeout-ms", "help"});
+                       "max-connections", "max-frame-bytes", "max-width",
+                       "timeout-ms", "help"});
     if (args.has("help")) return usage(args.program().c_str());
 
     sealpaa::service::ServerOptions options;
@@ -64,10 +64,6 @@ int main(int argc, char** argv) {
     options.bind_address = args.get("bind", options.bind_address);
     options.dispatcher.dispatch_threads = static_cast<unsigned>(
         args.get_uint("dispatch-threads", 1));
-    options.dispatcher.batch_window =
-        std::chrono::microseconds(args.get_uint("window-us", 500));
-    options.dispatcher.batch_max = static_cast<std::size_t>(
-        args.get_uint("batch-max", options.dispatcher.batch_max));
     options.max_connections = static_cast<std::size_t>(
         args.get_uint("max-connections", options.max_connections));
     auto& limits = options.dispatcher.limits;
