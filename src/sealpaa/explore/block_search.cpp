@@ -59,11 +59,22 @@ BlockDesign finish(const multibit::InputProfile& profile,
   design.objective_value = value;
   analysis::BlockAnalysisOptions opts;
   opts.pmf = options.pmf;
-  const analysis::BlockAnalysis result = analysis::BlockErrorModel::analyze(
-      design.spec(), profile, opts);
-  design.p_error = result.p_error;
-  design.med = result.pmf.mean_error_distance();
-  design.mse = result.pmf.mean_squared_error();
+  try {
+    const analysis::BlockAnalysis result = analysis::BlockErrorModel::analyze(
+        design.spec(), profile, opts);
+    design.p_error = result.p_error;
+    design.med = result.pmf.mean_error_distance();
+    design.mse = result.pmf.mean_squared_error();
+  } catch (const std::length_error&) {
+    // The PMF outgrew its support guard.  An error-rate search never
+    // needed it; a moment search scored every candidate by it and could
+    // not have got here.
+    if (options.objective != Objective::kErrorRate) throw;
+    opts.compute_pmf = false;
+    design.p_error = analysis::BlockErrorModel::analyze(design.spec(),
+                                                        profile, opts)
+                         .p_error;
+  }
   design.stats = stats;
   return design;
 }

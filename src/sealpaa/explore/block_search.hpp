@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "sealpaa/analysis/block_error.hpp"
@@ -45,8 +46,11 @@ struct BlockDesign {
   /// The exact objective value the design was ranked by.
   double objective_value = 0.0;
   double p_error = 0.0;
-  double med = 0.0;
-  double mse = 0.0;
+  /// From the design's exact error PMF.  Empty when an error-rate
+  /// search's winner has a PMF wider than `BlockSearchOptions::pmf`
+  /// allows: the design and its P(E) stand without it.
+  std::optional<double> med;
+  std::optional<double> mse;
   SearchStats stats;
 
   [[nodiscard]] multibit::BlockChainSpec spec() const {

@@ -1,12 +1,11 @@
 #include "sealpaa/obs/json.hpp"
 
-#include <cerrno>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <stdexcept>
+
+#include "sealpaa/obs/json_reader.hpp"
 
 namespace sealpaa::obs {
 
@@ -30,7 +29,7 @@ Json& Json::push_back(Json value) {
   return array_.back();
 }
 
-Json& Json::set(const std::string& key, Json value) {
+Json& Json::set(std::string_view key, Json value) {
   if (type_ != Type::Object) {
     throw std::logic_error("Json::set: value is not an object");
   }
@@ -44,7 +43,7 @@ Json& Json::set(const std::string& key, Json value) {
   return object_.back().second;
 }
 
-const Json* Json::find(const std::string& key) const noexcept {
+const Json* Json::find(std::string_view key) const noexcept {
   if (type_ != Type::Object) return nullptr;
   for (const auto& [existing_key, value] : object_) {
     if (existing_key == key) return &value;
@@ -143,11 +142,21 @@ std::size_t Json::size() const noexcept {
   }
 }
 
-std::string Json::escape(const std::string& raw) {
+std::string Json::escape(std::string_view raw) {
   std::string out;
   out.reserve(raw.size() + 2);
+  escape_to(out, raw);
+  return out;
+}
+
+void Json::escape_to(std::string& out, std::string_view raw) {
   out.push_back('"');
-  for (const char c : raw) {
+  std::size_t plain = 0;  // start of the run not yet appended
+  for (std::size_t i = 0; i < raw.size(); ++i) {
+    const auto c = static_cast<unsigned char>(raw[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(raw, plain, i - plain);
+    plain = i + 1;
     switch (c) {
       case '"':  out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -156,30 +165,28 @@ std::string Json::escape(const std::string& raw) {
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof buffer, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buffer;
-        } else {
-          out.push_back(c);
-        }
+      default: {
+        constexpr char kHex[] = "0123456789abcdef";
+        const char code[] = {'\\', 'u', '0', '0', kHex[c >> 4], kHex[c & 0xF]};
+        out.append(code, sizeof code);
+      }
     }
   }
+  out.append(raw, plain, raw.size() - plain);
   out.push_back('"');
-  return out;
 }
 
 namespace {
 
-std::string double_literal(double value) {
-  // Non-finite values have no JSON representation; emit null so a NaN in
-  // a metric is visible in the report instead of corrupting it.
-  if (!std::isfinite(value)) return "null";
+/// Appends a number as std::to_chars writes it.  For a double with a
+/// precision, the standard defines that text as printf's in the C
+/// locale, so `general` at 17 digits is "%.17g".
+template <class... Format>
+void append_number(std::string& out, auto value, Format... format) {
   char buffer[32];
-  std::snprintf(buffer, sizeof buffer, "%.17g", value);
-  return buffer;
+  const auto result =
+      std::to_chars(buffer, buffer + sizeof buffer, value, format...);
+  out.append(buffer, result.ptr);
 }
 
 void newline_indent(std::string& out, int indent, int depth) {
@@ -200,16 +207,22 @@ void Json::dump_to(std::string& out, int indent, int depth) const {
       out += bool_ ? "true" : "false";
       return;
     case Type::Integer:
-      out += std::to_string(int_);
+      append_number(out, int_);
       return;
     case Type::Unsigned:
-      out += std::to_string(uint_);
+      append_number(out, uint_);
       return;
     case Type::Double:
-      out += double_literal(double_);
+      // Non-finite values have no JSON representation; emit null so a
+      // NaN in a metric is visible in the report instead of corrupting it.
+      if (!std::isfinite(double_)) {
+        out += "null";
+      } else {
+        append_number(out, double_, std::chars_format::general, 17);
+      }
       return;
     case Type::String:
-      out += escape(string_);
+      escape_to(out, string_);
       return;
     case Type::Array: {
       if (array_.empty()) {
@@ -235,7 +248,7 @@ void Json::dump_to(std::string& out, int indent, int depth) const {
       for (std::size_t i = 0; i < object_.size(); ++i) {
         if (i != 0) out.push_back(',');
         newline_indent(out, indent, depth + 1);
-        out += escape(object_[i].first);
+        escape_to(out, object_[i].first);
         out += indent > 0 ? ": " : ":";
         object_[i].second.dump_to(out, indent, depth + 1);
       }
@@ -252,276 +265,31 @@ std::string Json::dump(int indent) const {
   return out;
 }
 
-namespace {
-
-// Strict RFC 8259 recursive-descent reader.  Offsets in diagnostics are
-// byte positions into the input, so a service log line pinpoints exactly
-// where a client's frame went wrong.
-class Parser {
- public:
-  Parser(std::string_view text, std::size_t max_depth)
-      : text_(text), max_depth_(max_depth) {}
-
-  Json run() {
-    skip_whitespace();
-    Json value = parse_value(0);
-    skip_whitespace();
-    if (pos_ != text_.size()) fail("trailing garbage after document");
-    return value;
+void JsonBuilder::add(Json&& value) {
+  if (open_.empty()) {
+    root_ = std::move(value);
+    return;
   }
-
- private:
-  [[noreturn]] void fail(const std::string& what) const {
-    throw std::invalid_argument("Json::parse: " + what + " at byte " +
-                                std::to_string(pos_));
+  Json& parent = open_.back();
+  if (parent.type_ == Json::Type::Array) {
+    parent.array_.push_back(std::move(value));
+    return;
   }
+  // The reader rejects duplicate keys, so every key is new.
+  parent.object_.emplace_back(std::move(keys_.back()), std::move(value));
+  keys_.pop_back();
+}
 
-  [[nodiscard]] bool done() const noexcept { return pos_ >= text_.size(); }
-  [[nodiscard]] char peek() const noexcept { return text_[pos_]; }
-
-  void skip_whitespace() noexcept {
-    while (!done()) {
-      const char c = peek();
-      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
-      ++pos_;
-    }
-  }
-
-  void expect(char c) {
-    if (done() || peek() != c) {
-      fail(std::string("expected '") + c + "'");
-    }
-    ++pos_;
-  }
-
-  bool consume_literal(std::string_view literal) {
-    if (text_.substr(pos_, literal.size()) != literal) return false;
-    pos_ += literal.size();
-    return true;
-  }
-
-  Json parse_value(std::size_t depth) {
-    if (depth > max_depth_) fail("nesting exceeds max depth");
-    if (done()) fail("unexpected end of input");
-    switch (peek()) {
-      case '{': return parse_object(depth);
-      case '[': return parse_array(depth);
-      case '"': return Json(parse_string());
-      case 't':
-        if (consume_literal("true")) return Json(true);
-        fail("invalid literal");
-      case 'f':
-        if (consume_literal("false")) return Json(false);
-        fail("invalid literal");
-      case 'n':
-        if (consume_literal("null")) return Json();
-        fail("invalid literal");
-      default: return parse_number();
-    }
-  }
-
-  Json parse_object(std::size_t depth) {
-    expect('{');
-    Json out = Json::object();
-    skip_whitespace();
-    if (!done() && peek() == '}') {
-      ++pos_;
-      return out;
-    }
-    while (true) {
-      skip_whitespace();
-      if (done() || peek() != '"') fail("expected object key string");
-      std::string key = parse_string();
-      skip_whitespace();
-      expect(':');
-      skip_whitespace();
-      if (out.find(key) != nullptr) fail("duplicate object key \"" + key + '"');
-      out.set(key, parse_value(depth + 1));
-      skip_whitespace();
-      if (done()) fail("unterminated object");
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return out;
-    }
-  }
-
-  Json parse_array(std::size_t depth) {
-    expect('[');
-    Json out = Json::array();
-    skip_whitespace();
-    if (!done() && peek() == ']') {
-      ++pos_;
-      return out;
-    }
-    while (true) {
-      skip_whitespace();
-      out.push_back(parse_value(depth + 1));
-      skip_whitespace();
-      if (done()) fail("unterminated array");
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return out;
-    }
-  }
-
-  void append_utf8(std::string& out, std::uint32_t code_point) {
-    if (code_point < 0x80) {
-      out.push_back(static_cast<char>(code_point));
-    } else if (code_point < 0x800) {
-      out.push_back(static_cast<char>(0xC0 | (code_point >> 6)));
-      out.push_back(static_cast<char>(0x80 | (code_point & 0x3F)));
-    } else if (code_point < 0x10000) {
-      out.push_back(static_cast<char>(0xE0 | (code_point >> 12)));
-      out.push_back(static_cast<char>(0x80 | ((code_point >> 6) & 0x3F)));
-      out.push_back(static_cast<char>(0x80 | (code_point & 0x3F)));
-    } else {
-      out.push_back(static_cast<char>(0xF0 | (code_point >> 18)));
-      out.push_back(static_cast<char>(0x80 | ((code_point >> 12) & 0x3F)));
-      out.push_back(static_cast<char>(0x80 | ((code_point >> 6) & 0x3F)));
-      out.push_back(static_cast<char>(0x80 | (code_point & 0x3F)));
-    }
-  }
-
-  std::uint32_t parse_hex4() {
-    if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-    std::uint32_t value = 0;
-    for (int i = 0; i < 4; ++i) {
-      const char c = text_[pos_++];
-      value <<= 4;
-      if (c >= '0' && c <= '9') {
-        value |= static_cast<std::uint32_t>(c - '0');
-      } else if (c >= 'a' && c <= 'f') {
-        value |= static_cast<std::uint32_t>(c - 'a' + 10);
-      } else if (c >= 'A' && c <= 'F') {
-        value |= static_cast<std::uint32_t>(c - 'A' + 10);
-      } else {
-        --pos_;
-        fail("invalid hex digit in \\u escape");
-      }
-    }
-    return value;
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (done()) fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20) {
-        --pos_;
-        fail("unescaped control character in string");
-      }
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (done()) fail("truncated escape sequence");
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'n': out.push_back('\n'); break;
-        case 'r': out.push_back('\r'); break;
-        case 't': out.push_back('\t'); break;
-        case 'u': {
-          std::uint32_t code_point = parse_hex4();
-          if (code_point >= 0xD800 && code_point <= 0xDBFF) {
-            // High surrogate: require the low half to follow.
-            if (!consume_literal("\\u")) fail("unpaired surrogate");
-            const std::uint32_t low = parse_hex4();
-            if (low < 0xDC00 || low > 0xDFFF) fail("invalid low surrogate");
-            code_point =
-                0x10000 + ((code_point - 0xD800) << 10) + (low - 0xDC00);
-          } else if (code_point >= 0xDC00 && code_point <= 0xDFFF) {
-            fail("unpaired surrogate");
-          }
-          append_utf8(out, code_point);
-          break;
-        }
-        default:
-          pos_ -= 1;
-          fail("invalid escape sequence");
-      }
-    }
-  }
-
-  Json parse_number() {
-    const std::size_t start = pos_;
-    if (!done() && peek() == '-') ++pos_;
-    if (done() || peek() < '0' || peek() > '9') fail("invalid number");
-    const std::size_t integer_start = pos_;
-    while (!done() && peek() >= '0' && peek() <= '9') ++pos_;
-    if (pos_ - integer_start > 1 && text_[integer_start] == '0') {
-      pos_ = integer_start;
-      fail("leading zeros are not allowed");
-    }
-    bool is_integer = true;
-    if (!done() && peek() == '.') {
-      is_integer = false;
-      ++pos_;
-      if (done() || peek() < '0' || peek() > '9') fail("invalid fraction");
-      while (!done() && peek() >= '0' && peek() <= '9') ++pos_;
-    }
-    if (!done() && (peek() == 'e' || peek() == 'E')) {
-      is_integer = false;
-      ++pos_;
-      if (!done() && (peek() == '+' || peek() == '-')) ++pos_;
-      if (done() || peek() < '0' || peek() > '9') fail("invalid exponent");
-      while (!done() && peek() >= '0' && peek() <= '9') ++pos_;
-    }
-    const std::string_view token = text_.substr(start, pos_ - start);
-    if (is_integer) {
-      // Keep the native integer type so ids and counters round-trip
-      // bit-exactly: non-negative → Unsigned, negative → Integer.
-      if (token.front() == '-') {
-        std::int64_t value = 0;
-        const auto [ptr, ec] =
-            std::from_chars(token.data(), token.data() + token.size(), value);
-        if (ec == std::errc() && ptr == token.data() + token.size()) {
-          return Json(value);
-        }
-      } else {
-        std::uint64_t value = 0;
-        const auto [ptr, ec] =
-            std::from_chars(token.data(), token.data() + token.size(), value);
-        if (ec == std::errc() && ptr == token.data() + token.size()) {
-          return Json(value);
-        }
-      }
-      // Fall through to double for magnitudes beyond 64 bits.
-    }
-    errno = 0;
-    char* end = nullptr;
-    const std::string copy(token);  // strtod needs a terminated buffer
-    const double value = std::strtod(copy.c_str(), &end);
-    if (end != copy.c_str() + copy.size() || errno == ERANGE ||
-        !std::isfinite(value)) {
-      pos_ = start;
-      fail("number out of range");
-    }
-    return Json(value);
-  }
-
-  std::string_view text_;
-  std::size_t max_depth_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
+void JsonBuilder::close() {
+  Json done = std::move(open_.back());
+  open_.pop_back();
+  add(std::move(done));
+}
 
 Json Json::parse(std::string_view text, std::size_t max_depth) {
-  return Parser(text, max_depth).run();
+  JsonBuilder builder;
+  read_json(text, builder, max_depth);
+  return builder.take();
 }
 
 }  // namespace sealpaa::obs

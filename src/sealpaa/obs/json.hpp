@@ -9,12 +9,16 @@
 // JSON has no NaN, and a NaN leaking into a report is precisely the bug
 // class the observability layer exists to surface.
 //
-// `Json::parse` is the inverse: a strict recursive-descent RFC 8259
-// reader used by the batch analysis service to decode request frames.
-// It accepts exactly one document per call, keeps integers as integers
-// (so request ids echo back bit-exactly), bounds nesting depth and
-// rejects trailing garbage — malformed network input must fail loudly,
-// never be guessed at.
+// Doubles print as printf("%.17g") does in the C locale (through
+// std::to_chars, which the standard defines that way), so every double
+// round-trips and the bytes match what earlier builds wrote.
+//
+// `Json::parse` is the inverse: it builds a tree from the events of
+// obs::read_json (json_reader.hpp), the strict RFC 8259 reader the
+// service's request parser consumes too.  It accepts exactly one
+// document per call, keeps integers as integers (so request ids echo
+// back bit-exactly), bounds nesting depth and rejects trailing garbage —
+// malformed network input must fail loudly, never be guessed at.
 #pragma once
 
 #include <cstdint>
@@ -90,10 +94,10 @@ class Json {
   Json& push_back(Json value);
 
   /// Inserts or replaces `key` in an object; insertion order is kept.
-  Json& set(const std::string& key, Json value);
+  Json& set(std::string_view key, Json value);
 
   /// Object lookup; nullptr when absent or not an object.
-  [[nodiscard]] const Json* find(const std::string& key) const noexcept;
+  [[nodiscard]] const Json* find(std::string_view key) const noexcept;
 
   [[nodiscard]] std::size_t size() const noexcept;
 
@@ -102,10 +106,13 @@ class Json {
   [[nodiscard]] std::string dump(int indent = 2) const;
 
   /// Escapes `raw` as a JSON string literal including the quotes.
-  [[nodiscard]] static std::string escape(const std::string& raw);
+  [[nodiscard]] static std::string escape(std::string_view raw);
 
  private:
+  friend class JsonBuilder;
+
   void dump_to(std::string& out, int indent, int depth) const;
+  static void escape_to(std::string& out, std::string_view raw);
 
   Type type_;
   bool bool_ = false;

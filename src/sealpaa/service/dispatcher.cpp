@@ -108,12 +108,11 @@ void set_batch_kinds(obs::Json& out, const ShardStats& stats) {
 
 }  // namespace
 
-/// One framed request after parsing: the origin, the validated request,
-/// and the chain resolved to palette indices.
+/// One framed request after parsing: the origin and the validated
+/// request, whose chain holds palette indices.
 struct Dispatcher::ParsedItem {
   PendingRequest pending;
   Request request;
-  std::vector<std::size_t> choices;
 };
 
 /// One dispatch worker's world: its queue and its own EvaluatorPool.  The
@@ -143,10 +142,6 @@ struct Dispatcher::Shard {
 Dispatcher::Dispatcher(DispatcherOptions options) : options_(options) {
   if (options_.dispatch_threads == 0) options_.dispatch_threads = 1;
   palette_ = builtin_palette();
-  palette_index_.reserve(palette_.size());
-  for (std::size_t i = 0; i < palette_.size(); ++i) {
-    palette_index_.emplace(palette_[i].name(), i);
-  }
   shards_.reserve(options_.dispatch_threads);
   for (unsigned shard = 0; shard < options_.dispatch_threads; ++shard) {
     shards_.push_back(
@@ -254,25 +249,8 @@ Dispatcher::Admission Dispatcher::admit(PendingRequest pending,
   }
   item->pending = std::move(pending);
   item->request = std::move(*outcome.request);
-  item->choices.clear();
-  if (item->request.kind != Request::Kind::kEvaluate) {
-    return Admission::kControl;
-  }
-  item->choices.reserve(item->request.chain.size());
-  for (const std::string& name : item->request.chain) {
-    const auto found = palette_index_.find(name);
-    if (found == palette_index_.end()) {
-      requests_error_.fetch_add(1, std::memory_order_relaxed);
-      sink_(OutgoingResponse{
-          item->pending.connection, item->pending.sequence,
-          serialize_frame(make_error_response(
-              item->request.id, error_code::kUnknownCell,
-              "unknown cell '" + name + "' (try: sealpaa_cli cells)"))});
-      return Admission::kResponded;
-    }
-    item->choices.push_back(found->second);
-  }
-  return Admission::kEvaluate;
+  return item->request.kind == Request::Kind::kEvaluate ? Admission::kEvaluate
+                                                        : Admission::kControl;
 }
 
 void Dispatcher::route(ParsedItem item) {
@@ -345,17 +323,17 @@ void Dispatcher::process_batch(Shard& shard, std::vector<ParsedItem> items) {
       // for a full-width chain, so this response is byte-for-byte what
       // engine::evaluate serializes — the PMF cache only changes how
       // often stages recompute.
-      analysis::AnalysisResult result = evaluator->evaluate(item.choices);
+      analysis::AnalysisResult result = evaluator->evaluate(request.chain);
       std::optional<analysis::ErrorPmf> pmf;
       if (request.method == engine::Method::kAnalyticPmf) {
-        pmf = evaluator->error_pmf(item.choices);
+        pmf = evaluator->error_pmf(request.chain);
       }
       return engine::to_evaluation(request.method, std::move(result),
                                    request.width, pmf ? &*pmf : nullptr);
     }
     std::vector<adders::AdderCell> stages;
-    stages.reserve(item.choices.size());
-    for (const std::size_t choice : item.choices) {
+    stages.reserve(request.chain.size());
+    for (const std::size_t choice : request.chain) {
       stages.push_back(palette_[choice]);
     }
     engine::EvaluateOptions options;

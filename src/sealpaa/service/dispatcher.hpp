@@ -41,7 +41,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sealpaa/engine/evaluator_pool.hpp"
@@ -133,9 +132,9 @@ class Dispatcher {
 
   /// What became of one frame inside admit().
   enum class Admission {
-    kResponded,  // parse error / unknown cell — response already emitted
+    kResponded,  // parse or validation error — response already emitted
     kControl,    // ping or stats, `item` holds the parsed request
-    kEvaluate,   // evaluation, `item` holds request + resolved choices
+    kEvaluate,   // evaluation, `item` holds the parsed request
   };
 
   [[nodiscard]] Admission admit(PendingRequest pending, ParsedItem* item);
@@ -145,8 +144,7 @@ class Dispatcher {
   [[nodiscard]] obs::Json control_response(const Request& request) const;
 
   DispatcherOptions options_;
-  std::vector<adders::AdderCell> palette_;
-  std::unordered_map<std::string, std::size_t> palette_index_;
+  std::vector<adders::AdderCell> palette_;  // the order of Request::chain
   std::vector<std::unique_ptr<Shard>> shards_;
   ResponseSink sink_;
   bool started_ = false;

@@ -136,16 +136,23 @@ int Server::serve() {
   }
 
   // Finished responses land here from the dispatch workers (and from
-  // submit() itself for parse errors and control requests); the wake
-  // byte pulls the IO thread out of poll() to flush them.
+  // submit() itself for parse errors and control requests); a wake byte
+  // pulls the IO thread out of poll() to flush them.  Only the push that
+  // finds the list empty writes one: the IO thread drains the pipe before
+  // it swaps the list out under this mutex, so a response pushed after a
+  // swap finds the list empty and wakes it again, and one pushed before
+  // is taken by that swap.  A burst of responses costs one write(2).
   std::mutex outgoing_mutex;
   std::vector<OutgoingResponse> outgoing;
   dispatcher_.start(
       [this, &outgoing_mutex, &outgoing](OutgoingResponse response) {
+        bool first = false;
         {
           const std::lock_guard<std::mutex> lock(outgoing_mutex);
+          first = outgoing.empty();
           outgoing.push_back(std::move(response));
         }
+        if (!first) return;
         const char byte = 'r';
         [[maybe_unused]] const ssize_t n = ::write(wake_write_fd_, &byte, 1);
       });
@@ -314,6 +321,7 @@ int Server::serve() {
       }
     }
 
+    // After the wake pipe was drained above (see the sink).
     completed.clear();
     {
       const std::lock_guard<std::mutex> lock(outgoing_mutex);

@@ -127,8 +127,10 @@ struct Request {
   Kind kind = Kind::kEvaluate;
   engine::Method method = engine::Method::kRecursive;
   std::size_t width = 0;
-  /// Per-stage cell names, least significant first; size() == width.
-  std::vector<std::string> chain;
+  /// Per-stage indices into the service palette,
+  /// adders::all_builtin_cells(), least significant first;
+  /// size() == width.
+  std::vector<std::size_t> chain;
   /// Block-adder topology; set exactly when method == kBlockAnalytic.
   std::optional<multibit::BlockChainSpec> blocks;
   double p = 0.5;
@@ -154,7 +156,15 @@ struct ParseOutcome {
 
 /// Validates one frame against the limits.  Strict like the CLI parser:
 /// unknown top-level or params keys, wrong value types, out-of-range
-/// probabilities and malformed chains are errors, never guesses.
+/// probabilities, malformed chains and cells off the palette are errors,
+/// never guesses.  The frame is read once, by the same reader as
+/// obs::Json::parse (so malformed JSON gets the same invalid-json
+/// message), with no tree: only the id becomes a Json, and chain names
+/// resolve to palette indices as they are read, with no allocation per
+/// stage.  Validation runs after the whole frame is read, in a fixed
+/// order — unknown keys, id, method, width, blocks, chain, params, and
+/// unknown cells last — so a frame with several faults always gets the
+/// first one's error.
 [[nodiscard]] ParseOutcome parse_request(const FrameSplitter::Frame& frame,
                                          const WireLimits& limits);
 

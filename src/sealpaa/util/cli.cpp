@@ -120,7 +120,10 @@ double CliArgs::get_double(const std::string& name, double fallback) const {
 bool CliArgs::get_bool(const std::string& name, bool fallback) const {
   const auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string& value = it->second;
+  if (value == "true" || value == "1" || value == "yes") return true;
+  if (value == "false" || value == "0" || value == "no") return false;
+  bad_value(name, value, "a boolean (true/1/yes or false/0/no)");
 }
 
 unsigned CliArgs::threads() const {

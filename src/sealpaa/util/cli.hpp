@@ -40,6 +40,8 @@ class CliArgs {
   /// Strict finite double: the whole value must parse and be finite.
   [[nodiscard]] double get_double(const std::string& name,
                                   double fallback) const;
+  /// true/1/yes or false/0/no (a bare `--flag` is true); any other value
+  /// throws std::invalid_argument, like a malformed number.
   [[nodiscard]] bool get_bool(const std::string& name, bool fallback) const;
 
   /// Worker-thread count from `--threads=N`.  Absent or non-positive

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <optional>
@@ -452,6 +453,38 @@ TEST(BlockOptimizer, RespectsTheLatencyBudget) {
   const auto narrow = explore::BlockOptimizer::beam(
       InputProfile::uniform(10, 0.5), options);
   EXPECT_GE(narrow.objective_value, design.objective_value - 1e-15);
+}
+
+TEST(BlockOptimizer, ErrSearchKeepsItsDesignWhenThePmfOverflows) {
+  // The winner's PMF is built for med/mse only; under the error-rate
+  // objective a PMF wider than the guard leaves them empty, and the design
+  // and its P(E) are those of the same search with the default guard.
+  namespace explore = sealpaa::explore;
+  const auto profile = InputProfile::uniform(8, 0.3);
+  explore::BlockSearchOptions roomy_options;
+  roomy_options.max_sub_adder_width = 4;
+  explore::BlockSearchOptions options = roomy_options;
+  options.pmf.max_support = 2;
+  for (const bool exhaustive : {false, true}) {
+    const auto search = exhaustive ? &explore::BlockOptimizer::exhaustive
+                                   : &explore::BlockOptimizer::beam;
+    const explore::BlockDesign reference = search(profile, roomy_options);
+    ASSERT_TRUE(reference.med.has_value());
+    ASSERT_TRUE(reference.mse.has_value());
+    ASSERT_GT(*reference.med, 0.0);
+    const explore::BlockDesign tight = search(profile, options);
+    EXPECT_EQ(tight.spec().to_string(), reference.spec().to_string());
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(tight.p_error),
+              std::bit_cast<std::uint64_t>(reference.p_error));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(tight.objective_value),
+              std::bit_cast<std::uint64_t>(reference.objective_value));
+    EXPECT_FALSE(tight.med.has_value());
+    EXPECT_FALSE(tight.mse.has_value());
+  }
+  // A moment search scores by the PMF, so the guard still stops it.
+  options.objective = explore::Objective::kMed;
+  EXPECT_THROW((void)explore::BlockOptimizer::beam(profile, options),
+               std::length_error);
 }
 
 }  // namespace

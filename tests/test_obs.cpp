@@ -3,11 +3,14 @@
 // library report structs into JSON.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
 #include "sealpaa/adders/builtin.hpp"
 #include "sealpaa/multibit/chain.hpp"
@@ -50,6 +53,92 @@ TEST(Json, DoubleRoundTripsAtFullPrecision) {
   const double value = 0.1234567890123456789;
   const std::string text = Json(value).dump(0);
   EXPECT_DOUBLE_EQ(std::stod(text), value);
+}
+
+/// The text printf("%.17g") gives `value` in the C locale: what every
+/// double on the wire and in the reports has always been written as.
+[[nodiscard]] std::string printf_17g(double value) {
+  char buffer[32];
+  std::snprintf(buffer, sizeof buffer, "%.17g", value);
+  return buffer;
+}
+
+TEST(Json, DoublesPrintExactlyAsPercent17g) {
+  std::vector<double> values = {0.0,
+                                -0.0,
+                                std::numeric_limits<double>::max(),
+                                -std::numeric_limits<double>::max(),
+                                std::numeric_limits<double>::denorm_min(),
+                                std::numeric_limits<double>::min(),
+                                1e300,
+                                1e-300,
+                                -1e300,
+                                -1e-300,
+                                0.1,
+                                0.35,
+                                1e20,
+                                3.25e-5};
+  // Every power of two from 2^-1074 to 2^1023, with its predecessor.
+  for (int exponent = -1074; exponent <= 1023; ++exponent) {
+    const double power = std::ldexp(1.0, exponent);
+    values.push_back(power);
+    values.push_back(-power);
+    values.push_back(std::nextafter(power, 0.0));
+  }
+  for (const double value : values) {
+    EXPECT_EQ(Json(value).dump(0), printf_17g(value)) << printf_17g(value);
+  }
+  // 1M random finite bit patterns (splitmix64, the same on every
+  // platform).
+  std::uint64_t state = 0x5ea1'17a7'0017'6017ULL;
+  int checked = 0;
+  while (checked < 1'000'000) {
+    std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    const double value = std::bit_cast<double>(z ^ (z >> 31));
+    if (!std::isfinite(value)) continue;
+    ++checked;
+    ASSERT_EQ(Json(value).dump(0), printf_17g(value)) << printf_17g(value);
+  }
+  // Non-finite values still print null.
+  EXPECT_EQ(Json(std::numeric_limits<double>::quiet_NaN()).dump(0), "null");
+  EXPECT_EQ(Json(-std::numeric_limits<double>::infinity()).dump(0), "null");
+}
+
+TEST(Json, IntegersAndEscapesKeepTheirBytes) {
+  EXPECT_EQ(Json(std::numeric_limits<std::int64_t>::min()).dump(0),
+            "-9223372036854775808");
+  EXPECT_EQ(Json(std::int64_t{0}).dump(0), "0");
+  EXPECT_EQ(Json(std::uint64_t{0}).dump(0), "0");
+  std::string every_byte;
+  for (int c = 1; c < 256; ++c) every_byte.push_back(static_cast<char>(c));
+  std::string expected = "\"";
+  for (int c = 1; c < 256; ++c) {
+    switch (c) {
+      case '"': expected += "\\\""; break;
+      case '\\': expected += "\\\\"; break;
+      case '\b': expected += "\\b"; break;
+      case '\f': expected += "\\f"; break;
+      case '\n': expected += "\\n"; break;
+      case '\r': expected += "\\r"; break;
+      case '\t': expected += "\\t"; break;
+      default:
+        if (c < 0x20) {
+          char code[8];
+          std::snprintf(code, sizeof code, "\\u%04x", static_cast<unsigned>(c));
+          expected += code;
+        } else {
+          expected.push_back(static_cast<char>(c));
+        }
+    }
+  }
+  expected += '"';
+  EXPECT_EQ(Json::escape(every_byte), expected);
+  // Keys are escaped the same way.
+  Json object = Json::object();
+  object.set(every_byte, Json(1));
+  EXPECT_EQ(object.dump(0), "{" + expected + ":1}");
 }
 
 TEST(Json, StringEscaping) {

@@ -168,7 +168,12 @@ TEST(ParseRequest, ValidEvaluateRequest) {
       R"("params":{"p":0.25,"timeout_ms":5000}})");
   ASSERT_TRUE(outcome.request.has_value()) << outcome.error->message;
   EXPECT_EQ(outcome.request->width, 4u);
-  EXPECT_EQ(outcome.request->chain,
+  // The chain arrives as indices into the service palette.
+  std::vector<std::string> names;
+  for (const std::size_t cell : outcome.request->chain) {
+    names.push_back(sealpaa::adders::all_builtin_cells()[cell].name());
+  }
+  EXPECT_EQ(names,
             (std::vector<std::string>{"LPAA3", "LPAA3", "LPAA3", "LPAA3"}));
   EXPECT_DOUBLE_EQ(outcome.request->p, 0.25);
   EXPECT_EQ(outcome.request->timeout_ms, 5000u);
@@ -526,6 +531,204 @@ TEST(Dispatcher, WorkerCountDoesNotChangeResponseBytes) {
   const std::vector<std::string> one = run_frames(1, frames);
   EXPECT_EQ(one, run_frames(8, frames));
   ASSERT_EQ(one.size(), frames.size());
+}
+
+// ---------------------------------------------------------------------------
+// Golden response lines: the bytes an earlier build of sealpaad wrote for
+// these frames, recorded through `sealpaad --pipe` and pasted in as
+// literals.  One per method, one per wire error code, and ids of every
+// JSON type.  Each frame runs on a fresh one-worker dispatcher, so the
+// stats response sees only itself.
+
+struct GoldenCase {
+  std::string_view frame;
+  std::string_view response;  // without the newline
+};
+
+const GoldenCase kGoldenCases[] = {
+    {R"~({"id":1,"method":"recursive","width":8,"chain":"LPAA1","params":)~"
+     R"~({"p":0.35}})~",
+     R"~({"schema":"sealpaa.service","schema_version":1,"id":1,"ok":true,)~"
+     R"~("method":"recursive","evaluation":{"method":"recursive","exact":)~"
+     R"~(true,"p_error":0.91652529887532952,"p_success":0.083474701124670)~"
+     R"~(481,"work_items":8}})~"},
+    {R"~({"id":2,"method":"analytic-pmf","width":6,"chain":["LPAA2","Accu)~"
+     R"~(FA","LPAA5","LPAA7","LPAA3","AccuFA"],"params":{"p":0.3}})~",
+     R"~({"schema":"sealpaa.service","schema_version":1,"id":2,"ok":true,)~"
+     R"~("method":"analytic-pmf","evaluation":{"method":"analytic-pmf","e)~"
+     R"~(xact":true,"p_error":0.86795084080000007,"p_success":0.132049159)~"
+     R"~(19999988,"work_items":6,"distribution":{"error_rate":0.867950840)~"
+     R"~(79999951,"mean_error":10.270879999999995,"mean_error_distance":1)~"
+     R"~(0.976317974799993,"mean_squared_error":169.33862602239989,"worst)~"
+     R"~(_case_error":-21,"psnr_db":13.699250672303016},"pmf":{"support":)~"
+     R"~(33,"total_mass":0.99999999999999944,"entropy_bits":3.48674330378)~"
+     R"~(67732,"min_value":-21,"max_value":21,"top":[{"value":16,"probabi)~"
+     R"~(lity":0.23424155999999985},{"value":17,"probability":0.142355289)~"
+     R"~(99999991},{"value":0,"probability":0.13204915919999993},{"value")~"
+     R"~(:12,"probability":0.11731093919999994},{"value":1,"probability":)~"
+     R"~(0.079662298799999948},{"value":20,"probability":0.05082436799999)~"
+     R"~(9974},{"value":13,"probability":0.049553758799999972},{"value":-)~"
+     R"~(4,"probability":0.03940740719999998}]}}})~"},
+    {R"~({"id":3,"method":"inclusion-exclusion","width":6,"chain":"LPAA4")~"
+     R"~(,"params":{"p":0.5}})~",
+     R"~({"schema":"sealpaa.service","schema_version":1,"id":3,"ok":true,)~"
+     R"~("method":"inclusion-exclusion","evaluation":{"method":"inclusion)~"
+     R"~(-exclusion","exact":true,"p_error":0.925537109375,"p_success":0.)~"
+     R"~(074462890625,"work_items":63}})~"},
+    {R"~({"id":4,"method":"exhaustive","width":5,"chain":"LPAA6"})~",
+     R"~({"schema":"sealpaa.service","schema_version":1,"id":4,"ok":true,)~"
+     R"~("method":"exhaustive","evaluation":{"method":"exhaustive","exact)~"
+     R"~(":true,"p_error":0.7626953125,"p_success":0.2373046875,"work_ite)~"
+     R"~(ms":2048,"distribution":{"error_rate":0.7626953125,"mean_error":)~"
+     R"~(0,"mean_error_distance":15.5,"mean_squared_error":496,"worst_cas)~"
+     R"~(e_error":-62,"psnr_db":2.8724171117834789}}})~"},
+    {R"~({"id":5,"method":"weighted-exhaustive","width":5,"chain":"LPAA3")~"
+     R"~(,"params":{"p":0.2}})~",
+     R"~({"schema":"sealpaa.service","schema_version":1,"id":5,"ok":true,)~"
+     R"~("method":"weighted-exhaustive","evaluation":{"method":"weighted-)~"
+     R"~(exhaustive","exact":true,"p_error":0.98951423999999999,"p_succes)~"
+     R"~(s":0.010485760000000005,"work_items":2048,"distribution":{"error)~"
+     R"~(_rate":0.98951423999999999,"mean_error":18.646900920320011,"mean)~"
+     R"~(_error_distance":18.905596702720011,"mean_squared_error":445.425)~"
+     R"~(50673408022,"worst_case_error":-31,"psnr_db":3.3394830492856671})~"
+     R"~(}})~"},
+    {R"~({"id":6,"method":"monte-carlo","width":8,"chain":"LPAA2","params)~"
+     R"~(":{"p":0.4,"samples":4096,"seed":11,"kernel":"scalar"}})~",
+     R"~({"schema":"sealpaa.service","schema_version":1,"id":6,"ok":true,)~"
+     R"~("method":"monte-carlo","evaluation":{"method":"monte-carlo","exa)~"
+     R"~(ct":false,"p_error":0.929931640625,"p_success":0.070068359375,"w)~"
+     R"~(ork_items":4096,"stage_failure_ci":{"low":0.92170467051399407,"h)~"
+     R"~(igh":0.93735290868613907,"width":0.015648238172145001},"distribu)~"
+     R"~(tion":{"error_rate":0.929931640625,"mean_error":50.8076171875,"m)~"
+     R"~(ean_error_distance":74.1787109375,"mean_squared_error":10162.725)~"
+     R"~(09765625,"worst_case_error":255,"psnr_db":8.0607018282299645}}})~"},
+    {R"~({"id":7,"method":"block-analytic","width":12,"blocks":"gear:4:4")~"
+     R"~(,"params":{"p":0.5}})~",
+     R"~({"schema":"sealpaa.service","schema_version":1,"id":7,"ok":true,)~"
+     R"~("method":"block-analytic","evaluation":{"method":"block-analytic)~"
+     R"~(","exact":true,"p_error":0.03125,"p_success":0.96875,"work_items)~"
+     R"~(":12,"distribution":{"error_rate":0.03125,"mean_error":-8,"mean_)~"
+     R"~(error_distance":8,"mean_squared_error":2048,"worst_case_error":-)~"
+     R"~(256,"psnr_db":39.131778598890811},"pmf":{"support":2,"total_mass)~"
+     R"~(":1,"entropy_bits":0.20062232431271465,"min_value":-256,"max_val)~"
+     R"~(ue":0,"top":[{"value":0,"probability":0.96875},{"value":-256,"pr)~"
+     R"~(obability":0.03125}]}}})~"},
+    {R"~({"id":8,"method":"ping"})~",
+     R"~({"schema":"sealpaa.service","schema_version":1,"id":8,"ok":true,)~"
+     R"~("pong":true})~"},
+    {R"~({"id":9,"method":"stats"})~",
+     R"~({"schema":"sealpaa.service","schema_version":1,"id":9,"ok":true,)~"
+     R"~("stats":{"requests":{"received":1,"ok":1,"errors":0},"batches":{)~"
+     R"~("count":0,"size":{"count":0,"sum":0,"min":0,"max":0,"mean":0,"p5)~"
+     R"~(0":0,"p99":0,"buckets":[]}},"dispatch":{"workers":1,"batch_max":)~"
+     R"~(256,"cut_through_batches":0,"coalesced_batches":0,"queue_high_wa)~"
+     R"~(ter":0},"evaluators":{"live":0,"created":0,"evicted":0,"pool_hit)~"
+     R"~(s":0,"pmf_cache":{"hits":0,"misses":0,"hit_rate":0,"insertions":)~"
+     R"~(0,"evictions":0,"stages_computed":0,"chains_evaluated":0}},"meth)~"
+     R"~(ods":{},"shards":[{"index":0,"batches":{"count":0,"size":{"count)~"
+     R"~(":0,"sum":0,"min":0,"max":0,"mean":0,"p50":0,"p99":0,"buckets":[)~"
+     R"~(]}},"cut_through_batches":0,"coalesced_batches":0,"queue_high_wa)~"
+     R"~(ter":0,"evaluators":{"live":0,"created":0,"evicted":0,"pool_hits)~"
+     R"~(":0,"pmf_cache":{"hits":0,"misses":0,"hit_rate":0,"insertions":0)~"
+     R"~(,"evictions":0,"stages_computed":0,"chains_evaluated":0}},"metho)~"
+     R"~(ds":{}}]}})~"},
+    {R"~({"id":1,"method":)~",
+     R"~({"schema":"sealpaa.service","schema_version":1,"id":null,"ok":fa)~"
+     R"~(lse,"error":{"code":"invalid-json","message":"Json::parse: unexp)~"
+     R"~(ected end of input at byte 17"}})~"},
+    {R"~({"id":"x","method":"recursive","width":4,"chain":"LPAA1","params)~"
+     R"~(":{"p":1.5}})~",
+     R"~({"schema":"sealpaa.service","schema_version":1,"id":"x","ok":fal)~"
+     R"~(se,"error":{"code":"bad-request","message":"params.p must be in )~"
+     R"~([0, 1]"}})~"},
+    {R"~({"id":2,"method":"nope","width":4,"chain":"LPAA1"})~",
+     R"~({"schema":"sealpaa.service","schema_version":1,"id":2,"ok":false)~"
+     R"~(,"error":{"code":"unknown-method","message":"unknown method 'nop)~"
+     R"~(e' (valid: recursive, inclusion-exclusion, exhaustive, weighted-)~"
+     R"~(exhaustive, monte-carlo, analytic-pmf, block-analytic)"}})~"},
+    {R"~({"id":3,"method":"recursive","width":3,"chain":["LPAA1","LPAA9",)~"
+     R"~("AccuFA"]})~",
+     R"~({"schema":"sealpaa.service","schema_version":1,"id":3,"ok":false)~"
+     R"~(,"error":{"code":"unknown-cell","message":"unknown cell 'LPAA9' )~"
+     R"~((try: sealpaa_cli cells)"}})~"},
+    {R"~({"id":4,"method":"recursive","width":65,"chain":"LPAA1"})~",
+     R"~({"schema":"sealpaa.service","schema_version":1,"id":4,"ok":false)~"
+     R"~(,"error":{"code":"width-limit","message":"width 65 exceeds the l)~"
+     R"~(imit of 64"}})~"},
+    {R"~({"id":5,"method":"monte-carlo","width":4,"chain":"LPAA1","params)~"
+     R"~(":{"samples":999999999999}})~",
+     R"~({"schema":"sealpaa.service","schema_version":1,"id":5,"ok":false)~"
+     R"~(,"error":{"code":"request-limit","message":"params.samples 99999)~"
+     R"~(9999999 exceeds the limit of 16777216"}})~"},
+    {R"~({"id":6,"method":"recursive","width":4,"chain":"LPAA1","params":)~"
+     R"~({"timeout_ms":0}})~",
+     R"~({"schema":"sealpaa.service","schema_version":1,"id":6,"ok":false)~"
+     R"~(,"error":{"code":"timeout","message":"deadline of 0 ms expired b)~"
+     R"~(efore evaluation started"}})~"},
+    {R"~({"id":18446744073709551615,"method":"ping"})~",
+     R"~({"schema":"sealpaa.service","schema_version":1,"id":184467440737)~"
+     R"~(09551615,"ok":true,"pong":true})~"},
+    {R"~({"id":-9223372036854775808,"method":"ping"})~",
+     R"~({"schema":"sealpaa.service","schema_version":1,"id":-92233720368)~"
+     R"~(54775808,"ok":true,"pong":true})~"},
+    {R"~({"id":99999999999999999999,"method":"ping"})~",
+     R"~({"schema":"sealpaa.service","schema_version":1,"id":1e+20,"ok":t)~"
+     R"~(rue,"pong":true})~"},
+    {R"~({"id":0.1,"method":"ping"})~",
+     R"~({"schema":"sealpaa.service","schema_version":1,"id":0.1000000000)~"
+     R"~(0000001,"ok":true,"pong":true})~"},
+    {R"~({"id":-0.0,"method":"ping"})~",
+     R"~({"schema":"sealpaa.service","schema_version":1,"id":-0,"ok":true)~"
+     R"~(,"pong":true})~"},
+    {R"~({"id":"a\"b\\c\/d\u0001é😀\t","method":"ping"})~",
+     R"~({"schema":"sealpaa.service","schema_version":1,"id":"a\"b\\c/d\u)~"
+     R"~(0001é😀\t","ok":true,"pong":true})~"},
+    {R"~({"id":{"k":[1,2.5,"x"],"n":null,"t":true},"method":"ping"})~",
+     R"~({"schema":"sealpaa.service","schema_version":1,"id":{"k":[1,2.5,)~"
+     R"~("x"],"n":null,"t":true},"ok":false,"error":{"code":"bad-request")~"
+     R"~(,"message":"\"id\" must be a string, a number or absent"}})~"},
+    {R"~({"id":[1,-2,3.25e-5,false],"method":"ping"})~",
+     R"~({"schema":"sealpaa.service","schema_version":1,"id":[1,-2,3.2499)~"
+     R"~(999999999997e-05,false],"ok":false,"error":{"code":"bad-request")~"
+     R"~(,"message":"\"id\" must be a string, a number or absent"}})~"},
+    {R"~({"method":"ping"})~",
+     R"~({"schema":"sealpaa.service","schema_version":1,"id":null,"ok":tr)~"
+     R"~(ue,"pong":true})~"},
+    {R"~({"id":null,"method":"ping"})~",
+     R"~({"schema":"sealpaa.service","schema_version":1,"id":null,"ok":tr)~"
+     R"~(ue,"pong":true})~"},
+    {R"~({"id":true,"method":"ping"})~",
+     R"~({"schema":"sealpaa.service","schema_version":1,"id":true,"ok":fa)~"
+     R"~(lse,"error":{"code":"bad-request","message":"\"id\" must be a st)~"
+     R"~(ring, a number or absent"}})~"},
+};
+
+TEST(GoldenResponses, EveryMethodErrorCodeAndIdTypeKeepsItsBytes) {
+  for (const GoldenCase& golden : kGoldenCases) {
+    DispatcherOptions options;
+    options.dispatch_threads = 1;
+    Dispatcher dispatcher(options);
+    std::vector<PendingRequest> batch;
+    batch.push_back(pending(1, 0, std::string(golden.frame)));
+    const auto responses = run_live(dispatcher, std::move(batch));
+    ASSERT_EQ(responses.size(), 1u) << golden.frame;
+    EXPECT_EQ(responses[0].frame, std::string(golden.response) + "\n")
+        << golden.frame;
+  }
+}
+
+TEST(GoldenResponses, OversizedFrameKeepsItsBytes) {
+  Dispatcher dispatcher;
+  std::vector<PendingRequest> batch;
+  batch.push_back(PendingRequest{1, 0, FrameSplitter::Frame{std::string(), true},
+                                 std::chrono::steady_clock::now()});
+  const auto responses = run_live(dispatcher, std::move(batch));
+  ASSERT_EQ(responses.size(), 1u);
+  EXPECT_EQ(responses[0].frame,
+            std::string(R"~({"schema":"sealpaa.service","schema_version":1,"id":null,"ok":fa)~"
+            R"~(lse,"error":{"code":"frame-too-large","message":"frame exceeds t)~"
+            R"~(he 65536-byte limit"}})~") +
+                "\n");
 }
 
 TEST(Dispatcher, LoneRequestIsAnsweredAtOnce) {

@@ -124,6 +124,23 @@ TEST(Cli, ParsesAllForms) {
   EXPECT_EQ(args.program(), "prog");
 }
 
+TEST(Cli, BooleanFlagsRejectNonBooleans) {
+  const char* argv[] = {"prog", "--a=true", "--b=1",  "--c=yes", "--d=false",
+                        "--e=0",    "--f=no", "--search=beam", "--g=TRUE",
+                        "--h="};
+  const CliArgs args(10, argv);
+  EXPECT_TRUE(args.get_bool("a", false));
+  EXPECT_TRUE(args.get_bool("b", false));
+  EXPECT_TRUE(args.get_bool("c", false));
+  EXPECT_FALSE(args.get_bool("d", true));
+  EXPECT_FALSE(args.get_bool("e", true));
+  EXPECT_FALSE(args.get_bool("f", true));
+  // A word that is not a boolean is an error, not false.
+  EXPECT_THROW((void)args.get_bool("search", false), std::invalid_argument);
+  EXPECT_THROW((void)args.get_bool("g", false), std::invalid_argument);
+  EXPECT_THROW((void)args.get_bool("h", false), std::invalid_argument);
+}
+
 TEST(Cli, StrictIntegerParsingRejectsGarbage) {
   const char* argv[] = {"prog", "--samples=1e6", "--grain=12cores",
                         "--seed=0x10", "--width= 8"};

@@ -531,8 +531,10 @@ int cmd_blocks(const util::CliArgs& args, obs::RunReport& report) {
               << ", p_cin = " << util::fixed(profile.p_cin(), 3)
               << "): " << spec.describe() << "\n"
               << "P(Error) = " << util::prob6(design.p_error) << "\n"
-              << "MED = " << util::fixed(design.med, 6) << "\n"
-              << "MSE = " << util::fixed(design.mse, 6) << "\n";
+              << "MED = "
+              << (design.med ? util::fixed(*design.med, 6) : "n/a") << "\n"
+              << "MSE = "
+              << (design.mse ? util::fixed(*design.mse, 6) : "n/a") << "\n";
     section.set("search", obs::Json(exhaustive ? "exhaustive" : "beam"));
     section.set("objective",
                 obs::Json(std::string(
@@ -543,8 +545,8 @@ int cmd_blocks(const util::CliArgs& args, obs::RunReport& report) {
     section.set("best_blocks", obs::Json(spec.to_string()));
     section.set("objective_value", obs::Json(design.objective_value));
     section.set("p_error", obs::Json(design.p_error));
-    section.set("med", obs::Json(design.med));
-    section.set("mse", obs::Json(design.mse));
+    section.set("med", design.med ? obs::Json(*design.med) : obs::Json());
+    section.set("mse", design.mse ? obs::Json(*design.mse) : obs::Json());
     report.counters().add("blocks/candidates_evaluated",
                           design.stats.candidates_evaluated);
     report.counters().add("blocks/candidates_rejected",
