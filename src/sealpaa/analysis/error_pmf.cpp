@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "sealpaa/analysis/mkl.hpp"
 #include "sealpaa/prob/kahan.hpp"
@@ -48,6 +49,73 @@ struct Run {
   throw std::length_error("ErrorPmf: support " + std::to_string(support) +
                           " exceeds PmfOptions::max_support " +
                           std::to_string(max_support));
+}
+
+// Stage 62 would put the carry-out weight at 2^63, outside the signed
+// error domain; the chain layer allows width 63 but the PMF does not.
+void check_stage(std::size_t stage) {
+  if (stage >= 62) {
+    throw std::length_error(
+        "advance_error_pmf: error-PMF propagation supports widths <= 62");
+  }
+}
+
+// One (source pair, operand combination) term of a stage's segmented
+// convolution: segment `source`, scaled by the operand weight and
+// shifted by d_i = (s_approx - s_exact) * 2^i.
+struct StageTerm {
+  std::size_t source = 0;
+  double scale = 0.0;
+  std::int64_t delta = 0;
+};
+
+// A stage's terms by destination pair.  Each (source pair, operand
+// combination) reaches exactly one destination, so a destination
+// collects at most 4 x 4 terms, in (source, operand) order — the order
+// every accumulator adds them in.  Sources without mass and operand
+// combinations of weight 0 contribute no term.
+struct StageTerms {
+  std::array<std::array<StageTerm, 16>, 4> terms;
+  std::array<std::size_t, 4> counts{};
+};
+
+StageTerms stage_terms(const std::array<bool, 4>& has_mass,
+                       const adders::AdderCell& cell, double p_a, double p_b,
+                       std::size_t stage) {
+  const adders::AdderCell::Rows& exact = adders::AdderCell::accurate_rows();
+  const OperandWeights ab = operand_weights(p_a, p_b);
+  const std::int64_t weight = std::int64_t{1} << stage;
+  StageTerms out;
+  for (std::size_t src = 0; src < 4; ++src) {
+    if (!has_mass[src]) continue;
+    const bool ca = (src & 2U) != 0;
+    const bool ce = (src & 1U) != 0;
+    for (std::size_t abi = 0; abi < 4; ++abi) {
+      if (ab[abi] == 0.0) continue;
+      const bool a = (abi & 2U) != 0;
+      const bool b = (abi & 1U) != 0;
+      const adders::BitPair approx_out =
+          cell.rows()[adders::AdderCell::row_index(a, b, ca)];
+      const adders::BitPair exact_out =
+          exact[adders::AdderCell::row_index(a, b, ce)];
+      const std::int64_t delta =
+          (static_cast<std::int64_t>(approx_out.sum) -
+           static_cast<std::int64_t>(exact_out.sum)) *
+          weight;
+      const std::size_t dst =
+          joint_index(approx_out.carry, exact_out.carry);
+      out.terms[dst][out.counts[dst]++] = StageTerm{src, ab[abi], delta};
+    }
+  }
+  return out;
+}
+
+// The carry-out fold of a finalize: pair j at scale 1, shifted by
+// (ca - ce) * 2^stage.
+std::int64_t carry_out_offset(std::size_t j, std::size_t stage) noexcept {
+  const std::int64_t ca = (j & 2U) != 0 ? 1 : 0;
+  const std::int64_t ce = (j & 1U) != 0 ? 1 : 0;
+  return (ca - ce) * (std::int64_t{1} << stage);
 }
 
 }  // namespace
@@ -277,25 +345,27 @@ double ErrorPmf::entropy_bits() const noexcept {
   return std::max(0.0, bits.value());
 }
 
-double ErrorPmf::psnr_db(std::size_t width) const noexcept {
-  const double mse = mean_squared_error();
+double psnr_db_from_mse(std::size_t width, double mse) noexcept {
   if (mse == 0.0) return std::numeric_limits<double>::infinity();
   const double peak = std::pow(2.0, static_cast<double>(width)) - 1.0;
   return 10.0 * std::log10(peak * peak / mse);
 }
 
+double ErrorPmf::psnr_db(std::size_t width) const noexcept {
+  return psnr_db_from_mse(width, mean_squared_error());
+}
+
 ErrorPmf::Entries ErrorPmf::top_mass_points(std::size_t k) const {
-  Entries ranked = entries_;
-  const std::size_t keep = std::min(k, ranked.size());
-  std::partial_sort(ranked.begin(),
-                    ranked.begin() + static_cast<std::ptrdiff_t>(keep),
-                    ranked.end(), [](const Entry& a, const Entry& b) {
-                      if (a.probability != b.probability) {
-                        return a.probability > b.probability;
-                      }
-                      return a.value < b.value;
-                    });
-  ranked.resize(keep);
+  // Values are distinct, so the order has no ties and the k kept points
+  // are the same whichever selection picks them.
+  Entries ranked(std::min(k, entries_.size()));
+  std::partial_sort_copy(entries_.begin(), entries_.end(), ranked.begin(),
+                         ranked.end(), [](const Entry& a, const Entry& b) {
+                           if (a.probability != b.probability) {
+                             return a.probability > b.probability;
+                           }
+                           return a.value < b.value;
+                         });
   return ranked;
 }
 
@@ -314,49 +384,21 @@ ErrorPmfState make_error_pmf_state(double p_cin) {
 ErrorPmfState next_error_pmf_state(const ErrorPmfState& state,
                                    const adders::AdderCell& cell, double p_a,
                                    double p_b, const PmfOptions& options) {
-  // Stage 62 would put the carry-out weight at 2^63, outside the signed
-  // error domain; the chain layer allows width 63 but the PMF does not.
-  if (state.stage >= 62) {
-    throw std::length_error(
-        "advance_error_pmf: error-PMF propagation supports widths <= 62");
-  }
-  const adders::AdderCell::Rows& exact = adders::AdderCell::accurate_rows();
-  const OperandWeights ab = operand_weights(p_a, p_b);
-  const std::int64_t weight = std::int64_t{1} << state.stage;
-
-  // Segmented convolution: each (source pair, operand combination)
-  // contributes its segment shifted by d_i = (s_approx - s_exact) * 2^i
-  // to exactly one destination pair, so a destination collects at most
-  // 4 x 4 terms.
-  std::array<std::array<ErrorPmf::Term, 16>, 4> terms;
-  std::array<std::size_t, 4> counts{};
-  for (std::size_t src = 0; src < 4; ++src) {
-    const ErrorPmf& segment = state.joint[src];
-    if (segment.empty()) continue;
-    const bool ca = (src & 2U) != 0;
-    const bool ce = (src & 1U) != 0;
-    for (std::size_t abi = 0; abi < 4; ++abi) {
-      if (ab[abi] == 0.0) continue;
-      const bool a = (abi & 2U) != 0;
-      const bool b = (abi & 1U) != 0;
-      const adders::BitPair approx_out =
-          cell.rows()[adders::AdderCell::row_index(a, b, ca)];
-      const adders::BitPair exact_out =
-          exact[adders::AdderCell::row_index(a, b, ce)];
-      const std::int64_t delta =
-          (static_cast<std::int64_t>(approx_out.sum) -
-           static_cast<std::int64_t>(exact_out.sum)) *
-          weight;
-      const std::size_t dst =
-          joint_index(approx_out.carry, exact_out.carry);
-      terms[dst][counts[dst]++] = ErrorPmf::Term{&segment, ab[abi], delta};
-    }
-  }
+  check_stage(state.stage);
+  std::array<bool, 4> has_mass{};
+  for (std::size_t j = 0; j < 4; ++j) has_mass[j] = !state.joint[j].empty();
+  const StageTerms stage = stage_terms(has_mass, cell, p_a, p_b, state.stage);
 
   ErrorPmfState next;
   for (std::size_t dst = 0; dst < 4; ++dst) {
+    std::array<ErrorPmf::Term, 16> terms;
+    for (std::size_t t = 0; t < stage.counts[dst]; ++t) {
+      const StageTerm& term = stage.terms[dst][t];
+      terms[t] = ErrorPmf::Term{&state.joint[term.source], term.scale,
+                                term.delta};
+    }
     next.joint[dst] = ErrorPmf::mixture(
-        std::span(terms[dst]).first(counts[dst]), options);
+        std::span(terms).first(stage.counts[dst]), options);
   }
   next.stage = state.stage + 1;
   return next;
@@ -369,17 +411,300 @@ void advance_error_pmf(ErrorPmfState& state, const adders::AdderCell& cell,
 
 ErrorPmf finalize_error_pmf(const ErrorPmfState& state,
                             const PmfOptions& options) {
-  const std::int64_t weight = std::int64_t{1} << state.stage;
   std::array<ErrorPmf::Term, 4> terms;
   std::size_t count = 0;
   for (std::size_t j = 0; j < 4; ++j) {
     if (state.joint[j].empty()) continue;
-    const std::int64_t ca = (j & 2U) != 0 ? 1 : 0;
-    const std::int64_t ce = (j & 1U) != 0 ? 1 : 0;
-    terms[count++] =
-        ErrorPmf::Term{&state.joint[j], 1.0, (ca - ce) * weight};
+    terms[count++] = ErrorPmf::Term{&state.joint[j], 1.0,
+                                    carry_out_offset(j, state.stage)};
   }
   return ErrorPmf::mixture(std::span(terms).first(count), options);
+}
+
+// The windowed form of a full propagation (DESIGN.md decision 7).  A
+// window holds one joint segment as a contiguous array of masses over
+// the values [lo, lo + size): the sparse segment's probability where it
+// stores one, 0.0 elsewhere, trimmed to its first and last mass.  A
+// stage adds every term's whole source window into the destination's
+// Neumaier sums, term by term.  Adding scale * 0.0 = +0.0 leaves a sum
+// and its compensation unchanged bit for bit, so each value's sum sees
+// exactly the additions ErrorPmf::mixture makes, in the same order: the
+// masses, the support counts and the max_support checks are the sparse
+// form's.
+class PmfWindows {
+  using Entry = ErrorPmf::Entry;
+  using Entries = ErrorPmf::Entries;
+
+ public:
+  static ErrorPmf propagate(const multibit::AdderChain& chain,
+                            const multibit::InputProfile& profile,
+                            const PmfOptions& options);
+
+ private:
+  struct Window {
+    std::int64_t lo = 0;
+    std::size_t at = 0;       // first slot in its buffer
+    std::size_t size = 0;     // 0 for a segment without mass
+    std::size_t support = 0;  // slots holding mass
+  };
+  using State = std::array<Window, 4>;
+
+  // Window storage a thread keeps between propagations: first-touch
+  // page faults were most of a propagation's cost while every stage
+  // allocated its segments afresh.  Buffers larger than kKeptBytes in
+  // total are released when the propagation returns.
+  struct Buffers {
+    std::vector<double> from;  // the current state's four windows
+    std::vector<double> to;    // the next state's sums, then its masses
+    std::vector<double> compensation;  // one destination's compensations
+
+    [[nodiscard]] std::size_t bytes() const noexcept {
+      return (from.capacity() + to.capacity() + compensation.capacity()) *
+             sizeof(double);
+    }
+  };
+  static constexpr std::size_t kKeptBytes = std::size_t{8} << 20;
+  static thread_local Buffers buffers_;
+
+  // A destination's place: its value range and what its terms hold.
+  struct Extent {
+    std::int64_t lo = std::numeric_limits<std::int64_t>::max();
+    std::int64_t hi = std::numeric_limits<std::int64_t>::min();
+    std::size_t contributions = 0;
+
+    void cover(const Window& window, std::int64_t offset) noexcept {
+      lo = std::min(lo, window.lo + offset);
+      hi = std::max(hi, window.lo + offset +
+                            static_cast<std::int64_t>(window.size - 1));
+      contributions += window.support;
+    }
+    [[nodiscard]] bool empty() const noexcept { return contributions == 0; }
+    // A window of at most twice its contributions' slots (8 bytes each)
+    // never takes more bytes than the contributions as sparse entries
+    // (16 bytes each).
+    [[nodiscard]] bool fits() const noexcept {
+      return value_span(lo, hi) <
+             2 * static_cast<std::uint64_t>(contributions);
+    }
+    [[nodiscard]] std::size_t slots() const noexcept {
+      return static_cast<std::size_t>(value_span(lo, hi)) + 1;
+    }
+  };
+
+  // Makes `buffer` hold at least `slots` doubles; contents are not kept.
+  static double* reserve(std::vector<double>& buffer, std::size_t slots) {
+    if (buffer.size() < slots) {
+      buffer.clear();
+      buffer.resize(slots);
+    }
+    return buffer.data();
+  }
+
+  // Adds scale * mass[k] into the Neumaier sum (sum[k], compensation[k])
+  // for every slot k of a source window.
+  static void accumulate(double* sum, double* compensation,
+                         const double* mass, std::size_t size,
+                         double scale) noexcept {
+    for (std::size_t k = 0; k < size; ++k) {
+      const double x = scale * mass[k];
+      prob::neumaier_add(sum[k], compensation[k], x);
+    }
+  }
+
+  // Turns the sums of `window` (at buffers_.to) into masses, 0.0 where the
+  // sum is not positive as mixture drops it, checks the support against
+  // max_support and trims the window to its first and last mass.
+  static void settle(Window& window, const double* compensation,
+                     const PmfOptions& options) {
+    double* const sum = buffers_.to.data() + window.at;
+    std::size_t support = 0;
+    for (std::size_t k = 0; k < window.size; ++k) {
+      const double mass = sum[k] + compensation[k];
+      const bool held = mass > 0.0;
+      sum[k] = held ? mass : 0.0;
+      support += held ? 1 : 0;
+    }
+    if (support > options.max_support) {
+      throw_support_overflow(support, options.max_support);
+    }
+    window.support = support;
+    if (support == 0) {
+      window.size = 0;
+      return;
+    }
+    std::size_t first = 0;
+    while (sum[first] == 0.0) ++first;
+    std::size_t last = window.size - 1;
+    while (sum[last] == 0.0) --last;
+    window.lo += static_cast<std::int64_t>(first);
+    window.at += first;
+    window.size = last - first + 1;
+  }
+
+  // Advances the windows by one stage, or returns false with nothing
+  // changed when a destination's window would not fit its contributions.
+  static bool advance(State& state, const StageTerms& stage,
+                      const PmfOptions& options) {
+    std::array<Extent, 4> extents;
+    for (std::size_t dst = 0; dst < 4; ++dst) {
+      for (std::size_t t = 0; t < stage.counts[dst]; ++t) {
+        const StageTerm& term = stage.terms[dst][t];
+        extents[dst].cover(state[term.source], term.delta);
+      }
+      if (!extents[dst].empty() && !extents[dst].fits()) return false;
+    }
+    State next;
+    std::size_t total = 0;
+    std::size_t widest = 0;
+    for (std::size_t dst = 0; dst < 4; ++dst) {
+      if (extents[dst].empty()) continue;
+      next[dst] = Window{extents[dst].lo, total, extents[dst].slots(), 0};
+      total += next[dst].size;
+      widest = std::max(widest, next[dst].size);
+    }
+    reserve(buffers_.to, total);
+    double* const compensation = reserve(buffers_.compensation, widest);
+    const double* const from = buffers_.from.data();
+    for (std::size_t dst = 0; dst < 4; ++dst) {
+      Window& window = next[dst];
+      if (window.size == 0) continue;
+      double* const sum = buffers_.to.data() + window.at;
+      std::fill_n(sum, window.size, 0.0);
+      std::fill_n(compensation, window.size, 0.0);
+      for (std::size_t t = 0; t < stage.counts[dst]; ++t) {
+        const StageTerm& term = stage.terms[dst][t];
+        const Window& source = state[term.source];
+        const std::size_t shift =
+            static_cast<std::size_t>(source.lo + term.delta - window.lo);
+        accumulate(sum + shift, compensation + shift, from + source.at,
+                   source.size, term.scale);
+      }
+      settle(window, compensation, options);
+    }
+    state = next;
+    std::swap(buffers_.from, buffers_.to);
+    return true;
+  }
+
+  // The window's masses as a sparse PMF.
+  static ErrorPmf to_pmf(const Window& window, const double* masses) {
+    Entries entries;
+    entries.reserve(window.support);
+    const double* const mass = masses + window.at;
+    for (std::size_t k = 0; k < window.size; ++k) {
+      if (mass[k] > 0.0) {
+        entries.push_back(
+            Entry{window.lo + static_cast<std::int64_t>(k), mass[k]});
+      }
+    }
+    return ErrorPmf(std::move(entries));
+  }
+
+  // The windows' state as the per-stage form's, after `stage` stages.
+  static ErrorPmfState to_state(const State& state, std::size_t stage) {
+    ErrorPmfState out;
+    for (std::size_t j = 0; j < 4; ++j) {
+      out.joint[j] = to_pmf(state[j], buffers_.from.data());
+    }
+    out.stage = stage;
+    return out;
+  }
+
+  // Loads a per-stage state into windows.
+  static State load(const ErrorPmfState& sparse) {
+    State state;
+    std::size_t total = 0;
+    for (std::size_t j = 0; j < 4; ++j) {
+      const ErrorPmf& segment = sparse.joint[j];
+      if (segment.empty()) continue;
+      state[j] = Window{segment.min_value(), total,
+                        static_cast<std::size_t>(value_span(
+                            segment.min_value(), segment.max_value())) +
+                            1,
+                        segment.support_size()};
+      total += state[j].size;
+    }
+    double* const from = reserve(buffers_.from, total);
+    for (std::size_t j = 0; j < 4; ++j) {
+      std::fill_n(from + state[j].at, state[j].size, 0.0);
+      for (const Entry& entry : sparse.joint[j].entries()) {
+        from[state[j].at + value_span(state[j].lo, entry.value)] =
+            entry.probability;
+      }
+    }
+    return state;
+  }
+
+  // finalize_error_pmf on windows: the carry-out fold into one window,
+  // written out as the sparse result.
+  static ErrorPmf finalize(const State& state, std::size_t stage,
+                           const PmfOptions& options) {
+    Extent extent;
+    for (std::size_t j = 0; j < 4; ++j) {
+      if (state[j].size != 0) {
+        extent.cover(state[j], carry_out_offset(j, stage));
+      }
+    }
+    if (extent.empty()) return ErrorPmf{};
+    if (!extent.fits()) {
+      return finalize_error_pmf(to_state(state, stage), options);
+    }
+    Window window{extent.lo, 0, extent.slots(), 0};
+    double* const sum = reserve(buffers_.to, window.size);
+    double* const compensation = reserve(buffers_.compensation, window.size);
+    std::fill_n(sum, window.size, 0.0);
+    std::fill_n(compensation, window.size, 0.0);
+    for (std::size_t j = 0; j < 4; ++j) {
+      const Window& source = state[j];
+      if (source.size == 0) continue;
+      const std::size_t shift = static_cast<std::size_t>(
+          source.lo + carry_out_offset(j, stage) - window.lo);
+      accumulate(sum + shift, compensation + shift,
+                 buffers_.from.data() + source.at, source.size, 1.0);
+    }
+    settle(window, compensation, options);
+    return to_pmf(window, buffers_.to.data());
+  }
+
+  // Releases the buffers on the way out of a propagation that grew them
+  // past kKeptBytes.
+  struct Release {
+    Release() = default;
+    Release(const Release&) = delete;
+    Release& operator=(const Release&) = delete;
+    ~Release() {
+      if (buffers_.bytes() > kKeptBytes) buffers_ = Buffers{};
+    }
+  };
+};
+
+thread_local PmfWindows::Buffers PmfWindows::buffers_;
+
+ErrorPmf PmfWindows::propagate(const multibit::AdderChain& chain,
+                               const multibit::InputProfile& profile,
+                               const PmfOptions& options) {
+  const std::size_t width = chain.width();
+  const ErrorPmfState initial = make_error_pmf_state(profile.p_cin());
+  const Release release;
+  State state = load(initial);
+  std::size_t i = 0;
+  for (; i < width; ++i) {
+    check_stage(i);
+    std::array<bool, 4> has_mass{};
+    for (std::size_t j = 0; j < 4; ++j) has_mass[j] = state[j].size != 0;
+    const StageTerms stage = stage_terms(has_mass, chain.stage(i),
+                                         profile.p_a(i), profile.p_b(i), i);
+    if (!advance(state, stage, options)) break;
+  }
+  if (i == width) return finalize(state, width, options);
+
+  // The sparse fallback: the rest of the chain stage by stage.
+  ErrorPmfState sparse = to_state(state, i);
+  for (; i < width; ++i) {
+    advance_error_pmf(sparse, chain.stage(i), profile.p_a(i), profile.p_b(i),
+                      options);
+  }
+  return finalize_error_pmf(sparse, options);
 }
 
 ErrorPmf propagate_error_pmf(const multibit::AdderChain& chain,
@@ -389,12 +714,7 @@ ErrorPmf propagate_error_pmf(const multibit::AdderChain& chain,
     throw std::invalid_argument(
         "propagate_error_pmf: chain and profile widths differ");
   }
-  ErrorPmfState state = make_error_pmf_state(profile.p_cin());
-  for (std::size_t i = 0; i < chain.width(); ++i) {
-    advance_error_pmf(state, chain.stage(i), profile.p_a(i), profile.p_b(i),
-                      options);
-  }
-  return finalize_error_pmf(state, options);
+  return PmfWindows::propagate(chain, profile, options);
 }
 
 }  // namespace sealpaa::analysis

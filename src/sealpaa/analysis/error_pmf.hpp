@@ -5,24 +5,29 @@
 // value-level DP in joint.cpp uses — no simulation samples anywhere.  Its
 // mean and mean squared error are the library's exact error moments.
 //
-// The propagation state is one sparse PMF per (approximate carry, exact
-// carry) pair.  Each stage contributes a signed delta
+// The propagation state is one PMF per (approximate carry, exact carry)
+// pair.  Each stage contributes a signed delta
 //   d_i = (s_approx - s_exact) * 2^i  in  {-2^i, 0, +2^i}
 // conditioned on the joint carries, so advancing a stage is a segmented
 // convolution: every (source pair, operand combination) term shifts one
 // segment PMF by its delta and the four destination pairs each collect a
 // weighted mixture of shifted segments.  Finalizing folds the carry-out
 // difference (ca - ce) * 2^N into the merged PMF.  All probability
-// accumulation is Kahan-compensated (prob/kahan.hpp) and deterministic,
-// so MED/MSE/WCE land within 1e-12 of the weighted-exhaustive oracle
-// while costing O(N * support) instead of O(2^(2N+1)).
+// accumulation is Neumaier-compensated (prob/kahan.hpp) and
+// deterministic, so MED/MSE/WCE land within 1e-12 of the
+// weighted-exhaustive oracle while costing O(N * support) instead of
+// O(2^(2N+1)).
 //
-// A mixture costs what its inputs hold, not the width of the value range
-// they cover: the shifted segments are already sorted, so it merges them
-// directly, and uses a dense compensated slot array only when the
-// destination span is smaller than the number of contributions (wide
-// adders whose approximate stages sit in the low bits); see DESIGN.md
-// decision 7.
+// Two forms compute the same bits (DESIGN.md decision 7):
+//  * propagate_error_pmf, the driver of a full propagation, holds each
+//    segment as a dense window of masses in a per-thread workspace kept
+//    between calls, and writes the sparse ErrorPmf once, at the end.  A
+//    destination whose window would span more than twice its
+//    contributions sends the rest of the chain to the per-stage form.
+//  * next_error_pmf_state / advance_error_pmf / finalize_error_pmf keep
+//    sparse per-stage states, for callers that hold a state per depth
+//    (engine::IncrementalAnalyzer, the searches).  Their mixture costs
+//    what its inputs hold, not the width of the value range they cover.
 #pragma once
 
 #include <array>
@@ -123,21 +128,27 @@ class ErrorPmf {
   [[nodiscard]] std::int64_t worst_case_error() const noexcept;
   /// Shannon entropy of the distribution in bits.
   [[nodiscard]] double entropy_bits() const noexcept;
-  /// Peak signal-to-noise ratio against the exact adder for an N-bit
-  /// output range: 10*log10(peak^2 / MSE) with peak = 2^width - 1 (the
-  /// same peak^2/MSE convention apps/image.cpp uses with peak = 255).
-  /// +infinity when MSE == 0.
+  /// psnr_db_from_mse(width, mean_squared_error()).
   [[nodiscard]] double psnr_db(std::size_t width) const noexcept;
   /// The k highest-probability mass points, ordered by descending
   /// probability (value ascending on ties) — the run-report projection.
+  /// Copies only the k it keeps.
   [[nodiscard]] Entries top_mass_points(std::size_t k) const;
 
  private:
+  friend class PmfWindows;  // error_pmf.cpp: writes a propagation's entries
+
   explicit ErrorPmf(Entries entries) noexcept
       : entries_(std::move(entries)) {}
 
   Entries entries_;  // strictly ascending by value, probabilities > 0
 };
+
+/// Peak signal-to-noise ratio against the exact adder for an N-bit
+/// output range: 10*log10(peak^2 / MSE) with peak = 2^width - 1 (the
+/// same peak^2/MSE convention apps/image.cpp uses with peak = 255).
+/// +infinity when MSE == 0.
+[[nodiscard]] double psnr_db_from_mse(std::size_t width, double mse) noexcept;
 
 /// Propagation state: one conditioned error PMF per joint carry pair
 /// (approximate carry ca, exact carry ce), indexed `(ca << 1) | ce`.
@@ -171,7 +182,12 @@ void advance_error_pmf(ErrorPmfState& state, const adders::AdderCell& cell,
 [[nodiscard]] ErrorPmf finalize_error_pmf(const ErrorPmfState& state,
                                           const PmfOptions& options = {});
 
-/// Convenience driver: full-width propagation for a chain + profile.
+/// The driver of a full propagation: the finalized error PMF of `chain`
+/// under `profile`.  Bit-identical to make_error_pmf_state, one
+/// next_error_pmf_state per stage and finalize_error_pmf, and throws what
+/// they throw (the same std::length_error at the same stage), but runs on
+/// dense windows in a per-thread workspace.  Throws std::invalid_argument
+/// when the chain and profile widths differ.
 [[nodiscard]] ErrorPmf propagate_error_pmf(const multibit::AdderChain& chain,
                                            const multibit::InputProfile& profile,
                                            const PmfOptions& options = {});

@@ -3,7 +3,9 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
+#include "sealpaa/multibit/chain.hpp"
 #include "sealpaa/prob/probability.hpp"
 
 namespace sealpaa::engine {
@@ -129,16 +131,29 @@ analysis::ErrorPmf ChainEvaluator::error_pmf(
     return it->second->pmf;
   }
   ++pmf_stats_.misses;
+  pmf_stats_.stages_computed += choices.size();
 
-  // propagate_error_pmf's call sequence, so the result is bit-identical.
-  analysis::ErrorPmfState state =
-      analysis::make_error_pmf_state(profile_.p_cin());
-  for (std::size_t d = 0; d < choices.size(); ++d) {
-    analysis::advance_error_pmf(state, candidates_[choices[d]],
-                                profile_.p_a(d), profile_.p_b(d));
-    ++pmf_stats_.stages_computed;
+  analysis::ErrorPmf pmf;
+  if (choices.empty()) {
+    pmf = analysis::finalize_error_pmf(
+        analysis::make_error_pmf_state(profile_.p_cin()));
+  } else {
+    std::vector<adders::AdderCell> stages;
+    stages.reserve(choices.size());
+    for (const std::size_t choice : choices) {
+      stages.push_back(candidates_[choice]);
+    }
+    // The chain runs under the profile's first choices.size() bits (all
+    // of them for a full chain).
+    const auto end = static_cast<std::ptrdiff_t>(choices.size());
+    const std::vector<double>& p_a = profile_.all_p_a();
+    const std::vector<double>& p_b = profile_.all_p_b();
+    pmf = analysis::propagate_error_pmf(
+        multibit::AdderChain(std::move(stages)),
+        multibit::InputProfile({p_a.begin(), p_a.begin() + end},
+                               {p_b.begin(), p_b.begin() + end},
+                               profile_.p_cin()));
   }
-  analysis::ErrorPmf pmf = analysis::finalize_error_pmf(state);
   pmf_insert(std::move(key), pmf);
   return pmf;
 }

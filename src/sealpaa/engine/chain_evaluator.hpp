@@ -11,11 +11,12 @@
 // tens of nanoseconds, so there is nothing worth caching (DESIGN.md
 // decision 11).
 //
-// Scoring arithmetic is the exact call sequence of
-// `RecursiveAnalyzer::analyze` / `propagate_error_pmf`, so results are
-// bit-identical to the batch analyzers (enforced by
-// tests/test_engine.cpp and tests/test_error_pmf.cpp), and the PMF cache
-// can never change a result — only how often stages are recomputed.
+// A recursive request is the exact call sequence of
+// `RecursiveAnalyzer::analyze`, and a PMF-cache miss calls
+// `propagate_error_pmf` itself (on a prefix of the profile for a partial
+// chain), so results are bit-identical to the batch analyzers (enforced
+// by tests/test_engine.cpp and tests/test_error_pmf.cpp), and the PMF
+// cache can never change a result — only how often chains propagate.
 //
 // The design-space searches (explore/) do not use this class: they walk
 // their own path states (DESIGN.md decision 9).  `evaluate_batch` is a
@@ -44,8 +45,8 @@ struct CacheStats {
   std::uint64_t misses = 0;      // probes that missed
   std::uint64_t insertions = 0;  // entries stored
   std::uint64_t evictions = 0;   // LRU entries dropped over the budget
-  /// Stage advances actually performed — the number the cache exists to
-  /// minimise.
+  /// Stages of the chains propagated on misses — the number the cache
+  /// exists to minimise.
   std::uint64_t stages_computed = 0;
   std::uint64_t chains_evaluated = 0;  // error_pmf calls
 
@@ -114,10 +115,10 @@ class ChainEvaluator {
   /// carry-out difference is folded at the prefix depth, so a partial
   /// chain yields its partial-adder error distribution).  A chain held
   /// in the PMF cache is one hit and runs no stage; any other chain is
-  /// one miss that propagates every stage from bit 0, keeping only the
-  /// current state, and is then stored unless its PMF alone exceeds the
-  /// cache's byte budget.  For a full-width chain the result is
-  /// identical to propagate_error_pmf on the assembled chain.
+  /// one miss, counted as choices.size() stages, that calls
+  /// propagate_error_pmf on the assembled chain under the profile's
+  /// first choices.size() bits, and is then stored unless its PMF alone
+  /// exceeds the cache's byte budget.
   [[nodiscard]] analysis::ErrorPmf error_pmf(
       std::span<const std::size_t> choices);
 

@@ -1,8 +1,6 @@
 #include "sealpaa/engine/method.hpp"
 
 #include <array>
-#include <cmath>
-#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -43,14 +41,6 @@ void require_matching_width(const multibit::AdderChain& chain,
   }
 }
 
-// PSNR against the exact adder for an N-bit output range: the same
-// peak^2 / MSE convention apps/image.cpp uses with peak = 255.
-double psnr_from_mse(std::size_t width, double mse) {
-  if (mse == 0.0) return std::numeric_limits<double>::infinity();
-  const double peak = std::pow(2.0, static_cast<double>(width)) - 1.0;
-  return 10.0 * std::log10(peak * peak / mse);
-}
-
 DistributionStats stats_from_metrics(const sim::ErrorMetrics& metrics,
                                      std::size_t width) {
   DistributionStats stats;
@@ -59,7 +49,7 @@ DistributionStats stats_from_metrics(const sim::ErrorMetrics& metrics,
   stats.mean_error_distance = metrics.mean_abs_error();
   stats.mean_squared_error = metrics.mean_squared_error();
   stats.worst_case_error = metrics.worst_case_error();
-  stats.psnr_db = psnr_from_mse(width, stats.mean_squared_error);
+  stats.psnr_db = analysis::psnr_db_from_mse(width, stats.mean_squared_error);
   return stats;
 }
 
@@ -151,7 +141,8 @@ Evaluation evaluate(const multibit::AdderChain& chain,
       stats.mean_error_distance = report.mean_abs_error;
       stats.mean_squared_error = report.mean_squared_error;
       stats.worst_case_error = report.worst_case_error;
-      stats.psnr_db = psnr_from_mse(chain.width(), stats.mean_squared_error);
+      stats.psnr_db =
+          analysis::psnr_db_from_mse(chain.width(), stats.mean_squared_error);
       out.distribution = stats;
       return out;
     }
@@ -226,7 +217,8 @@ Evaluation to_evaluation(Method method, analysis::AnalysisResult result,
   stats.mean_error_distance = pmf->mean_error_distance();
   stats.mean_squared_error = pmf->mean_squared_error();
   stats.worst_case_error = pmf->worst_case_error();
-  stats.psnr_db = pmf->psnr_db(width);
+  stats.psnr_db =
+      analysis::psnr_db_from_mse(width, stats.mean_squared_error);
   out.distribution = stats;
 
   PmfSummary summary;

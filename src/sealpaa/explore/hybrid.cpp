@@ -10,7 +10,6 @@
 #include "sealpaa/analysis/mkl.hpp"
 #include "sealpaa/analysis/recursive.hpp"
 #include "sealpaa/engine/incremental.hpp"
-#include "sealpaa/engine/method.hpp"
 #include "sealpaa/explore/detail.hpp"
 #include "sealpaa/util/parallel.hpp"
 
@@ -61,25 +60,23 @@ HybridDesign finalize(std::vector<adders::AdderCell> stages,
   HybridDesign design;
   design.stages = std::move(stages);
   design.objective = objective;
-  // p_error/p_success go through the same recursion call sequence
-  // regardless of the objective (kAnalyticPmf shares kRecursive's exact
-  // code path), so switching objectives never perturbs the reported
-  // error probability.
+  // p_error/p_success come from the recursion whatever the objective
+  // (engine::evaluate's analytic-pmf method runs the same call), so
+  // switching objectives never perturbs the reported error probability.
+  // Only MED, MSE and WCE are read off the PMF.
   const multibit::AdderChain chain(design.stages);
+  const analysis::AnalysisResult result =
+      analysis::RecursiveAnalyzer::analyze(chain, profile);
+  design.p_success = result.p_success;
+  design.p_error = result.p_error;
   try {
-    const engine::Evaluation result =
-        engine::evaluate(chain, profile, engine::Method::kAnalyticPmf);
-    design.p_success = result.p_success;
-    design.p_error = result.p_error;
-    design.med = result.distribution->mean_error_distance;
-    design.mse = result.distribution->mean_squared_error;
-    design.wce = result.distribution->worst_case_error;
+    const analysis::ErrorPmf pmf =
+        analysis::propagate_error_pmf(chain, profile);
+    design.med = pmf.mean_error_distance();
+    design.mse = pmf.mean_squared_error();
+    design.wce = pmf.worst_case_error();
   } catch (const std::length_error&) {
     // PMF support guard tripped: report the probability-only result.
-    const engine::Evaluation result =
-        engine::evaluate(chain, profile, engine::Method::kRecursive);
-    design.p_success = result.p_success;
-    design.p_error = result.p_error;
   }
   double power = 0.0;
   double area = 0.0;

@@ -1,7 +1,9 @@
 #include "sealpaa/gear/correction.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
+#include <utility>
 
 #include "sealpaa/analysis/mkl.hpp"
 
@@ -16,6 +18,37 @@ bool exact_carry_into(std::uint64_t a, std::uint64_t b, int j) noexcept {
       j >= 64 ? ~0ULL : ((1ULL << j) - 1ULL);
   const std::uint64_t low = (a & mask) + (b & mask);
   return ((low >> j) & 1ULL) != 0;
+}
+
+// A carry pattern holding mass, within one failure count.
+struct Mass {
+  std::uint64_t state = 0;
+  double mass = 0.0;
+};
+
+// One addend of a step: the pattern it lands on and its place in the
+// order the step adds.
+struct Term {
+  std::uint64_t state = 0;
+  std::size_t order = 0;
+  double mass = 0.0;
+};
+
+// Sums `terms` per pattern, each pattern's terms in their order and from
+// 0.0, into `out` in ascending pattern order; patterns whose sum is 0
+// are left out.
+void collect(std::vector<Term>& terms, std::vector<Mass>& out) {
+  std::sort(terms.begin(), terms.end(), [](const Term& a, const Term& b) {
+    return a.state != b.state ? a.state < b.state : a.order < b.order;
+  });
+  for (std::size_t i = 0; i < terms.size();) {
+    const std::uint64_t state = terms[i].state;
+    double sum = 0.0;
+    for (; i < terms.size() && terms[i].state == state; ++i) {
+      sum += terms[i].mass;
+    }
+    if (sum != 0.0) out.push_back(Mass{state, sum});
+  }
 }
 
 }  // namespace
@@ -67,87 +100,96 @@ std::vector<double> correction_cycle_distribution(
   // result bit (the failure event is decided there), so at most
   // ceil(P/R) + 1 windows are live at once.  Only failure counts up to
   // the number of blocks decided so far are held: each decision adds one.
-  struct Layer {
-    std::vector<int> active;     // block indices, in opening order
-    std::vector<std::vector<double>> mass;  // [failures][state bits]
-  };
-  Layer layer;
-  layer.mass.assign(1, std::vector<double>(2, 0.0));
-  layer.mass[0][0] = 1.0;  // c_exact = 0 (cin = 0), zero failures
-
-  const auto state_bits = [&]() {
-    return 1 + static_cast<int>(layer.active.size());
+  // State bit 0 is the exact carry and bit 1 + w the carry of active
+  // window w.  Every window opens with carry 0, so of the 2^(1 + live)
+  // carry patterns only a few ever hold mass: each failure count keeps
+  // the patterns that do, in ascending order, and every sum below adds
+  // its terms in (failure count, pattern, operand) order.
+  using Layer = std::vector<std::vector<Mass>>;  // [failures] -> patterns
+  Layer layer{{Mass{0, 1.0}}};  // c_exact = 0 (cin = 0), zero failures
+  Layer next;                   // the step's output, swapped in
+  std::vector<int> active;      // block indices, in opening order
+  std::vector<Term> terms;
+  const auto start_next = [&](std::size_t counts) {
+    next.resize(counts);
+    for (std::vector<Mass>& states : next) states.clear();
   };
 
   for (int j = 0; j < n; ++j) {
-    // Open windows starting at j.
+    // Open windows starting at j (their carry bit is 0 in every state).
     for (int block = 1; block < k; ++block) {
-      if (config.window_start(block) == j) {
-        layer.active.push_back(block);
-        for (auto& states : layer.mass) {
-          states.resize(1ULL << state_bits(), 0.0);
-        }
-      }
+      if (config.window_start(block) == j) active.push_back(block);
     }
 
     // Failure decision at a block's first result bit: carries differing
-    // moves the mass to failures+1; the window then retires.
-    for (std::size_t w = 0; w < layer.active.size();) {
-      const int block = layer.active[w];
-      if (config.result_start(block) != j) {
+    // moves the mass to failures+1; the window then retires.  Dropping
+    // its bit keeps the patterns in order, and failure count f collects
+    // the f - 1 patterns that fail here before the f patterns that pass.
+    for (std::size_t w = 0; w < active.size();) {
+      if (config.result_start(active[w]) != j) {
         ++w;
         continue;
       }
       const std::size_t bit_pos = 1 + w;
-      std::vector<std::vector<double>> next_mass(
-          layer.mass.size() + 1,
-          std::vector<double>(layer.mass[0].size() / 2, 0.0));
-      for (std::size_t f = 0; f < layer.mass.size(); ++f) {
-        for (std::size_t s = 0; s < layer.mass[f].size(); ++s) {
-          const double m = layer.mass[f][s];
-          if (m == 0.0) continue;
-          const bool c_exact = (s & 1U) != 0;
-          const bool c_window = ((s >> bit_pos) & 1U) != 0;
-          const std::size_t low = s & ((1ULL << bit_pos) - 1ULL);
-          const std::size_t high = (s >> (bit_pos + 1)) << bit_pos;
-          const std::size_t reduced = high | low;
-          const std::size_t f2 = f + (c_exact != c_window ? 1 : 0);
-          next_mass[f2][reduced] += m;
+      const std::uint64_t low_mask = (std::uint64_t{1} << bit_pos) - 1;
+      const auto fails = [&](const Mass& m) {
+        return (m.state & 1U) != ((m.state >> bit_pos) & 1U);
+      };
+      const auto reduced = [&](const Mass& m) {
+        return ((m.state >> (bit_pos + 1)) << bit_pos) | (m.state & low_mask);
+      };
+      start_next(layer.size() + 1);
+      for (std::size_t f = 0; f < next.size(); ++f) {
+        terms.clear();
+        if (f > 0) {
+          for (const Mass& m : layer[f - 1]) {
+            if (fails(m)) {
+              terms.push_back(Term{reduced(m), terms.size(), m.mass});
+            }
+          }
         }
+        if (f < layer.size()) {
+          for (const Mass& m : layer[f]) {
+            if (!fails(m)) {
+              terms.push_back(Term{reduced(m), terms.size(), m.mass});
+            }
+          }
+        }
+        collect(terms, next[f]);
       }
-      layer.mass = std::move(next_mass);
-      layer.active.erase(layer.active.begin() +
-                         static_cast<std::ptrdiff_t>(w));
+      std::swap(layer, next);
+      active.erase(active.begin() + static_cast<std::ptrdiff_t>(w));
     }
 
     // Advance every carry chain through bit j.
     const analysis::OperandWeights ab =
         analysis::operand_weights(profile.p_a(static_cast<std::size_t>(j)),
                                   profile.p_b(static_cast<std::size_t>(j)));
-    for (auto& states : layer.mass) {
-      std::vector<double> next(states.size(), 0.0);
-      for (std::size_t s = 0; s < states.size(); ++s) {
-        if (states[s] == 0.0) continue;
+    start_next(layer.size());
+    for (std::size_t f = 0; f < layer.size(); ++f) {
+      terms.clear();
+      for (const Mass& m : layer[f]) {
         for (std::size_t abi = 0; abi < 4; ++abi) {
           const int a_bit = static_cast<int>((abi >> 1) & 1U);
           const int b_bit = static_cast<int>(abi & 1U);
-          std::size_t s2 = 0;
-          const int c_exact = static_cast<int>(s & 1U);
+          std::uint64_t s2 = 0;
+          const int c_exact = static_cast<int>(m.state & 1U);
           if (a_bit + b_bit + c_exact >= 2) s2 |= 1U;
-          for (std::size_t w = 0; w < layer.active.size(); ++w) {
-            const int cw = static_cast<int>((s >> (1 + w)) & 1U);
-            if (a_bit + b_bit + cw >= 2) s2 |= 1ULL << (1 + w);
+          for (std::size_t w = 0; w < active.size(); ++w) {
+            const int cw = static_cast<int>((m.state >> (1 + w)) & 1U);
+            if (a_bit + b_bit + cw >= 2) s2 |= std::uint64_t{1} << (1 + w);
           }
-          next[s2] += states[s] * ab[abi];
+          terms.push_back(Term{s2, terms.size(), m.mass * ab[abi]});
         }
       }
-      states = std::move(next);
+      collect(terms, next[f]);
     }
+    std::swap(layer, next);
   }
 
   std::vector<double> distribution(static_cast<std::size_t>(k), 0.0);
-  for (std::size_t f = 0; f < layer.mass.size(); ++f) {
-    for (double m : layer.mass[f]) distribution[f] += m;
+  for (std::size_t f = 0; f < layer.size(); ++f) {
+    for (const Mass& m : layer[f]) distribution[f] += m.mass;
   }
   return distribution;
 }

@@ -319,10 +319,10 @@ void Dispatcher::process_batch(Shard& shard, std::vector<ParsedItem> items) {
             multibit::InputProfile::uniform(request.width, request.p));
       }
       // ChainEvaluator::evaluate is bit-identical to
-      // RecursiveAnalyzer::analyze and error_pmf to propagate_error_pmf
-      // for a full-width chain, so this response is byte-for-byte what
-      // engine::evaluate serializes — the PMF cache only changes how
-      // often stages recompute.
+      // RecursiveAnalyzer::analyze, and error_pmf returns what
+      // propagate_error_pmf (which it calls on a miss) returns, so this
+      // response is byte-for-byte what engine::evaluate serializes — the
+      // PMF cache only changes how often chains propagate.
       analysis::AnalysisResult result = evaluator->evaluate(request.chain);
       std::optional<analysis::ErrorPmf> pmf;
       if (request.method == engine::Method::kAnalyticPmf) {

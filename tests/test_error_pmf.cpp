@@ -11,13 +11,21 @@
 //    term order;
 //  * the engine integrations (IncrementalAnalyzer PMF tracking and the
 //    ChainEvaluator PMF cache) reproduce the batch propagation exactly
-//    while accounting their cache traffic.
+//    while accounting their cache traffic;
+//  * the windowed driver propagate_error_pmf equals the per-stage form
+//    (make_error_pmf_state + next_error_pmf_state + finalize_error_pmf)
+//    entry for entry and bit for bit — window path, sparse fallback,
+//    extreme profiles, the support and width guards — and its
+//    branch-free Neumaier step is the branching one.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <map>
+#include <optional>
 #include <set>
 #include <span>
 #include <stdexcept>
@@ -33,6 +41,7 @@
 #include "sealpaa/engine/incremental.hpp"
 #include "sealpaa/multibit/chain.hpp"
 #include "sealpaa/multibit/input_profile.hpp"
+#include "sealpaa/prob/kahan.hpp"
 #include "sealpaa/prob/rng.hpp"
 #include "sealpaa/sim/metrics.hpp"
 
@@ -517,6 +526,306 @@ TEST(ErrorPmf, ChainEvaluatorPartialPrefixMatchesPartialChain) {
   const ErrorPmf batch = sealpaa::analysis::propagate_error_pmf(
       AdderChain(stages), truncated);
   expect_same_entries(evaluator.error_pmf(prefix), batch, "prefix of 4");
+}
+
+// ---------------------------------------------------------------------------
+// The windowed driver against the per-stage form
+
+/// The per-stage form of a propagation: the reference the driver must
+/// reproduce.  Returns the PMF, or the what() of the std::length_error
+/// it threw.
+struct StagedOutcome {
+  std::optional<ErrorPmf> pmf;
+  std::string error;
+};
+
+StagedOutcome staged_propagate(const std::vector<AdderCell>& stages,
+                               const InputProfile& profile,
+                               const PmfOptions& options = {}) {
+  StagedOutcome out;
+  try {
+    ErrorPmfState state =
+        sealpaa::analysis::make_error_pmf_state(profile.p_cin());
+    for (std::size_t i = 0; i < stages.size(); ++i) {
+      state = sealpaa::analysis::next_error_pmf_state(
+          state, stages[i], profile.p_a(i), profile.p_b(i), options);
+    }
+    out.pmf = sealpaa::analysis::finalize_error_pmf(state, options);
+  } catch (const std::length_error& e) {
+    out.error = e.what();
+  }
+  return out;
+}
+
+StagedOutcome driven_propagate(const std::vector<AdderCell>& stages,
+                               const InputProfile& profile,
+                               const PmfOptions& options = {}) {
+  StagedOutcome out;
+  try {
+    out.pmf = sealpaa::analysis::propagate_error_pmf(AdderChain(stages),
+                                                     profile, options);
+  } catch (const std::length_error& e) {
+    out.error = e.what();
+  }
+  return out;
+}
+
+void expect_same_outcome(const StagedOutcome& got, const StagedOutcome& want,
+                         const std::string& context) {
+  ASSERT_EQ(got.pmf.has_value(), want.pmf.has_value())
+      << context << ": driver threw '" << got.error << "', stages threw '"
+      << want.error << "'";
+  if (want.pmf) {
+    expect_same_entries(*got.pmf, *want.pmf, context);
+  } else {
+    EXPECT_EQ(got.error, want.error) << context;
+  }
+}
+
+/// Per-bit probabilities with the edge values mixed in.
+InputProfile edge_profile(std::size_t width,
+                          sealpaa::prob::Xoshiro256StarStar& rng,
+                          double p_cin) {
+  const std::array<double, 5> edges = {
+      0.0, 1.0, 1e-300, std::numeric_limits<double>::denorm_min(), 0.5};
+  const auto draw = [&] {
+    const std::uint64_t pick = rng.next() % 8;
+    return pick < edges.size() ? edges[pick] : rng.uniform01();
+  };
+  std::vector<double> p_a(width);
+  std::vector<double> p_b(width);
+  for (std::size_t i = 0; i < width; ++i) {
+    p_a[i] = draw();
+    p_b[i] = draw();
+  }
+  return InputProfile(std::move(p_a), std::move(p_b), p_cin);
+}
+
+TEST(ErrorPmfDriver, MatchesPerStageFormOverRandomBuiltinChains) {
+  // Every built-in cell, widths 1..24.  At most 10 approximate stages
+  // keep the supports small; placed in the low bits they keep every
+  // window dense, placed anywhere they spread the segments and send
+  // some chains to the sparse fallback mid-chain.
+  const std::span<const AdderCell> builtins =
+      sealpaa::adders::all_builtin_cells();
+  sealpaa::prob::SplitMix64 rng(0x70f'0000'0010ULL);
+  sealpaa::prob::Xoshiro256StarStar profile_rng(0x70f'0000'0011ULL);
+  constexpr std::array<double, 3> kCarryIns = {0.0, 0.5, 1.0};
+  for (int trial = 0; trial < 480; ++trial) {
+    const std::size_t width = 1 + static_cast<std::size_t>(trial % 24);
+    const std::size_t approximate =
+        std::min<std::size_t>(width, rng.next() % 11);
+    const bool low_bits = rng.next() % 2 == 0;
+    std::vector<AdderCell> stages(width, sealpaa::adders::accurate());
+    for (std::size_t a = 0; a < approximate; ++a) {
+      const std::size_t at = low_bits ? a : rng.next() % width;
+      stages[at] = builtins[(a == 0 ? static_cast<std::size_t>(trial)
+                                    : rng.next()) %
+                            builtins.size()];
+    }
+    const double p_cin = kCarryIns[static_cast<std::size_t>(trial) % 3];
+    const InputProfile profile =
+        trial % 3 == 2
+            ? edge_profile(width, profile_rng, p_cin)
+            : InputProfile::uniform_with_cin(
+                  width, 0.05 + 0.9 * profile_rng.uniform01(), p_cin);
+    expect_same_outcome(driven_propagate(stages, profile),
+                        staged_propagate(stages, profile),
+                        "trial " + std::to_string(trial));
+  }
+}
+
+TEST(ErrorPmfDriver, MatchesPerStageFormOnEdgeProfiles) {
+  // Random per-bit probabilities of 0, 1, 1e-300 and 2^-1074 (whose
+  // products underflow to 0 and empty whole segments), under every
+  // carry-in edge.
+  sealpaa::prob::SplitMix64 cell_rng(0x70f'0000'0012ULL);
+  sealpaa::prob::Xoshiro256StarStar profile_rng(0x70f'0000'0013ULL);
+  for (int trial = 0; trial < 60; ++trial) {
+    const std::size_t width = 1 + static_cast<std::size_t>(trial % 12);
+    const std::vector<AdderCell> stages = random_chain(cell_rng, width, trial);
+    for (const double p_cin : {0.0, 0.5, 1.0}) {
+      const InputProfile profile = edge_profile(width, profile_rng, p_cin);
+      expect_same_outcome(driven_propagate(stages, profile),
+                          staged_propagate(stages, profile),
+                          "trial " + std::to_string(trial) + " p_cin " +
+                              std::to_string(p_cin));
+    }
+  }
+}
+
+TEST(ErrorPmfDriver, SparseFallbackMidChainMatches) {
+  // Approximate cells only in the top bits of a width-40 chain: below
+  // them every segment is a point mass, and their deltas of +-2^34 and
+  // more spread the segments far wider than twice what they hold.
+  for (int top = 1; top <= 6; ++top) {
+    std::vector<AdderCell> stages(40, sealpaa::adders::accurate());
+    for (int s = 0; s < top; ++s) {
+      stages[static_cast<std::size_t>(39 - s)] =
+          sealpaa::adders::lpaa(1 + (s % 7));
+    }
+    // A few approximate low bits too, so the window path runs first.
+    stages[0] = sealpaa::adders::lpaa(2);
+    stages[1] = sealpaa::adders::lpaa(5);
+    for (const double p : {0.3, 0.5}) {
+      const InputProfile profile = InputProfile::uniform(40, p);
+      expect_same_outcome(driven_propagate(stages, profile),
+                          staged_propagate(stages, profile),
+                          "top " + std::to_string(top));
+    }
+  }
+}
+
+TEST(ErrorPmfDriver, SupportGuardTripsAtTheSameStageWithTheSameText) {
+  // Every support cap from 1 past the final support: each trips at the
+  // stage (or in the finalize) where the per-stage form trips, with the
+  // same message and support count.
+  const std::vector<AdderCell> stages(10, sealpaa::adders::lpaa(1));
+  const InputProfile profile = InputProfile::uniform(10, 0.4);
+  const StagedOutcome unbounded = staged_propagate(stages, profile);
+  ASSERT_TRUE(unbounded.pmf.has_value());
+  const std::size_t final_support = unbounded.pmf->support_size();
+  std::size_t tripped = 0;
+  for (std::size_t cap = 1; cap <= final_support + 1;
+       cap = cap < 16 ? cap + 1 : cap + cap / 4) {
+    PmfOptions options;
+    options.max_support = cap;
+    const StagedOutcome want = staged_propagate(stages, profile, options);
+    if (!want.pmf) ++tripped;
+    expect_same_outcome(driven_propagate(stages, profile, options), want,
+                        "cap " + std::to_string(cap));
+  }
+  EXPECT_GT(tripped, 10u);
+
+  // A cap the finalize alone exceeds: every state fits, the fold of the
+  // carry-out does not.
+  PmfOptions options;
+  options.max_support = final_support - 1;
+  const StagedOutcome want = staged_propagate(stages, profile, options);
+  ASSERT_FALSE(want.pmf.has_value());
+  EXPECT_NE(want.error.find("support " + std::to_string(final_support)),
+            std::string::npos)
+      << want.error;
+  expect_same_outcome(driven_propagate(stages, profile, options), want,
+                      "finalize cap");
+}
+
+TEST(ErrorPmfDriver, WidthsSixtyTwoAndSixtyThree) {
+  // Width 62 is the widest the error domain holds: approximate cells in
+  // the low bits (windows throughout) and in the top bits (the carry-out
+  // fold at +-2^62).  Width 63 throws at stage 62 in both forms.
+  for (const bool top : {false, true}) {
+    std::vector<AdderCell> stages(62, sealpaa::adders::accurate());
+    for (std::size_t s = 0; s < 4; ++s) {
+      stages[top ? 61 - s : s] = sealpaa::adders::lpaa(1 + static_cast<int>(s));
+    }
+    const InputProfile profile = InputProfile::uniform(62, 0.45);
+    expect_same_outcome(driven_propagate(stages, profile),
+                        staged_propagate(stages, profile),
+                        top ? "width 62, top bits" : "width 62, low bits");
+  }
+  std::vector<AdderCell> stages(63, sealpaa::adders::accurate());
+  stages[0] = sealpaa::adders::lpaa(3);
+  const InputProfile profile = InputProfile::uniform(63, 0.5);
+  const StagedOutcome want = staged_propagate(stages, profile);
+  ASSERT_FALSE(want.pmf.has_value());
+  EXPECT_NE(want.error.find("widths <= 62"), std::string::npos);
+  expect_same_outcome(driven_propagate(stages, profile), want, "width 63");
+}
+
+TEST(ErrorPmfDriver, ChainEvaluatorFullAndPrefixChainsMatchPerStageForm) {
+  sealpaa::prob::SplitMix64 cell_rng(0x70f'0000'0014ULL);
+  sealpaa::prob::Xoshiro256StarStar profile_rng(0x70f'0000'0015ULL);
+  const std::size_t width = 14;
+  std::vector<AdderCell> palette;
+  for (int c = 0; c < 3; ++c) palette.push_back(random_cell(cell_rng, c));
+  palette.push_back(sealpaa::adders::accurate());
+  palette.push_back(sealpaa::adders::lpaa(4));
+  const InputProfile profile =
+      InputProfile::random(width, profile_rng, 0.05, 0.95);
+  ChainEvaluator evaluator(profile, palette);
+  sealpaa::prob::SplitMix64 walk_rng(0x70f'0000'0016ULL);
+  for (int query = 0; query < 30; ++query) {
+    const std::size_t length =
+        query % 3 == 0 ? width : 1 + walk_rng.next() % width;
+    std::vector<std::size_t> choices(length);
+    std::vector<AdderCell> stages;
+    for (std::size_t& choice : choices) {
+      // The high bits mostly exact, as the service's chains are.
+      choice = stages.size() < 6 ? walk_rng.next() % palette.size()
+                                 : 3 + walk_rng.next() % 2;
+      stages.push_back(palette[choice]);
+    }
+    const InputProfile truncated(
+        {profile.all_p_a().begin(),
+         profile.all_p_a().begin() + static_cast<std::ptrdiff_t>(length)},
+        {profile.all_p_b().begin(),
+         profile.all_p_b().begin() + static_cast<std::ptrdiff_t>(length)},
+        profile.p_cin());
+    const StagedOutcome want = staged_propagate(stages, truncated);
+    ASSERT_TRUE(want.pmf.has_value());
+    expect_same_entries(evaluator.error_pmf(choices), *want.pmf,
+                        "query " + std::to_string(query) + " of " +
+                            std::to_string(length) + " stages");
+  }
+}
+
+/// The Neumaier step as a branch, the form the branch-free step must
+/// reproduce bit for bit.
+void branching_neumaier_add(double& sum, double& compensation, double x) {
+  const double t = sum + x;
+  if (std::abs(sum) >= std::abs(x)) {
+    compensation += (sum - t) + x;
+  } else {
+    compensation += (x - t) + sum;
+  }
+  sum = t;
+}
+
+std::uint64_t bits_of(double x) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &x, sizeof bits);
+  return bits;
+}
+
+TEST(ErrorPmfDriver, BranchFreeNeumaierStepIsTheBranchingOne) {
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const double min_normal = std::numeric_limits<double>::min();
+  const std::vector<double> values = {
+      0.0,       -0.0,         tiny,     -tiny,       3 * tiny,
+      min_normal, -min_normal, 1e-300,   -1e-300,     1e300,
+      -1e300,     1.0,         -1.0,     0.1,         1.0 + 0x1p-52,
+      0x1p-53,    1e-16,       12345.678};
+  sealpaa::prob::Xoshiro256StarStar rng(0x70f'0000'0017ULL);
+  // Every (sum, compensation, addend) triple of the edge values, then
+  // long runs of mixed magnitudes where the compensation matters.
+  for (const double sum : values) {
+    for (const double compensation : values) {
+      for (const double x : values) {
+        double s1 = sum;
+        double c1 = compensation;
+        double s2 = sum;
+        double c2 = compensation;
+        sealpaa::prob::neumaier_add(s1, c1, x);
+        branching_neumaier_add(s2, c2, x);
+        EXPECT_EQ(bits_of(s1), bits_of(s2)) << sum << " + " << x;
+        EXPECT_EQ(bits_of(c1), bits_of(c2)) << sum << " + " << x;
+      }
+    }
+  }
+  for (int run = 0; run < 200; ++run) {
+    sealpaa::prob::KahanSum kahan;
+    double s = 0.0;
+    double c = 0.0;
+    for (int i = 0; i < 64; ++i) {
+      const double magnitude =
+          values[static_cast<std::size_t>(rng.next() % values.size())];
+      const double x = magnitude * rng.uniform01();
+      kahan.add(x);
+      branching_neumaier_add(s, c, x);
+    }
+    EXPECT_EQ(bits_of(kahan.value()), bits_of(s + c)) << "run " << run;
+  }
 }
 
 }  // namespace

@@ -10,6 +10,8 @@
 // just to itself.  The ErrorPmf constants were recorded from the mixture
 // that chose between a dense slot array and a gather + sort by a fixed
 // value-span threshold, so they pin today's accumulators to that output.
+// The GeAr recovery-cycle distribution is pinned the same way to the DP
+// that scanned every carry pattern.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -22,6 +24,8 @@
 #include "sealpaa/analysis/block_error.hpp"
 #include "sealpaa/analysis/error_pmf.hpp"
 #include "sealpaa/analysis/recursive.hpp"
+#include "sealpaa/gear/correction.hpp"
+#include "sealpaa/gear/gear.hpp"
 #include "sealpaa/multibit/blocks.hpp"
 #include "sealpaa/multibit/joint_profile.hpp"
 #include "sealpaa/prob/rng.hpp"
@@ -235,6 +239,47 @@ TEST(RecordedBits, ErrorPmfBlockModelAca4Width24) {
                    0x4278441cc6320e99ULL, 0x3fefffffffffffffULL,
                    0x79631d2e88870209ULL},
                   "aca:4 width 24");
+}
+
+std::vector<std::uint64_t> bits_of(const std::vector<double>& values) {
+  std::vector<std::uint64_t> bits;
+  for (const double value : values) {
+    bits.push_back(std::bit_cast<std::uint64_t>(value));
+  }
+  return bits;
+}
+
+TEST(RecordedBits, GearCorrectionCycleDistribution) {
+  // Recorded from the DP that scanned every window-carry pattern of
+  // every failure count at every bit; the DP that advances only the
+  // patterns holding mass adds in the same order.
+  using sealpaa::gear::GearConfig;
+  using sealpaa::gear::correction_cycle_distribution;
+  EXPECT_EQ(bits_of(correction_cycle_distribution(
+                GearConfig(16, 2, 4), InputProfile::uniform(16, 0.3))),
+            (std::vector<std::uint64_t>{
+                0x3fef5d8046d09c32ULL, 0x3f91656aaf51b032ULL,
+                0x3f643e282cdc3fddULL, 0x3f35d56aeba231ffULL,
+                0x3f04debadedeb75fULL, 0x3ed0267e14850b04ULL}));
+  sealpaa::prob::Xoshiro256StarStar rng(0x6ea7'0000'0001ULL);
+  EXPECT_EQ(bits_of(correction_cycle_distribution(
+                GearConfig(20, 3, 6),
+                InputProfile::random(20, rng, 0.05, 0.95))),
+            (std::vector<std::uint64_t>{
+                0x3fee18fbf388b4b4ULL, 0x3fa88b0bccb36c4eULL,
+                0x3f82e4f5d083bd0dULL, 0x3f612db58170ca8dULL,
+                0x3f291c2e894c6dfcULL}));
+  // GeAr(63,1,12): 51 entries, pinned by their FNV-1a hash.
+  const std::vector<std::uint64_t> wide = bits_of(correction_cycle_distribution(
+      GearConfig(63, 1, 12), InputProfile::uniform(63, 0.5)));
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const std::uint64_t bits : wide) {
+    hash ^= bits;
+    hash *= 0x100000001b3ULL;
+  }
+  ASSERT_EQ(wide.size(), 51u);
+  EXPECT_EQ(wide.front(), 0x3fefe7057daec07eULL);
+  EXPECT_EQ(hash, 0xfc476686c521c229ULL);
 }
 
 }  // namespace
